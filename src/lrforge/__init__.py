@@ -22,8 +22,8 @@ from .model import (  # noqa: F401
     init_params, load_params, param_count, save_params,
 )
 from .trainer import (  # noqa: F401
-    SurfacePath, TrainConfig, TrialOutcome, TrialTrace, run_surface_trial,
-    run_trial,
+    SurfacePath, TrainConfig, TrialOutcome, TrialTrace, run_population,
+    run_surface_trial, run_trial,
 )
 from .tuner import (  # noqa: F401
     AllDiverged, RangeTestResult, SearchSpace, TrialContext, TuneResult,

@@ -27,6 +27,10 @@ EXIT_IO = 3
 EXIT_ALL_DIVERGED = 4
 
 
+WORKERS_HELP = ("accepted for compatibility, no effect: every trial of a search "
+                "trains in one stacked numpy computation")
+
+
 class ManifestError(ValueError):
     """Manifest fails schema validation; message names the offending field."""
 
@@ -527,15 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="search policies/lambdas from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel trial workers (default: cpu count)")
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--db", help="record database path (default: $LRFORGE_DB)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("range-test", help="bracket usable fixed LRs with short probes")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--db", help="record database path (default: $LRFORGE_DB)")
     p.set_defaults(func=cmd_range_test)

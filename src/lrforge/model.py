@@ -7,11 +7,16 @@ a JSON layout header followed by the raw bytes.
 
 The loss is mean softmax cross-entropy, computed through log-sum-exp so
 large logits cannot overflow. Gradients are exact and analytic.
+
+`forward_loss_grad` and `accuracy_on` also take a (C, P) stack of C
+parameter vectors and compute all of them with batched matmuls; a flat
+vector is the stack of one, so there is a single kernel.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +48,19 @@ ModelSpec = Linear | MLP
 
 @dataclass(frozen=True)
 class ParamVector:
-    data: np.ndarray                                   # flat float64
+    """Flat float64 parameters, or a (C, P) stack of C flat vectors."""
+
+    data: np.ndarray                                   # (P,) or (C, P) float64
     layout: tuple[tuple[str, tuple[int, ...], int], ...]  # (name, shape, offset)
 
     def view(self, name: str) -> np.ndarray:
-        for entry_name, shape, offset in self.layout:
-            if entry_name == name:
-                size = int(np.prod(shape))
-                return self.data[offset:offset + size].reshape(shape)
-        raise KeyError(name)
+        return self.views()[name]
+
+    def views(self) -> dict[str, np.ndarray]:
+        """Every tensor as a view, shaped (*stack, *shape), from one pass over the layout."""
+        stack = self.data.shape[:-1]
+        return {name: self.data[..., offset:offset + math.prod(shape)].reshape(stack + shape)
+                for name, shape, offset in self.layout}
 
 
 def _layout_for(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...], int], ...]:
@@ -99,57 +108,80 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return ParamVector(data=data, layout=layout)
 
 
-def _logits(spec: ModelSpec, params: ParamVector, x: np.ndarray):
+def _logits(spec: ModelSpec, p: dict, x: np.ndarray):
+    """Stacked logits: p holds (C, ...) views, x is (B, d) or (C, B, d)."""
     if isinstance(spec, Linear):
-        return x @ params.view("W") + params.view("b"), None, None
-    z1 = x @ params.view("W1") + params.view("b1")
+        return x @ p["W"] + p["b"][:, None], None, None
+    z1 = x @ p["W1"] + p["b1"][:, None]
     a1 = np.maximum(z1, 0.0)
-    return a1 @ params.view("W2") + params.view("b2"), z1, a1
+    return a1 @ p["W2"] + p["b2"][:, None], z1, a1
+
+
+def _stacked(params: ParamVector) -> ParamVector:
+    if params.data.ndim == 2:
+        return params
+    return ParamVector(data=params.data[None], layout=params.layout)
 
 
 def forward_loss_grad(spec: ModelSpec, params: ParamVector, x: np.ndarray,
-                      y: np.ndarray) -> tuple[float, ParamVector, float]:
-    """Mean cross-entropy loss, gradient, and batch accuracy."""
-    n = x.shape[0]
+                      y: np.ndarray):
+    """Mean cross-entropy loss, gradient, and batch accuracy.
+
+    For flat params: (float loss, ParamVector grad, float accuracy). For a
+    (C, P) stack: (C,) losses, a (C, P) gradient stack and (C,) accuracies,
+    with x and y either shared, (B, d) and (B,), or per row, (C, B, d) and
+    (C, B). Flat params run as a stack of one, and row c of a stack is bit
+    for bit what data[c] gives alone: every matmul slice is the same BLAS
+    call and every reduction runs in the same order.
+    """
+    n = x.shape[-2]
     if n == 0:
         raise ValueError("empty batch")
-    if x.shape[1] != (spec.d_in):
-        raise ValueError(f"feature width {x.shape[1]} does not match d_in {spec.d_in}")
+    if x.shape[-1] != spec.d_in:
+        raise ValueError(f"feature width {x.shape[-1]} does not match d_in {spec.d_in}")
     if y.min() < 0 or y.max() >= spec.n_classes:
         raise ValueError(f"labels out of range [0, {spec.n_classes})")
 
+    stack = _stacked(params)
+    p = stack.views()
+    rows = np.arange(stack.data.shape[0])[:, None]
+    cols = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, z1, a1 = _logits(spec, params, x)
-        zmax = logits.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-        loss = float(np.mean(lse - logits[np.arange(n), y]))
-        accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
+        logits, z1, a1 = _logits(spec, p, x)
+        zmax = logits.max(axis=-1, keepdims=True)
+        lse = zmax[..., 0] + np.log(np.exp(logits - zmax).sum(axis=-1))
+        loss = np.mean(lse - logits[rows, cols, y], axis=-1)
+        accuracy = np.mean(np.argmax(logits, axis=-1) == y, axis=-1)
 
-        probs = np.exp(logits - lse[:, None])
-        dlogits = probs
-        dlogits[np.arange(n), y] -= 1.0
+        dlogits = np.exp(logits - lse[..., None])
+        dlogits[rows, cols, y] -= 1.0
         dlogits /= n
 
-        grad = np.zeros_like(params.data)
-        gview = ParamVector(data=grad, layout=params.layout)
+        grad = ParamVector(data=np.zeros_like(stack.data), layout=stack.layout)
+        g = grad.views()
+        xt = np.swapaxes(x, -1, -2)
         if isinstance(spec, Linear):
-            gview.view("W")[:] = x.T @ dlogits
-            gview.view("b")[:] = dlogits.sum(axis=0)
+            g["W"][:] = xt @ dlogits
+            g["b"][:] = dlogits.sum(axis=-2)
         else:
-            gview.view("W2")[:] = a1.T @ dlogits
-            gview.view("b2")[:] = dlogits.sum(axis=0)
-            da1 = dlogits @ params.view("W2").T
+            g["W2"][:] = np.swapaxes(a1, -1, -2) @ dlogits
+            g["b2"][:] = dlogits.sum(axis=-2)
+            da1 = dlogits @ np.swapaxes(p["W2"], -1, -2)
             dz1 = da1 * (z1 > 0)
-            gview.view("W1")[:] = x.T @ dz1
-            gview.view("b1")[:] = dz1.sum(axis=0)
+            g["W1"][:] = xt @ dz1
+            g["b1"][:] = dz1.sum(axis=-2)
 
-    return loss, gview, accuracy
+    if params.data.ndim == 1:
+        return float(loss[0]), ParamVector(grad.data[0], params.layout), float(accuracy[0])
+    return loss, grad, accuracy
 
 
-def accuracy_on(spec: ModelSpec, params: ParamVector, ds: Dataset) -> float:
+def accuracy_on(spec: ModelSpec, params: ParamVector, ds: Dataset):
+    """Test accuracy: a float for flat params, (C,) for a (C, P) stack."""
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, _, _ = _logits(spec, params, ds.features)
-        return float(np.mean(np.argmax(logits, axis=1) == ds.labels))
+        logits, _, _ = _logits(spec, _stacked(params).views(), ds.features)
+        accuracy = np.mean(np.argmax(logits, axis=-1) == ds.labels, axis=-1)
+    return float(accuracy[0]) if params.data.ndim == 1 else accuracy
 
 
 # checkpoint format: one JSON header line, then the raw float64 bytes

@@ -1,7 +1,10 @@
 """SGD and Adam updates on flat float64 parameter vectors.
 
 Steps are pure: they return fresh (params, state) pairs and never mutate
-their inputs, so optimizer trajectories replay exactly.
+their inputs, so optimizer trajectories replay exactly. Every update is
+elementwise, so a (C, P) stack of C parameter vectors steps at once, each
+row with its own learning rate (lr of shape (C, 1)), and row c gets the
+same floats it would get alone.
 
 Adam per step, elementwise:
     m   = b1 * m + (1 - b1) * g
@@ -18,7 +21,7 @@ SGD with momentum mu:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,13 +58,13 @@ class OptimizerSpec:
         return "adam"
 
 
-def init_sgd(n: int, momentum: float = 0.0) -> SgdState:
+def init_sgd(n: int | tuple[int, ...], momentum: float = 0.0) -> SgdState:
     if not (0 <= momentum < 1):
         raise ValueError(f"momentum must be in [0, 1), got {momentum!r}")
     return SgdState(velocity=np.zeros(n), momentum=momentum)
 
 
-def init_adam(n: int, beta1: float = 0.9, beta2: float = 0.999,
+def init_adam(n: int | tuple[int, ...], beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
     if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
         raise ValueError(f"betas must be in [0, 1), got {beta1!r}, {beta2!r}")
@@ -70,7 +73,8 @@ def init_adam(n: int, beta1: float = 0.9, beta2: float = 0.999,
     return AdamState(m=np.zeros(n), v=np.zeros(n), beta1=beta1, beta2=beta2, eps=eps)
 
 
-def init_state(spec: OptimizerSpec, n: int) -> SgdState | AdamState:
+def init_state(spec: OptimizerSpec, n: int | tuple[int, ...]) -> SgdState | AdamState:
+    """Zero state for n parameters, or for a (C, P) stack when n is that shape."""
     if spec.kind == "sgd":
         return init_sgd(n, momentum=spec.momentum)
     if spec.kind == "adam":
@@ -82,13 +86,14 @@ def _check(params: np.ndarray, grads: np.ndarray, lr: float, state_vec: np.ndarr
     if params.shape != grads.shape or params.shape != state_vec.shape:
         raise ValueError(f"shape mismatch: params {params.shape}, grads {grads.shape}, "
                          f"state {state_vec.shape}")
-    if not (isinstance(lr, (int, float)) and math.isfinite(lr) and lr >= 0):
-        raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
+    for value in lr.ravel().tolist() if isinstance(lr, np.ndarray) else [lr]:
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {value!r}")
     if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient")
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float,
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float | np.ndarray,
              state: SgdState) -> tuple[np.ndarray, SgdState]:
     _check(params, grads, lr, state.velocity)
     velocity = state.momentum * state.velocity + grads
@@ -96,7 +101,7 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float,
     return new_params, SgdState(velocity=velocity, momentum=state.momentum)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, lr: float,
+def adam_step(params: np.ndarray, grads: np.ndarray, lr: float | np.ndarray,
               state: AdamState) -> tuple[np.ndarray, AdamState]:
     _check(params, grads, lr, state.m)
     t = state.t + 1
@@ -109,11 +114,18 @@ def adam_step(params: np.ndarray, grads: np.ndarray, lr: float,
                                  beta2=state.beta2, eps=state.eps)
 
 
-def step(params: np.ndarray, grads: np.ndarray, lr: float,
+def step(params: np.ndarray, grads: np.ndarray, lr: float | np.ndarray,
          state: SgdState | AdamState):
-    """Dispatch on the state type; used by the trainer loop."""
+    """Dispatch on the state type; the trainer steps its whole stack with one call."""
     if isinstance(state, SgdState):
         return sgd_step(params, grads, lr, state)
     if isinstance(state, AdamState):
         return adam_step(params, grads, lr, state)
     raise ValueError(f"unknown optimizer state {type(state).__name__}")
+
+
+def select(state: SgdState | AdamState, rows) -> SgdState | AdamState:
+    """The state of the given rows of a stack, for trials that keep running."""
+    if isinstance(state, SgdState):
+        return replace(state, velocity=state.velocity[rows])
+    return replace(state, m=state.m[rows], v=state.v[rows])

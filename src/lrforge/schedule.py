@@ -17,6 +17,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 
@@ -337,6 +338,31 @@ def horizon(policy: Policy):
     """Public horizon query; validates first."""
     validate(policy)
     return _horizon(policy)
+
+
+def _horizon_field(policy: Policy) -> str:
+    while isinstance(policy, Scaled):
+        policy = policy.base
+    if isinstance(policy, Warmup):
+        return "WARMUP horizon (w plus the inner policy's horizon)"
+    if isinstance(policy, Composite):
+        return "MULTI segments"
+    return f"{family_name(policy)} t_max"
+
+
+def compile(policy: Policy, steps: int):
+    """Validate once and return eta(t) as a function of t, for 0 <= t < steps.
+
+    A horizon-bound policy that ends before t = steps - 1 raises PolicyError
+    here, naming the field, so a run fails before its first step instead of
+    at the first step past the horizon.
+    """
+    validate(policy)
+    end = _horizon(policy)
+    if end is not None and end < steps - 1:
+        raise PolicyError(f"{_horizon_field(policy)} ends at t={end}, shorter than "
+                          f"the {steps}-step budget (last step t={steps - 1})")
+    return partial(_eval, policy)
 
 
 # --- evaluation ---

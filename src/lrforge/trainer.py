@@ -1,12 +1,21 @@
-"""Deterministic iteration-based training loop.
+"""Deterministic iteration-based training, stepping many trials as one.
 
 A trial is a pure function of (model spec, task, policy, optimizer spec,
 config): the epoch shuffles, parameter init, and LR sequence all derive
 from config.seed, so the same inputs always produce the same trace.
 
+`run_population` trains trials that share the model, task, optimizer and
+config (all but the seed) but not the policy as one stacked numpy
+computation: their parameters form a (C, P) array, and each step is one
+batched forward/backward pass and one optimizer update over every trial
+still running. Each row gets exactly the floats it would get alone, so how
+trials are grouped never changes a result; `run_trial` is a population of
+one.
+
 Divergence (a non-finite loss or gradient) is a first-class outcome, not
 an exception: the trial stops and the trace is marked diverged. Large
-learning rates are expected to blow up during sweeps.
+learning rates are expected to blow up during sweeps. A trial that
+diverges or reaches its target leaves the stack, and the rest go on.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +60,7 @@ class TrialOutcome:
     iterations_run: int
     iterations_to_target: Optional[int]
     diverged: bool
+    # seconds from the start of the trial's population to this trial's stop
     wall_time_sec: float
 
     def to_dict(self, include_timing: bool = False) -> dict:
@@ -66,17 +76,167 @@ class TrialOutcome:
 
 @dataclass
 class TrialTrace:
-    iterations: list[int] = field(default_factory=list)
-    lrs: list[float] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
-    eval_iterations: list[int] = field(default_factory=list)
-    eval_accuracies: list[float] = field(default_factory=list)
-    outcome: Optional[TrialOutcome] = None
-    final_params: Optional[ParamVector] = None
+    """One trial's per-step LR and train loss, evaluations, outcome, final params."""
+
+    step_lrs: np.ndarray     # float64, one entry per step run
+    step_losses: np.ndarray
+    eval_iterations: list[int]
+    eval_accuracies: list[float]
+    outcome: TrialOutcome
+    final_params: ParamVector
+    # policies with integer fields give integer LRs, which the CSV writes as such
+    int_lr_steps: tuple[int, ...] = ()
+
+    @property
+    def iterations(self) -> list[int]:
+        return list(range(self.step_lrs.size))
+
+    @property
+    def lrs(self) -> list:
+        lrs = self.step_lrs.tolist()
+        for t in self.int_lr_steps:
+            lrs[t] = int(lrs[t])
+        return lrs
+
+    @property
+    def losses(self) -> list[float]:
+        return self.step_losses.tolist()
 
 
 def epoch_length(n_train: int, batch_size: int) -> int:
     return math.ceil(n_train / batch_size)
+
+
+_PLATEAU = (adaptive.ReduceOnPlateau, adaptive.ChangeOnPlateau)
+
+
+def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple],
+                   opt_spec: optim.OptimizerSpec, config: TrainConfig,
+                   init: Optional[ParamVector] = None) -> list[TrialTrace]:
+    """Train each (policy, seed) in `trials` under config, all stacked together.
+
+    config.seed is replaced by each trial's seed. Returns one trace per
+    trial, in order, each equal to what `run_trial` gives for that trial.
+    Every policy is validated before the first step; a horizon-bound one
+    must cover the budget. See `run_trial` for the evaluation and stopping
+    rules.
+    """
+    config.validate()
+    policies = [policy for policy, _ in trials]
+    plateau = {}  # trial index -> adaptive state
+    closed = {}   # trial index -> validated t -> lr
+    for i, policy in enumerate(policies):
+        if isinstance(policy, _PLATEAU):
+            plateau[i] = adaptive.initial_state(policy)
+        else:
+            closed[i] = schedule.compile(policy, config.budget)
+
+    def lr_of(i: int, t: int):
+        if i in plateau:
+            return adaptive.current_lr(plateau[i], policies[i], t)
+        return closed[i](t)
+
+    train, budget, bs = task.train, config.budget, config.batch_size
+    n = train.features.shape[0]
+    ep_len = epoch_length(n, bs)
+    eval_every = config.eval_every if config.eval_every is not None else ep_len
+    target = config.target_accuracy
+
+    # one permutation stream per distinct seed, drawn exactly as a lone trial draws it
+    seeds = sorted({seed for _, seed in trials})
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    group = np.array([seeds.index(seed) for _, seed in trials], dtype=np.intp)
+    if init is not None:
+        layout = init.layout
+        params = np.repeat(init.data[None], len(trials), axis=0)
+    else:
+        inits = {seed: init_params(model_spec, seed) for seed in seeds}
+        layout = inits[seeds[0]].layout
+        params = np.stack([inits[seed].data for _, seed in trials])
+    opt_state = optim.init_state(opt_spec, params.shape)
+
+    ids = np.arange(len(trials))  # the trial in each row of the stack
+    step_lrs = np.empty((len(trials), budget))
+    step_losses = np.empty((len(trials), budget))
+    int_lr_steps = {}
+    evals = [([], []) for _ in trials]
+    traces: list[Optional[TrialTrace]] = [None] * len(trials)
+    started = time.perf_counter()
+
+    def evaluate(rows, t_done: int) -> np.ndarray:
+        acc = accuracy_on(model_spec, ParamVector(params[rows], layout), task.test)
+        for i, a in zip(ids[rows].tolist(), acc.tolist()):
+            evals[i][0].append(t_done)
+            evals[i][1].append(a)
+        return acc
+
+    def stop(done: np.ndarray, t_done: int, diverged: bool,
+             to_target: Optional[int]) -> np.ndarray:
+        """Close the traces of the rows in `done`, drop them from the stack,
+        and return the mask of rows kept."""
+        nonlocal ids, params, group, opt_state
+        wall = time.perf_counter() - started
+        for r in np.flatnonzero(done).tolist():
+            i = int(ids[r])
+            iters, accs = evals[i]
+            traces[i] = TrialTrace(
+                step_lrs=step_lrs[i, :t_done], step_losses=step_losses[i, :t_done],
+                eval_iterations=iters, eval_accuracies=accs,
+                outcome=TrialOutcome(final_accuracy=accs[-1], best_accuracy=max(accs),
+                                     iterations_run=t_done, iterations_to_target=to_target,
+                                     diverged=diverged, wall_time_sec=wall),
+                final_params=ParamVector(data=params[r].copy(), layout=layout),
+                int_lr_steps=tuple(int_lr_steps.get(i, ())))
+        keep = ~done
+        ids, params, group = ids[keep], params[keep], group[keep]
+        opt_state = optim.select(opt_state, keep)
+        return keep
+
+    def reached(acc: np.ndarray) -> np.ndarray:
+        return acc >= target if target is not None else np.zeros(acc.shape, dtype=bool)
+
+    stop(reached(evaluate(slice(None), 0)), 0, False, 0)
+    perms = None
+    for t in range(budget):
+        if ids.size == 0:
+            break
+        if t % ep_len == 0:
+            perms = [rng.permutation(n) for rng in rngs]
+        lo = (t % ep_len) * bs
+        batch = np.stack([perm[lo:lo + bs] for perm in perms])[group]
+        lrs = [lr_of(i, t) for i in ids.tolist()]
+        if int in map(type, lrs):
+            for i, lr in zip(ids.tolist(), lrs):
+                if type(lr) is int:
+                    int_lr_steps.setdefault(i, []).append(t)
+        lr_col = np.array(lrs, dtype=float)[:, None]
+
+        loss, grad, _ = forward_loss_grad(model_spec, ParamVector(params, layout),
+                                          train.features[batch], train.labels[batch])
+        grad = grad.data
+        step_lrs[ids, t] = lr_col[:, 0]
+        step_losses[ids, t] = loss
+        diverged = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1))
+        if diverged.any():
+            evaluate(diverged, t + 1)
+            keep = stop(diverged, t + 1, True, None)
+            loss, grad, lr_col = loss[keep], grad[keep], lr_col[keep]
+
+        params, opt_state = optim.step(params, grad, lr_col, opt_state)
+
+        t_done = t + 1
+        if t_done % eval_every == 0 or t_done == budget:
+            acc = evaluate(slice(None), t_done)
+            for r, i in enumerate(ids.tolist()):
+                if i in plateau:
+                    policy = policies[i]
+                    metric = loss[r] if policy.monitor == "train_loss" else acc[r]
+                    plateau[i], _ = adaptive.observe(plateau[i], policy, float(metric),
+                                                     t=t_done)
+            stop(reached(acc), t_done, False, t_done)
+
+    stop(np.ones(ids.size, dtype=bool), budget, False, None)
+    return traces
 
 
 def run_trial(model_spec: ModelSpec, task: TaskData, policy,
@@ -88,90 +248,10 @@ def run_trial(model_spec: ModelSpec, task: TaskData, policy,
     and at the end of the budget, so a budget of 0 still yields a usable
     outcome. When target_accuracy is set the trial stops at the first
     evaluation that reaches it. `init` warm-starts from a checkpoint
-    instead of the seeded random init.
+    instead of the seeded random init. This is a population of one.
     """
-    config.validate()
-    plateau = isinstance(policy, (adaptive.ReduceOnPlateau, adaptive.ChangeOnPlateau))
-    if plateau:
-        adaptive.validate_plateau(policy)
-        adaptive_state = adaptive.initial_state(policy)
-    else:
-        schedule.validate(policy)
-        adaptive_state = None
-
-    n = task.train.features.shape[0]
-    ep_len = epoch_length(n, config.batch_size)
-    eval_every = config.eval_every if config.eval_every is not None else ep_len
-
-    rng = np.random.default_rng(config.seed)
-    params = init if init is not None else init_params(model_spec, config.seed)
-    opt_state = optim.init_state(opt_spec, params.data.size)
-
-    trace = TrialTrace()
-    started = time.perf_counter()
-
-    def evaluate(t_done: int) -> float:
-        acc = accuracy_on(model_spec, params, task.test)
-        trace.eval_iterations.append(t_done)
-        trace.eval_accuracies.append(acc)
-        return acc
-
-    def finish(t_done: int, diverged: bool, to_target: Optional[int]) -> TrialTrace:
-        final = trace.eval_accuracies[-1]
-        trace.outcome = TrialOutcome(
-            final_accuracy=final,
-            best_accuracy=max(trace.eval_accuracies),
-            iterations_run=t_done,
-            iterations_to_target=to_target,
-            diverged=diverged,
-            wall_time_sec=time.perf_counter() - started)
-        trace.final_params = params
-        return trace
-
-    acc = evaluate(0)
-    if config.target_accuracy is not None and acc >= config.target_accuracy:
-        return finish(0, False, 0)
-
-    perm = None
-    for t in range(config.budget):
-        if t % ep_len == 0:
-            perm = rng.permutation(n)
-        lo = (t % ep_len) * config.batch_size
-        batch = perm[lo:lo + config.batch_size]
-        xb = task.train.features[batch]
-        yb = task.train.labels[batch]
-
-        if plateau:
-            lr = adaptive.current_lr(adaptive_state, policy, t)
-        else:
-            lr = schedule.lr_at(policy, t)
-
-        loss, grad, _ = forward_loss_grad(model_spec, params, xb, yb)
-        if not math.isfinite(loss) or not np.isfinite(grad.data).all():
-            trace.iterations.append(t)
-            trace.lrs.append(lr)
-            trace.losses.append(loss)
-            evaluate(t + 1)
-            return finish(t + 1, True, None)
-
-        new_data, opt_state = optim.step(params.data, grad.data, lr, opt_state)
-        params = ParamVector(data=new_data, layout=params.layout)
-
-        trace.iterations.append(t)
-        trace.lrs.append(lr)
-        trace.losses.append(loss)
-
-        t_done = t + 1
-        if t_done % eval_every == 0 or t_done == config.budget:
-            acc = evaluate(t_done)
-            if plateau:
-                metric = loss if policy.monitor == "train_loss" else acc
-                adaptive_state, _ = adaptive.observe(adaptive_state, policy,
-                                                     metric, t=t_done)
-            if config.target_accuracy is not None and acc >= config.target_accuracy:
-                return finish(t_done, False, t_done)
-
-    return finish(config.budget, False, None)
+    return run_population(model_spec, task, [(policy, config.seed)], opt_spec,
+                          config, init=init)[0]
 
 
 def write_train_csv(trace: TrialTrace, path):

@@ -1,17 +1,17 @@
 """LR policy search: grid, random, LR range test, cost ranking, composition.
 
 Every search is deterministic for a given (space, context): trial seeds
-derive from the context seed, cells are ranked by value with fixed tie
-breaks, and worker results merge by cell index, so the worker count can
-never change a result.
+derive from the context seed and cells are ranked by value with fixed tie
+breaks. All the trials of a search (or of one compose phase) train as one
+stacked population (`trainer.run_population`), whose rows are bit for bit
+the trials run alone. The `workers` arguments are accepted for
+compatibility and have no effect.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -22,8 +22,9 @@ from .model import ModelSpec
 from .optim import OptimizerSpec
 from .problems import TaskData
 from .schedule import (Composite, Fix, Policy, PolicyError, Scaled, Segment,
-                       canonical_policy_key, policy_to_dict, validate)
-from .trainer import TrainConfig, TrialOutcome, run_trial
+                       canonical_policy_key, compile as compile_policy,
+                       policy_to_dict, validate)
+from .trainer import TrainConfig, TrialOutcome, TrialTrace, run_population
 
 
 class AllDiverged(RuntimeError):
@@ -107,37 +108,23 @@ def _validate_space(space: SearchSpace, need_grid: bool):
 
 
 def _run_cells(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: str,
-               trials_per_point: int, workers: Optional[int],
-               init=None) -> list[CellResult]:
-    """Run trials_per_point seeded trials per cell and aggregate.
+               trials_per_point: int, init=None
+               ) -> tuple[list[CellResult], list[TrialTrace]]:
+    """Run trials_per_point seeded trials per cell as one population and aggregate.
 
-    Trials fan out across a thread pool; results are keyed by job index,
-    so completion order cannot affect the aggregation.
+    Also returns every trial's trace, cell by cell, seeds in order.
     """
     base_seed = ctx.config.seed
-    jobs = [(ci, r) for ci in range(len(cells)) for r in range(trials_per_point)]
-
-    def run_one(job):
-        ci, r = job
-        template, lam = cells[ci]
-        cfg = replace(ctx.config, seed=base_seed + r)
-        trace = run_trial(ctx.model, ctx.task, _apply_lambda(template, lam),
-                          ctx.optimizer, cfg, init=init)
-        return trace.outcome
-
-    n_workers = workers if workers else (os.cpu_count() or 1)
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(run_one, jobs))
-    else:
-        outcomes = [run_one(j) for j in jobs]
-
+    trials = [(_apply_lambda(template, lam), base_seed + r)
+              for template, lam in cells for r in range(trials_per_point)]
+    traces = run_population(ctx.model, ctx.task, trials, ctx.optimizer, ctx.config,
+                            init=init)
     results = []
     for ci, (template, lam) in enumerate(cells):
-        cell_outcomes = [outcomes[ci * trials_per_point + r]
-                         for r in range(trials_per_point)]
-        results.append(_aggregate(template, lam, base_seed, cell_outcomes, objective))
-    return results
+        cell = traces[ci * trials_per_point:(ci + 1) * trials_per_point]
+        results.append(_aggregate(template, lam, base_seed, [t.outcome for t in cell],
+                                  objective))
+    return results, traces
 
 
 def _aggregate(template: Policy, lam: float, base_seed: int,
@@ -178,14 +165,17 @@ def _rank(entries: list[CellResult], objective: str) -> list[CellResult]:
 
 def grid_search(space: SearchSpace, ctx: TrialContext,
                 workers: Optional[int] = None) -> TuneResult:
-    """Exhaustive sweep over templates x lambda_grid, ranked by the objective."""
+    """Exhaustive sweep over templates x lambda_grid, ranked by the objective.
+
+    `workers` has no effect: every trial runs in one stacked population.
+    """
     _validate_space(space, need_grid=True)
     ctx.config.validate()
     if space.objective == "min_cost" and ctx.config.target_accuracy is None:
         raise PolicyError("min_cost objective requires target_accuracy")
     cells = [(template, float(lam))
              for template in space.templates for lam in space.lambda_grid]
-    entries = _run_cells(cells, ctx, space.objective, space.trials_per_point, workers)
+    entries, _ = _run_cells(cells, ctx, space.objective, space.trials_per_point)
     entries = _rank(entries, space.objective)
     if all(e.n_diverged == len(e.outcomes) for e in entries):
         raise AllDiverged("every cell diverged in every trial")
@@ -257,7 +247,7 @@ def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
     probe_ctx = TrialContext(ctx.model, ctx.task, ctx.optimizer, probe_cfg)
 
     cells = [(Fix(k=k), 1.0) for k in ks]
-    results = _run_cells(cells, probe_ctx, "max_accuracy", 1, workers)
+    results, _ = _run_cells(cells, probe_ctx, "max_accuracy", 1)
 
     accs, div, outcomes = [], [], []
     for cell in results:
@@ -349,7 +339,7 @@ def compose_search(space: SearchSpace, ctx: TrialContext, boundaries,
 
     Phase i candidates all start from the parameters the phase i-1 winner
     ended with, so later phases are tuned against realistic late-stage
-    behavior rather than a fresh init.
+    behavior rather than a fresh init. `workers` has no effect.
     """
     _validate_space(space, need_grid=True)
     bounds = [int(b) for b in boundaries]
@@ -357,26 +347,29 @@ def compose_search(space: SearchSpace, ctx: TrialContext, boundaries,
         raise PolicyError(f"boundaries must start at 0 and strictly increase, "
                           f"got {boundaries!r}")
 
+    cells = [(template, float(lam))
+             for template in space.templates for lam in space.lambda_grid]
+    # fail before phase 0 runs if a candidate cannot cover the longest phase
+    longest = max(e - b for b, e in zip(bounds, bounds[1:]))
+    for template, lam in cells:
+        compile_policy(_apply_lambda(template, lam), longest)
+
     phase_results = []
     checkpoint = None
     for start, end in zip(bounds, bounds[1:]):
         phase_cfg = replace(ctx.config, budget=end - start, target_accuracy=None)
         phase_ctx = TrialContext(ctx.model, ctx.task, ctx.optimizer, phase_cfg)
-        cells = [(template, float(lam))
-                 for template in space.templates for lam in space.lambda_grid]
-        entries = _run_cells(cells, phase_ctx, "max_accuracy",
-                             space.trials_per_point, workers, init=checkpoint)
-        entries = _rank(entries, "max_accuracy")
+        unranked, traces = _run_cells(cells, phase_ctx, "max_accuracy",
+                                      space.trials_per_point, init=checkpoint)
+        entries = _rank(unranked, "max_accuracy")
         if entries[0].metric_mean is None:
             raise AllDiverged(f"every candidate diverged in phase [{start}, {end})")
         result = TuneResult(objective="max_accuracy", entries=entries,
                             budget=end - start)
         phase_results.append(result)
-        # replay the winner's first trial to get the next phase's start params
-        winner = result.winner
-        trace = run_trial(ctx.model, ctx.task, winner.policy(), ctx.optimizer,
-                          replace(phase_cfg, seed=winner.seeds[0]), init=checkpoint)
-        checkpoint = trace.final_params
+        # the next phase starts from the params the winner's first trial ended with
+        winner_cell = next(ci for ci, cell in enumerate(unranked) if cell is result.winner)
+        checkpoint = traces[winner_cell * space.trials_per_point].final_params
 
     composite = compose_multi(bounds, phase_results)
     return composite, phase_results

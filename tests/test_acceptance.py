@@ -234,6 +234,9 @@ def test_criterion_08_range_test_ordering(moons_task):
 
 def _run_cli(*argv, cwd):
     env = {k: v for k, v in os.environ.items() if k != "LRFORGE_DB"}
+    # the child runs in cwd, where a relative PYTHONPATH such as src would not resolve
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO, "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "lrforge", *argv],
                           capture_output=True, text=True, cwd=cwd, env=env)
 

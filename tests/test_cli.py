@@ -13,6 +13,9 @@ ESCAPE_MANIFEST = os.path.join(REPO, "manifests", "surface_escape.json")
 
 def run_cli(*argv, cwd):
     env = {k: v for k, v in os.environ.items() if k != "LRFORGE_DB"}
+    # the child runs in cwd, where a relative PYTHONPATH such as src would not resolve
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO, "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "lrforge", *argv],
                           capture_output=True, text=True, cwd=cwd, env=env)
 

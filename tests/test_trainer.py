@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from lrforge import schedule
+from lrforge import schedule, trainer
 from lrforge.adaptive import ChangeOnPlateau, ReduceOnPlateau
-from lrforge.model import MLP, Linear, init_params
+from lrforge.model import MLP, Linear, forward_loss_grad, init_params
 from lrforge.optim import OptimizerSpec
 from lrforge.problems import Quadratic, Well, MultiBasin
 from lrforge.trainer import (
@@ -199,3 +199,32 @@ def test_surface_csv_golden(tmp_path):
     assert lines[1].split(",")[0] == "0"
     assert float(lines[1].split(",")[1]) == 0.5
     assert len(lines) == 3
+
+
+# --- fail fast on short horizons ---
+
+
+@pytest.mark.parametrize("policy, field", [
+    (schedule.Poly(k=0.1, p=1.0, t_max=900), "POLY t_max"),
+    (schedule.Scaled(lam=2.0, base=schedule.CosineDecay(k=0.1, t_max=500)), "COSINE t_max"),
+    (schedule.LinearDecay(k=0.1, t_max=998), "LINEAR t_max"),
+    (schedule.Warmup(w=100, inner=schedule.CosineDecay(k=0.1, t_max=800)), "WARMUP horizon"),
+    (schedule.Composite(segments=(schedule.Segment(0, 999, schedule.Fix(0.1)),)),
+     "MULTI segments"),
+])
+def test_short_horizon_fails_before_the_first_step(policy, field, blobs_task, monkeypatch):
+    steps = []
+    monkeypatch.setattr(trainer, "forward_loss_grad",
+                        lambda *a: steps.append(1) or forward_loss_grad(*a))
+    cfg = TrainConfig(batch_size=16, budget=1000, eval_every=100, seed=0)
+    with pytest.raises(schedule.PolicyError, match=field):
+        run_trial(Linear(2, 3), blobs_task, policy, SGD, cfg)
+    assert steps == []
+
+
+def test_horizon_that_covers_the_budget_runs(blobs_task):
+    cfg = TrainConfig(batch_size=16, budget=1000, eval_every=500, seed=0)
+    for policy in (schedule.Poly(k=0.1, p=1.0, t_max=999),
+                   schedule.Composite(segments=(schedule.Segment(0, 1000, schedule.Fix(0.1)),))):
+        trace = run_trial(Linear(2, 3), blobs_task, policy, SGD, cfg)
+        assert trace.outcome.iterations_run == 1000

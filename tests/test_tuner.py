@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lrforge import trainer
 from lrforge.adaptive import ReduceOnPlateau
-from lrforge.model import MLP, Linear
+from lrforge.model import MLP, Linear, forward_loss_grad
 from lrforge.optim import OptimizerSpec
-from lrforge.schedule import Composite, Fix, PolicyError, Scaled, Step, Tri, lr_at
+from lrforge.schedule import Composite, Fix, PolicyError, Poly, Scaled, Step, Tri, lr_at
 from lrforge.trainer import TrainConfig, TrialOutcome
 from lrforge.tuner import (
     AllDiverged,
@@ -281,6 +282,18 @@ def test_compose_search_boundary_validation(blobs_ctx):
     for bad in ([0], [1, 2], [0, 50, 50], [0, 60, 30]):
         with pytest.raises(PolicyError, match="boundaries"):
             compose_search(space, blobs_ctx, bad)
+
+
+def test_compose_search_rejects_a_short_horizon_before_phase_0(blobs_ctx, monkeypatch):
+    # t_max 150 covers the 100-step phase 0 but not the 300-step phase 1
+    steps = []
+    monkeypatch.setattr(trainer, "forward_loss_grad",
+                        lambda *a: steps.append(1) or forward_loss_grad(*a))
+    space = SearchSpace(templates=(Fix(0.05), Poly(k=0.1, p=1.0, t_max=150)),
+                        lambda_grid=(1.0,))
+    with pytest.raises(PolicyError, match="POLY t_max"):
+        compose_search(space, blobs_ctx, [0, 100, 400])
+    assert steps == []
 
 
 def test_leaderboard_csv(tmp_path, blobs_ctx):
