@@ -19,7 +19,7 @@ from .problems import (  # noqa: F401
 )
 from .model import (  # noqa: F401
     MLP, Linear, ModelSpec, ParamVector, accuracy_on, forward_loss_grad,
-    init_params, load_params, param_count, save_params,
+    init_params, param_count,
 )
 from .trainer import (  # noqa: F401
     SurfacePath, TrainConfig, TrialOutcome, TrialTrace, run_population,

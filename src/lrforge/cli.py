@@ -492,6 +492,7 @@ def cmd_surface(args) -> int:
         if name in seen:
             raise ManifestError(f"duplicate policy name {name!r}")
         seen.add(name)
+        schedule.compile(policy, iterations)  # before any path is traced or written
         named.append((name, policy))
 
     print(f"{'policy':<24} {'final value':>12}  {'min value':>12}")

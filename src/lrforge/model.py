@@ -2,8 +2,7 @@
 
 Parameters live in a single flat float64 vector plus a layout describing
 each tensor's (name, shape, offset). Keeping every model a flat vector
-lets the optimizers stay model-agnostic and makes checkpoints trivial:
-a JSON layout header followed by the raw bytes.
+lets the optimizers stay model-agnostic.
 
 The loss is mean softmax cross-entropy, computed through log-sum-exp so
 large logits cannot overflow. Gradients are exact and analytic.
@@ -15,7 +14,6 @@ vector is the stack of one, so there is a single kernel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -182,27 +180,3 @@ def accuracy_on(spec: ModelSpec, params: ParamVector, ds: Dataset):
         logits, _, _ = _logits(spec, _stacked(params).views(), ds.features)
         accuracy = np.mean(np.argmax(logits, axis=-1) == ds.labels, axis=-1)
     return float(accuracy[0]) if params.data.ndim == 1 else accuracy
-
-
-# checkpoint format: one JSON header line, then the raw float64 bytes
-
-
-def save_params(path, params: ParamVector):
-    header = {"layout": [[name, list(shape), offset]
-                         for name, shape, offset in params.layout],
-              "dtype": "float64", "n": int(params.data.size)}
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.write(np.ascontiguousarray(params.data, dtype=np.float64).tobytes())
-
-
-def load_params(path) -> ParamVector:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        data = np.frombuffer(f.read(), dtype=np.float64).copy()
-    if data.size != header["n"]:
-        raise ValueError(f"checkpoint {path} is truncated: "
-                         f"expected {header['n']} values, got {data.size}")
-    layout = tuple((name, tuple(shape), offset)
-                   for name, shape, offset in header["layout"])
-    return ParamVector(data=data, layout=layout)

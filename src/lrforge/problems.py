@@ -7,7 +7,6 @@ seed: two calls with the same arguments produce identical arrays.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -102,12 +101,6 @@ def surface_value_grad(surface: Surface, point: np.ndarray) -> tuple[float, np.n
     raise ValueError(f"unknown surface type {type(surface).__name__}")
 
 
-def global_optimum(surface: MultiBasin) -> np.ndarray:
-    """Center of the deepest well."""
-    deepest = max(surface.wells, key=lambda w: w.depth)
-    return np.asarray(deepest.center, dtype=float)
-
-
 # --- datasets ---
 
 
@@ -182,14 +175,6 @@ def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
     features = features + noise * rng.standard_normal(features.shape)
     name = f"moons(seed={seed},n={n},noise={noise:g})"
     return _split_80_20(name, features, labels, 2, rng)
-
-
-def dataset_to_csv(ds: Dataset, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["label"] + [f"f{i}" for i in range(ds.features.shape[1])])
-        for y, row in zip(ds.labels, ds.features):
-            writer.writerow([int(y)] + [repr(float(v)) for v in row])
 
 
 # --- IDX files ---

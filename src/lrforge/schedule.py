@@ -235,7 +235,12 @@ def _gamma(name: str, value) -> float:
 
 
 def validate(policy: Policy):
-    """Check parameter invariants, raising PolicyError naming the bad field."""
+    """Check parameter invariants, raising PolicyError naming the bad field.
+
+    This always checks the whole policy tree. `lr_at`, `compile`, `horizon`
+    and `sample_trace` instead go through a memo that skips the check for
+    a policy object that has already passed it (see `_validated`).
+    """
     if isinstance(policy, Fix):
         _nonneg("k", policy.k)
     elif isinstance(policy, Step):
@@ -312,6 +317,29 @@ def validate(policy: Policy):
             raise PolicyError(f"unknown policy type {type(policy).__name__}")
 
 
+# --- validation memo ---
+#
+# Keyed on identity, never on equality: frozen dataclasses compare and hash
+# by their fields, so Fix(k=True) == Fix(k=1), yet only the second is valid.
+# Each entry holds the policy itself, so its id cannot be reused while it is
+# remembered. Only policies that passed are kept, and the memo is cleared
+# when it fills, so it stays small. A hit needs the stored object itself, so
+# a lost or stale entry can only cost a repeat check, never skip one.
+
+_VALIDATED: dict[int, Policy] = {}
+_VALIDATED_MAX = 1024
+
+
+def _validated(policy: Policy) -> Policy:
+    """Validate `policy` unless this very object has already passed."""
+    if _VALIDATED.get(id(policy)) is not policy:
+        validate(policy)
+        if len(_VALIDATED) >= _VALIDATED_MAX:
+            _VALIDATED.clear()
+        _VALIDATED[id(policy)] = policy
+    return policy
+
+
 def _warmup_iters(p: Warmup) -> int:
     if p.w >= 1:
         return int(p.w)
@@ -335,9 +363,8 @@ def _horizon(policy: Policy):
 
 
 def horizon(policy: Policy):
-    """Public horizon query; validates first."""
-    validate(policy)
-    return _horizon(policy)
+    """Public horizon query; validates first (once per policy object)."""
+    return _horizon(_validated(policy))
 
 
 def _horizon_field(policy: Policy) -> str:
@@ -355,13 +382,13 @@ def compile(policy: Policy, steps: int):
 
     A horizon-bound policy that ends before t = steps - 1 raises PolicyError
     here, naming the field, so a run fails before its first step instead of
-    at the first step past the horizon.
+    at the first step past the horizon. Validation is memoized on the policy
+    object's identity, as in `lr_at`; the horizon check runs on every call.
     """
-    validate(policy)
-    end = _horizon(policy)
+    end = _horizon(_validated(policy))
     if end is not None and end < steps - 1:
         raise PolicyError(f"{_horizon_field(policy)} ends at t={end}, shorter than "
-                          f"the {steps}-step budget (last step t={steps - 1})")
+                          f"a {steps}-step run (last step t={steps - 1})")
     return partial(_eval, policy)
 
 
@@ -441,24 +468,30 @@ def _eval(p: Policy, t: int) -> float:
 
 
 def lr_at(policy: Policy, t: int) -> float:
-    """Evaluate eta(t) for a validated policy at integer iteration t >= 0."""
+    """Evaluate eta(t) for a policy at integer iteration t >= 0.
+
+    The policy is validated the first time this object is seen; later calls
+    with the same object skip the check. The memo is keyed on identity, so
+    an equal but distinct policy object is validated on its own, and a
+    policy that fails is checked again on every call.
+    """
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise PolicyError(f"t must be an integer >= 0, got {t!r}")
-    validate(policy)
-    return _eval(policy, t)
+    return _eval(_validated(policy), t)
 
 
 def sample_trace(policy: Policy, t_max: int, stride: int = 1) -> list[tuple[int, float]]:
     """Sample eta at t = 0, stride, 2*stride, ..., ending exactly at t_max.
 
     Returns ceil(t_max / stride) + 1 points; the last point is clamped to
-    t_max so horizon-bound policies stay in range.
+    t_max so horizon-bound policies stay in range. Validation is memoized on
+    the policy object's identity, as in `lr_at`.
     """
     if not isinstance(t_max, int) or t_max < 0:
         raise PolicyError(f"t_max must be an integer >= 0, got {t_max!r}")
     if not isinstance(stride, int) or stride < 1:
         raise PolicyError(f"stride must be an integer >= 1, got {stride!r}")
-    validate(policy)
+    _validated(policy)
     n = math.ceil(t_max / stride)
     return [(min(i * stride, t_max), _eval(policy, min(i * stride, t_max)))
             for i in range(n + 1)]

@@ -189,10 +189,6 @@ class PolicyStore:
             return list(self._records)
         return [r for r in self._records if r.task == task]
 
-    def tasks(self) -> list[str]:
-        seen = dict.fromkeys(r.task for r in self._records)
-        return list(seen)
-
     def query_top_k(self, task: str, k: int, objective: str = "max_accuracy"
                     ) -> list[TrialRecord]:
         """Best k records for a task; top-(k-1) is always a prefix of top-k."""

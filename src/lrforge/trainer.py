@@ -289,9 +289,11 @@ def run_surface_trial(surface: Surface, start, policy,
     """Trace an optimizer across a 2-D surface under the given LR policy.
 
     Returns iterations + 1 points (the start plus one per step), fewer if
-    the trajectory diverges.
+    the trajectory diverges. The policy is compiled against `iterations`
+    before the first step, so a horizon-bound one must cover every step,
+    even if the path would diverge before reaching its horizon.
     """
-    schedule.validate(policy)
+    lr_of = schedule.compile(policy, iterations)
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     point = np.asarray(start, dtype=float)
@@ -306,8 +308,7 @@ def run_surface_trial(surface: Surface, start, policy,
         if not math.isfinite(value) or not np.isfinite(grad).all():
             path.diverged = True
             return path
-        lr = schedule.lr_at(policy, t)
-        point, opt_state = optim.step(point, grad, lr, opt_state)
+        point, opt_state = optim.step(point, grad, lr_of(t), opt_state)
         with np.errstate(over="ignore", invalid="ignore"):
             value, grad = surface_value_grad(surface, point)
         path.iterations.append(t + 1)

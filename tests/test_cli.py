@@ -271,3 +271,20 @@ def test_surface_duplicate_names_rejected(tmp_path):
                    "--out-dir", str(tmp_path / "out"), cwd=tmp_path)
     assert proc.returncode == 2
     assert "duplicate policy name" in proc.stderr
+
+
+def test_surface_checks_every_horizon_before_tracing(tmp_path):
+    doc = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
+           "start": [1.0, 1.0], "iterations": 20,
+           "policies": [{"name": "fix", "policy": {"family": "FIX", "params": {"k": 0.1}}},
+                        {"name": "tri", "policy": {"family": "TRI",
+                                                   "params": {"k0": 0.0, "k1": 0.1, "l": 5}}},
+                        {"name": "poly", "policy": {"family": "POLY",
+                                                    "params": {"k": 0.1, "p": 1.0, "t_max": 10}}}]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("surface", "--manifest", str(path), "--out-dir", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "POLY t_max" in proc.stderr
+    assert not [f for f in os.listdir(out) if f.startswith("path_")]

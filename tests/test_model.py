@@ -1,4 +1,4 @@
-"""Flat-vector classifiers: init, loss/grad math, checkpoints."""
+"""Flat-vector classifiers: init, loss/grad math."""
 
 import math
 
@@ -12,9 +12,7 @@ from lrforge.model import (
     accuracy_on,
     forward_loss_grad,
     init_params,
-    load_params,
     param_count,
-    save_params,
 )
 from lrforge.problems import Dataset
 
@@ -131,23 +129,3 @@ def test_batch_accuracy_and_dataset_accuracy_agree():
     ds = Dataset(features=feats, labels=labels.astype(np.int64),
                  n_classes=2, split="test")
     assert accuracy_on(spec, params, ds) == batch_acc
-
-
-def test_checkpoint_round_trip(tmp_path):
-    params = init_params(MLP(3, 4, 2), seed=5)
-    path = tmp_path / "ckpt.bin"
-    save_params(path, params)
-    back = load_params(path)
-    assert np.array_equal(back.data, params.data)
-    assert back.layout == params.layout
-    assert np.array_equal(back.view("W2"), params.view("W2"))
-
-
-def test_checkpoint_truncation_detected(tmp_path):
-    params = init_params(Linear(4, 3), seed=1)
-    path = tmp_path / "ckpt.bin"
-    save_params(path, params)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])  # drop one float64
-    with pytest.raises(ValueError, match="truncated"):
-        load_params(path)

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from lrforge.problems import (
-    Dataset,
     MultiBasin,
     Quadratic,
     Rosenbrock,
     Well,
-    dataset_to_csv,
     gen_blobs,
     gen_moons,
-    global_optimum,
     idx_task,
     load_idx,
     save_idx,
@@ -67,12 +64,6 @@ def test_two_well_superposition_hand_computed():
     v, _ = surface_value_grad(surface, np.array([1.0, 0.0]))
     want = -(math.exp(-0.5) + 3 * math.exp(-0.5))
     assert v == pytest.approx(want, rel=1e-12)
-
-
-def test_global_optimum_is_the_deepest_well():
-    surface = MultiBasin(wells=(Well(center=(0.0, 0.0), depth=1.1, width=0.1),
-                                Well(center=(0.9, 0.0), depth=2.0, width=0.4)))
-    assert np.allclose(global_optimum(surface), [0.9, 0.0])
 
 
 def test_multibasin_validation():
@@ -169,14 +160,6 @@ def test_moons_validation():
         gen_moons(seed=0, n=3)
     with pytest.raises(ValueError):
         gen_moons(seed=0, n=10, noise=-0.1)
-
-
-def test_dataset_to_csv_golden(tmp_path):
-    ds = Dataset(features=np.array([[0.5, 1.5], [2.5, -1.0]]),
-                 labels=np.array([1, 0], dtype=np.int64), n_classes=2, split="train")
-    path = tmp_path / "ds.csv"
-    dataset_to_csv(ds, path)
-    assert path.read_text() == "label,f0,f1\n1,0.5,1.5\n0,2.5,-1.0\n"
 
 
 # --- IDX files ---

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrforge import schedule
 from lrforge.schedule import (
     Composite,
     CosineDecay,
@@ -365,6 +366,82 @@ def test_lr_at_rejects_bad_t():
     for bad in (-1, 1.5, True, "3"):
         with pytest.raises(PolicyError):
             lr_at(p, bad)
+
+
+# --- validation memo: keyed on the policy object, never on equality ---
+
+
+@pytest.mark.parametrize("valid, invalid, fragment", [
+    (Fix(k=1), Fix(k=True), "k must be a number"),
+    (Step(k=1, gamma=0.5, l=2), Step(k=1, gamma=0.5, l=2.0), "l must be an integer"),
+])
+def test_equal_policy_does_not_ride_on_a_validated_one(valid, invalid, fragment):
+    # frozen dataclasses compare and hash by field values
+    assert valid == invalid and hash(valid) == hash(invalid)
+    assert lr_at(valid, 0) == valid.k
+    for query in (lambda p: lr_at(p, 0), lambda p: sample_trace(p, 3),
+                  lambda p: schedule.compile(p, 3), horizon):
+        with pytest.raises(PolicyError, match=fragment):
+            query(invalid)
+
+
+def test_unhashable_policy_fields_raise_policy_error():
+    p = NStep(k=0.1, gamma=0.5, milestones=[5, 10])
+    for query in (lambda: lr_at(p, 0), lambda: sample_trace(p, 3),
+                  lambda: schedule.compile(p, 3)):
+        with pytest.raises(PolicyError, match="milestones must be a tuple"):
+            query()
+
+
+def _count_validations(monkeypatch) -> list:
+    seen = []
+    real = schedule.validate
+
+    def counting(policy):
+        seen.append(policy)
+        return real(policy)
+
+    monkeypatch.setattr(schedule, "validate", counting)
+    return seen
+
+
+def test_invalid_policy_is_checked_on_every_call(monkeypatch):
+    seen = _count_validations(monkeypatch)
+    bad = Fix(k=-0.1)
+    for _ in range(3):
+        with pytest.raises(PolicyError, match="k must be >= 0"):
+            lr_at(bad, 0)
+    assert [p is bad for p in seen] == [True] * 3
+
+
+def test_policy_is_validated_once_across_calls(monkeypatch):
+    seen = _count_validations(monkeypatch)
+    p = Warmup(w=10, inner=CosineDecay(k=0.1, t_max=990))
+    values = [lr_at(p, t) for t in range(1000)]
+    sample_trace(p, 1000, 7)
+    schedule.compile(p, 1000)
+    assert horizon(p) == 1000
+    assert sum(q is p for q in seen) == 1
+    assert values == [lr for _, lr in sample_trace(p, 999)]
+    # an equal but distinct object gets its own check
+    twin = Warmup(w=10, inner=CosineDecay(k=0.1, t_max=990))
+    lr_at(twin, 0)
+    assert sum(q is twin for q in seen) == 1
+
+
+def test_public_validate_is_not_memoized(monkeypatch):
+    p = Fix(k=0.1)
+    lr_at(p, 0)
+    seen = _count_validations(monkeypatch)
+    schedule.validate(p)
+    schedule.validate(p)
+    assert len(seen) == 2
+
+
+def test_validation_memo_is_bounded():
+    for i in range(2 * schedule._VALIDATED_MAX + 5):
+        lr_at(Fix(k=float(i)), 0)
+        assert len(schedule._VALIDATED) <= schedule._VALIDATED_MAX
 
 
 # --- traces ---

@@ -72,7 +72,6 @@ def test_records_filter_and_task_order(tmp_path):
     store.append(_rec(task="b", k=0.2))
     assert [r.task for r in store.records()] == ["b", "a", "b"]
     assert len(store.records("b")) == 2
-    assert store.tasks() == ["b", "a"]  # first-seen order, no duplicates
 
 
 def test_reopen_sees_the_same_records(tmp_path):

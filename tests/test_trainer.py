@@ -7,7 +7,7 @@ from lrforge import schedule, trainer
 from lrforge.adaptive import ChangeOnPlateau, ReduceOnPlateau
 from lrforge.model import MLP, Linear, forward_loss_grad, init_params
 from lrforge.optim import OptimizerSpec
-from lrforge.problems import Quadratic, Well, MultiBasin
+from lrforge.problems import MultiBasin, Quadratic, Well, surface_value_grad
 from lrforge.trainer import (
     TrainConfig,
     epoch_length,
@@ -220,6 +220,18 @@ def test_short_horizon_fails_before_the_first_step(policy, field, blobs_task, mo
     with pytest.raises(schedule.PolicyError, match=field):
         run_trial(Linear(2, 3), blobs_task, policy, SGD, cfg)
     assert steps == []
+
+
+def test_short_horizon_fails_before_the_first_surface_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "surface_value_grad",
+                        lambda *a: calls.append(1) or surface_value_grad(*a))
+    policy = schedule.Poly(k=0.1, p=1.0, t_max=50)
+    with pytest.raises(schedule.PolicyError, match="POLY t_max"):
+        run_surface_trial(Quadratic(a=np.eye(2)), (1.0, 1.0), policy, SGD, 100)
+    assert calls == []
+    path = run_surface_trial(Quadratic(a=np.eye(2)), (1.0, 1.0), policy, SGD, 51)
+    assert path.iterations[-1] == 51
 
 
 def test_horizon_that_covers_the_budget_runs(blobs_task):
