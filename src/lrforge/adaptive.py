@@ -1,9 +1,12 @@
-"""Metric-driven LR policies: reduce-on-plateau and change-on-plateau.
+"""The state machine behind the metric-driven policies.
 
-Unlike the closed-form families these carry state between metric
-observations. `observe` is a pure transition: it takes the current state
-and one metric value and returns (new_state, action) without mutating
-anything, so a trial can be replayed exactly.
+`ReduceOnPlateau` (PLATEAU_REDUCE) and `ChangeOnPlateau` (PLATEAU_CHANGE)
+are rows of the policy table in `schedule`, which checks and serializes
+them like every other family; they are re-exported here. Unlike the
+closed-form families they carry state between metric observations.
+`observe` is a pure transition: it takes the current state and one metric
+value and returns (new_state, action) without mutating anything, so a trial
+can be replayed exactly.
 
 A plateau is `patience` consecutive observations that fail to improve the
 best seen metric by more than `min_delta`. Equal metrics are stalls, not
@@ -17,42 +20,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from .schedule import Policy, PolicyError, lr_at, policy_from_dict, policy_to_dict
+from .schedule import ChangeOnPlateau, PolicyError, ReduceOnPlateau, lr_at
 from .schedule import validate as validate_policy
-
-_MODES = ("min", "max")
-_MONITORS = ("train_loss", "test_accuracy")
-
-
-@dataclass(frozen=True)
-class ReduceOnPlateau:
-    """Hold the LR at k, multiply by factor on each plateau, floor at min_lr."""
-
-    k: float
-    factor: float
-    patience: int
-    monitor: str = "test_accuracy"
-    mode: str = "max"
-    min_delta: float = 0.0
-    cooldown: int = 0
-    min_lr: float = 0.0
-
-
-@dataclass(frozen=True)
-class ChangeOnPlateau:
-    """Walk an ordered policy list, advancing one policy per plateau.
-
-    The active policy is evaluated at a local t that restarts at 0 on each
-    switch. Past the end of the list the final policy is held.
-    """
-
-    policies: tuple[Policy, ...]
-    patience: int
-    monitor: str = "test_accuracy"
-    mode: str = "max"
-    min_delta: float = 0.0
-    cooldown: int = 0
-
 
 PlateauPolicy = ReduceOnPlateau | ChangeOnPlateau
 
@@ -75,36 +44,10 @@ class Switched(NamedTuple):
     policy_index: int
 
 
-def validate_plateau(config: PlateauPolicy):
-    def need(cond, msg):
-        if not cond:
-            raise PolicyError(msg)
-
-    need(config.mode in _MODES, f"mode must be one of {_MODES}, got {config.mode!r}")
-    need(config.monitor in _MONITORS,
-         f"monitor must be one of {_MONITORS}, got {config.monitor!r}")
-    need(isinstance(config.patience, int) and config.patience >= 1,
-         f"patience must be an integer >= 1, got {config.patience!r}")
-    need(math.isfinite(config.min_delta) and config.min_delta >= 0,
-         f"min_delta must be >= 0, got {config.min_delta!r}")
-    need(isinstance(config.cooldown, int) and config.cooldown >= 0,
-         f"cooldown must be an integer >= 0, got {config.cooldown!r}")
-    if isinstance(config, ReduceOnPlateau):
-        need(math.isfinite(config.k) and config.k > 0,
-             f"k must be > 0, got {config.k!r}")
-        need(math.isfinite(config.factor) and 0 < config.factor < 1,
-             f"factor must be in (0, 1), got {config.factor!r}")
-        need(math.isfinite(config.min_lr) and config.min_lr >= 0,
-             f"min_lr must be >= 0, got {config.min_lr!r}")
-    else:
-        need(isinstance(config.policies, tuple) and len(config.policies) >= 1,
-             "policies must be a non-empty tuple")
-        for p in config.policies:
-            validate_policy(p)
-
-
 def initial_state(config: PlateauPolicy) -> AdaptiveState:
-    validate_plateau(config)
+    if not isinstance(config, PlateauPolicy):
+        raise PolicyError(f"{type(config).__name__} is not a metric-driven policy")
+    validate_policy(config)
     lr = config.k if isinstance(config, ReduceOnPlateau) else 0.0
     return AdaptiveState(current_lr=lr)
 
@@ -169,50 +112,3 @@ def current_lr(state: AdaptiveState, config: PlateauPolicy, t: int) -> float:
         raise PolicyError(f"t ({t}) precedes the active policy's origin "
                           f"({state.local_t_origin})")
     return lr_at(config.policies[state.policy_index], local)
-
-
-# JSON wire format, families PLATEAU_REDUCE and PLATEAU_CHANGE
-
-
-def plateau_to_dict(config: PlateauPolicy) -> dict:
-    common = {"patience": config.patience, "monitor": config.monitor,
-              "mode": config.mode, "min_delta": config.min_delta,
-              "cooldown": config.cooldown}
-    if isinstance(config, ReduceOnPlateau):
-        params = {"k": config.k, "factor": config.factor, **common,
-                  "min_lr": config.min_lr}
-        return {"family": "PLATEAU_REDUCE", "params": params}
-    params = {"policies": [policy_to_dict(p) for p in config.policies], **common}
-    return {"family": "PLATEAU_CHANGE", "params": params}
-
-
-def plateau_from_dict(d: dict) -> PlateauPolicy:
-    family = d.get("family")
-    params = dict(d.get("params", {}))
-    common_keys = {"patience", "monitor", "mode", "min_delta", "cooldown"}
-    if family == "PLATEAU_REDUCE":
-        allowed = common_keys | {"k", "factor", "min_lr"}
-        extra = set(params) - allowed
-        if extra:
-            raise PolicyError(f"PLATEAU_REDUCE got unknown params {sorted(extra)}")
-        for key in ("k", "factor", "patience"):
-            if key not in params:
-                raise PolicyError(f"PLATEAU_REDUCE is missing required param '{key}'")
-        config = ReduceOnPlateau(**params)
-    elif family == "PLATEAU_CHANGE":
-        allowed = common_keys | {"policies"}
-        extra = set(params) - allowed
-        if extra:
-            raise PolicyError(f"PLATEAU_CHANGE got unknown params {sorted(extra)}")
-        for key in ("policies", "patience"):
-            if key not in params:
-                raise PolicyError(f"PLATEAU_CHANGE is missing required param '{key}'")
-        raw = params.pop("policies")
-        if not isinstance(raw, list) or not raw:
-            raise PolicyError("PLATEAU_CHANGE param 'policies' must be a non-empty list")
-        config = ChangeOnPlateau(policies=tuple(policy_from_dict(p) for p in raw),
-                                 **params)
-    else:
-        raise PolicyError(f"unknown plateau family {family!r}")
-    validate_plateau(config)
-    return config

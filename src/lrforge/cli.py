@@ -193,16 +193,8 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _split_lambda(policy):
-    lam = 1.0
-    while isinstance(policy, schedule.Scaled):
-        lam *= policy.lam
-        policy = policy.base
-    return policy, lam
-
-
 def _short_policy(policy) -> str:
-    template, lam = _split_lambda(policy)
+    template, lam = schedule.split_lambda(policy)
     d = schedule.policy_to_dict(template)
     params = d.get("params", {})
     if d["family"] == "MULTI":
@@ -279,7 +271,7 @@ def cmd_train(args) -> int:
 
     task_name = _task_name(doc, task, spec, opt,
                            "min_cost" if cfg.target_accuracy else "max_accuracy")
-    template, lam = _split_lambda(policy)
+    template, lam = schedule.split_lambda(policy)
     db = store.PolicyStore(store.resolve_db_path(args.db or doc.get("db")))
     db.append(store.make_record(task_name, template, lam, cfg.seed, trace.outcome,
                                 timestamp=_now()))

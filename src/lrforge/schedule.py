@@ -1,14 +1,21 @@
-"""Learning rate policy families and their evaluation.
+"""Learning rate policy families: one table row per family.
 
 A policy describes one learning rate curve eta(t) over the iteration index
-t >= 0. Every family is a frozen dataclass; `lr_at` evaluates the closed
-form, `validate` checks parameter invariants, and `policy_to_dict` /
-`policy_from_dict` round-trip the JSON wire format
+t >= 0. Every family is a frozen dataclass with one `Family` row in
+`FAMILIES`, which holds its wire name, integer and nested-policy fields,
+parameter check, horizon rule and closed form. `validate`, `horizon`,
+`lr_at`, `compile`, `sample_trace`, `family_name` and the JSON wire format
 
     {"family": "<NAME>", "params": {...}}
 
-Evaluation is pure: no policy carries state, and the same (policy, t) pair
-always yields the same float.
+are generic code over that table. A `Scaled` policy has no wire name of its
+own: it is its base's dict plus a top-level "lambda" key.
+
+The metric-driven families PLATEAU_REDUCE and PLATEAU_CHANGE have rows but
+no closed form: their LR depends on observed metrics, so `adaptive` steps
+them, every closed-form query rejects them, and no other policy may hold
+one. Evaluation of the closed forms is pure: no policy carries state, and
+the same (policy, t) pair always yields the same float.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from typing import Union
+from operator import attrgetter
+from typing import Callable, Optional, Union
 
 
 class PolicyError(ValueError):
@@ -198,10 +206,44 @@ Policy = Union[
     Warmup, Composite, Scaled,
 ]
 
-_CYCLIC = (Tri, Tri2, TriExp, Sin, Sin2, SinExp)
+
+# --- metric-driven families (their state machine is in `adaptive`) ---
+
+_MODES = ("min", "max")
+_MONITORS = ("train_loss", "test_accuracy")
 
 
-# --- validation ---
+@dataclass(frozen=True)
+class ReduceOnPlateau:
+    """Hold the LR at k, multiply by factor on each plateau, floor at min_lr."""
+
+    k: float
+    factor: float
+    patience: int
+    monitor: str = "test_accuracy"
+    mode: str = "max"
+    min_delta: float = 0.0
+    cooldown: int = 0
+    min_lr: float = 0.0
+
+
+@dataclass(frozen=True)
+class ChangeOnPlateau:
+    """Walk an ordered policy list, advancing one policy per plateau.
+
+    The active policy is evaluated at a local t that restarts at 0 on each
+    switch. Past the end of the list the final policy is held.
+    """
+
+    policies: tuple[Policy, ...]
+    patience: int
+    monitor: str = "test_accuracy"
+    mode: str = "max"
+    min_delta: float = 0.0
+    cooldown: int = 0
+
+
+# --- field checks: check(name, value) raises PolicyError naming the field ---
 
 
 def _need(cond: bool, msg: str):
@@ -216,105 +258,217 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
-def _nonneg(name: str, value) -> float:
-    v = _finite(name, value)
-    _need(v >= 0, f"{name} must be >= 0, got {value!r}")
-    return v
+def _nonneg(name: str, value):
+    _need(_finite(name, value) >= 0, f"{name} must be >= 0, got {value!r}")
 
 
-def _posint(name: str, value) -> int:
-    _need(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-          f"{name} must be an integer >= 1, got {value!r}")
-    return value
+def _positive(name: str, value):
+    _need(_finite(name, value) > 0, f"{name} must be > 0, got {value!r}")
 
 
-def _gamma(name: str, value) -> float:
-    v = _finite(name, value)
-    _need(0 < v <= 1, f"{name} must be in (0, 1], got {value!r}")
-    return v
+def _gamma(name: str, value):
+    _need(0 < _finite(name, value) <= 1, f"{name} must be in (0, 1], got {value!r}")
 
 
-def validate(policy: Policy):
+def _fraction(name: str, value):
+    _need(0 < _finite(name, value) < 1, f"{name} must be in (0, 1), got {value!r}")
+
+
+def _posint(name: str, value, low: int = 1):
+    _need(isinstance(value, int) and not isinstance(value, bool) and value >= low,
+          f"{name} must be an integer >= {low}, got {value!r}")
+
+
+_count = partial(_posint, low=0)
+
+
+def _one_of(choices: tuple):
+    def check(name: str, value):
+        _need(value in choices, f"{name} must be one of {choices}, got {value!r}")
+    return check
+
+
+def _milestones(name: str, value):
+    _need(isinstance(value, tuple), f"{name} must be a tuple")
+    prev = -1
+    for m in value:
+        _need(isinstance(m, int) and not isinstance(m, bool) and m >= 0,
+              f"{name} must be non-negative integers, got {m!r}")
+        _need(m > prev, f"{name} must be strictly increasing, got {m!r}")
+        prev = m
+
+
+def _closed(name: str, policy):
+    """A policy held by another: valid, and with a closed form over t."""
+    _need(_row(policy).closed_form is not None,
+          f"{family_name(policy)} has no closed form over t; lambda scaling or nesting "
+          f"in another policy does not apply to metric-driven policies")
+    validate(policy)
+
+
+def _closed_each(name: str, policies):
+    _need(isinstance(policies, tuple) and len(policies) > 0, f"{name} must be a non-empty tuple")
+    for policy in policies:
+        _closed(name, policy)
+
+
+def _segments(name: str, segments):
+    _need(isinstance(segments, tuple) and len(segments) > 0, f"{name} must be a non-empty tuple")
+    prev_end = 0
+    for i, seg in enumerate(segments):
+        _need(isinstance(seg, Segment), f"segments[{i}] must be a Segment")
+        _need(isinstance(seg.start, int) and isinstance(seg.end, int),
+              f"segments[{i}] start/end must be integers")
+        if i == 0:
+            _need(seg.start == 0, f"segments must start at iteration 0, got {seg.start}")
+        else:
+            _need(seg.start <= prev_end, f"segments gap at iteration {prev_end}")
+            _need(seg.start >= prev_end, f"segments overlap at iteration {seg.start}")
+        _need(seg.end > seg.start,
+              f"segments[{i}] end ({seg.end}) must exceed start ({seg.start})")
+        _closed(name, seg.policy)
+        prev_end = seg.end
+
+
+# --- rules across fields, run after the field checks ---
+
+
+def _k_min_at_most_k(p: CosineDecay | LinearDecay):
+    _need(p.k_min <= p.k, f"k_min ({p.k_min!r}) must not exceed k ({p.k!r})")
+
+
+def _k0_at_most_k1(p):
+    _need(p.k0 <= p.k1, f"k1 < k0 ({p.k1!r} < {p.k0!r})")
+
+
+def _warmup_rule(p: Warmup):
+    if p.w >= 1:
+        _need(p.w == int(p.w), f"w must be an integer when >= 1, got {p.w!r}")
+    elif p.w > 0:
+        _need(_horizon(p.inner) is not None,
+              f"w given as a fraction ({p.w!r}) requires a horizon-bound inner policy")
+
+
+# --- horizon rules: the largest valid t, None when unbounded ---
+
+
+_t_max = attrgetter("t_max")
+
+
+def _warmup_iters(p: Warmup) -> int:
+    if p.w >= 1:
+        return int(p.w)
+    if p.w == 0:
+        return 0
+    return int(p.w * _horizon(p.inner))
+
+
+def _warmup_horizon(p: Warmup):
+    inner = _horizon(p.inner)
+    return None if inner is None else _warmup_iters(p) + inner
+
+
+# --- pieces of the closed forms ---
+
+
+def _upto(p, t: int) -> int:
+    """t, once checked against the t_max of a horizon-bound policy p."""
+    if t > p.t_max:
+        raise PolicyError(f"t ({t}) exceeds t_max ({p.t_max}) for {_ROWS[type(p)].name}")
+    return t
+
+
+def _tri_carrier(t: int, l: int) -> tuple[int, float]:
+    cycle = math.floor(1 + t / (2 * l))
+    x = abs(t / l - 2 * cycle + 1)
+    return cycle, max(0.0, 1.0 - x)
+
+
+def _sin_carrier(t: int, l: int) -> tuple[int, float]:
+    return math.floor(1 + t / (2 * l)), abs(math.sin(math.pi * t / (2 * l)))
+
+
+def _halved(p, cycle: int, shape: float) -> float:
+    return p.k0 + (p.k1 - p.k0) * shape * 0.5 ** (cycle - 1)
+
+
+def _warmup(p: Warmup, t: int) -> float:
+    w = _warmup_iters(p)
+    if t < w:
+        return (t / w) * _eval(p.inner, 0)
+    return _eval(p.inner, t - w)
+
+
+_start = attrgetter("start")
+
+
+def _composite(p: Composite, t: int) -> float:
+    segs = p.segments
+    if t >= segs[-1].end:
+        raise PolicyError(
+            f"t ({t}) is past the composite horizon (last segment ends at {segs[-1].end})")
+    seg = segs[bisect_right(segs, t, key=_start) - 1]
+    return _eval(seg.policy, t - seg.start)
+
+
+# --- generic queries over the table ---
+
+
+def _row(policy) -> "Family":
+    row = _ROWS.get(type(policy))
+    if row is None:
+        raise PolicyError(f"unknown policy type {type(policy).__name__}")
+    return row
+
+
+def _eval(p: Policy, t: int) -> float:
+    """eta(t) of a validated policy held by another, so it has a closed form."""
+    return _ROWS[type(p)].closed_form(p, t)
+
+
+def _horizon(policy: Policy):
+    return _row(policy).horizon(policy)
+
+
+def _closed_form(policy):
+    form = _row(policy).closed_form
+    if form is None:
+        raise PolicyError(f"{family_name(policy)} has no closed form over t; "
+                          f"drive it through a trainer")
+    return form
+
+
+def split_lambda(policy) -> tuple:
+    """(base, lam): the policy under any Scaled layers, and their factors' product.
+
+    The product runs outermost first; lam is 1.0 for an unscaled policy.
+    """
+    if type(policy) is not Scaled:
+        return policy, 1.0
+    lam, base = policy.lam, policy.base
+    while type(base) is Scaled:
+        lam *= base.lam
+        base = base.base
+    return base, lam
+
+
+def family_name(policy) -> str:
+    """Wire name of the policy's family; a Scaled policy has its base's name."""
+    return _row(split_lambda(policy)[0]).name
+
+
+def validate(policy):
     """Check parameter invariants, raising PolicyError naming the bad field.
 
     This always checks the whole policy tree. `lr_at`, `compile`, `horizon`
     and `sample_trace` instead go through a memo that skips the check for
     a policy object that has already passed it (see `_validated`).
     """
-    if isinstance(policy, Fix):
-        _nonneg("k", policy.k)
-    elif isinstance(policy, Step):
-        _nonneg("k", policy.k)
-        _gamma("gamma", policy.gamma)
-        _posint("l", policy.l)
-    elif isinstance(policy, NStep):
-        _nonneg("k", policy.k)
-        _gamma("gamma", policy.gamma)
-        _need(isinstance(policy.milestones, tuple), "milestones must be a tuple")
-        prev = -1
-        for m in policy.milestones:
-            _need(isinstance(m, int) and not isinstance(m, bool) and m >= 0,
-                  f"milestones must be non-negative integers, got {m!r}")
-            _need(m > prev, f"milestones must be strictly increasing, got {m!r}")
-            prev = m
-    elif isinstance(policy, Exp):
-        _nonneg("k", policy.k)
-        _gamma("gamma", policy.gamma)
-        _posint("l", policy.l)
-    elif isinstance(policy, Poly):
-        _nonneg("k", policy.k)
-        p = _finite("p", policy.p)
-        _need(p > 0, f"p must be > 0, got {policy.p!r}")
-        _posint("t_max", policy.t_max)
-    elif isinstance(policy, (CosineDecay, LinearDecay)):
-        k = _nonneg("k", policy.k)
-        k_min = _nonneg("k_min", policy.k_min)
-        _need(k_min <= k, f"k_min ({policy.k_min!r}) must not exceed k ({policy.k!r})")
-        _posint("t_max", policy.t_max)
-    elif isinstance(policy, _CYCLIC):
-        k0 = _nonneg("k0", policy.k0)
-        k1 = _nonneg("k1", policy.k1)
-        _need(k0 <= k1, f"k1 < k0 ({policy.k1!r} < {policy.k0!r})")
-        _posint("l", policy.l)
-        if isinstance(policy, (TriExp, SinExp)):
-            _gamma("gamma", policy.gamma)
-    elif isinstance(policy, Warmup):
-        w = _nonneg("w", policy.w)
-        if w >= 1:
-            _need(w == int(w), f"w must be an integer when >= 1, got {policy.w!r}")
-        elif w > 0:
-            _need(_horizon(policy.inner) is not None,
-                  f"w given as a fraction ({policy.w!r}) requires a horizon-bound inner policy")
-        validate(policy.inner)
-    elif isinstance(policy, Composite):
-        _need(isinstance(policy.segments, tuple) and len(policy.segments) > 0,
-              "segments must be a non-empty tuple")
-        prev_end = 0
-        for i, seg in enumerate(policy.segments):
-            _need(isinstance(seg, Segment), f"segments[{i}] must be a Segment")
-            _need(isinstance(seg.start, int) and isinstance(seg.end, int),
-                  f"segments[{i}] start/end must be integers")
-            if i == 0:
-                _need(seg.start == 0,
-                      f"segments must start at iteration 0, got {seg.start}")
-            else:
-                _need(seg.start <= prev_end, f"segments gap at iteration {prev_end}")
-                _need(seg.start >= prev_end, f"segments overlap at iteration {seg.start}")
-            _need(seg.end > seg.start,
-                  f"segments[{i}] end ({seg.end}) must exceed start ({seg.start})")
-            validate(seg.policy)
-            prev_end = seg.end
-    elif isinstance(policy, Scaled):
-        lam = _finite("lam", policy.lam)
-        _need(lam > 0, f"lam must be > 0, got {policy.lam!r}")
-        validate(policy.base)
-    else:
-        from . import adaptive
-
-        if isinstance(policy, (adaptive.ReduceOnPlateau, adaptive.ChangeOnPlateau)):
-            adaptive.validate_plateau(policy)
-        else:
-            raise PolicyError(f"unknown policy type {type(policy).__name__}")
+    row = _row(policy)
+    for name, check in row.checks.items():
+        check(name, getattr(policy, name))
+    if row.rule is not None:
+        row.rule(policy)
 
 
 # --- validation memo ---
@@ -340,131 +494,30 @@ def _validated(policy: Policy) -> Policy:
     return policy
 
 
-def _warmup_iters(p: Warmup) -> int:
-    if p.w >= 1:
-        return int(p.w)
-    if p.w == 0:
-        return 0
-    return int(p.w * _horizon(p.inner))
-
-
-def _horizon(policy: Policy):
-    """Largest valid t for horizon-bound policies, None for unbounded ones."""
-    if isinstance(policy, (Poly, CosineDecay, LinearDecay)):
-        return policy.t_max
-    if isinstance(policy, Warmup):
-        inner = _horizon(policy.inner)
-        return None if inner is None else _warmup_iters(policy) + inner
-    if isinstance(policy, Composite):
-        return policy.segments[-1].end - 1
-    if isinstance(policy, Scaled):
-        return _horizon(policy.base)
-    return None
+# --- evaluation ---
 
 
 def horizon(policy: Policy):
-    """Public horizon query; validates first (once per policy object)."""
+    """Largest valid t, None when unbounded; validates first (once per object)."""
     return _horizon(_validated(policy))
-
-
-def _horizon_field(policy: Policy) -> str:
-    while isinstance(policy, Scaled):
-        policy = policy.base
-    if isinstance(policy, Warmup):
-        return "WARMUP horizon (w plus the inner policy's horizon)"
-    if isinstance(policy, Composite):
-        return "MULTI segments"
-    return f"{family_name(policy)} t_max"
 
 
 def compile(policy: Policy, steps: int):
     """Validate once and return eta(t) as a function of t, for 0 <= t < steps.
 
-    A horizon-bound policy that ends before t = steps - 1 raises PolicyError
-    here, naming the field, so a run fails before its first step instead of
-    at the first step past the horizon. Validation is memoized on the policy
-    object's identity, as in `lr_at`; the horizon check runs on every call.
+    The function is the family's closed form bound to the policy. A
+    metric-driven policy has none and raises PolicyError naming its family;
+    so does a horizon-bound policy that ends before t = steps - 1, naming
+    the field, so a run fails before its first step. Validation is memoized
+    on the policy object's identity, as in `lr_at`.
     """
-    end = _horizon(_validated(policy))
+    form = _closed_form(_validated(policy))
+    end = _horizon(policy)
     if end is not None and end < steps - 1:
-        raise PolicyError(f"{_horizon_field(policy)} ends at t={end}, shorter than "
+        base = _row(split_lambda(policy)[0])
+        raise PolicyError(f"{base.name} {base.horizon_by} ends at t={end}, shorter than "
                           f"a {steps}-step run (last step t={steps - 1})")
-    return partial(_eval, policy)
-
-
-# --- evaluation ---
-
-
-def _tri_carrier(t: int, l: int) -> tuple[int, float]:
-    cycle = math.floor(1 + t / (2 * l))
-    x = abs(t / l - 2 * cycle + 1)
-    return cycle, max(0.0, 1.0 - x)
-
-
-def _check_horizon(t: int, t_max: int, family: str):
-    if t > t_max:
-        raise PolicyError(f"t ({t}) exceeds t_max ({t_max}) for {family}")
-
-
-def _eval(p: Policy, t: int) -> float:
-    if isinstance(p, Fix):
-        return p.k
-    if isinstance(p, Step):
-        return p.k * p.gamma ** (t // p.l)
-    if isinstance(p, NStep):
-        return p.k * p.gamma ** bisect_right(p.milestones, t)
-    if isinstance(p, Exp):
-        return p.k * p.gamma ** (t / p.l)
-    if isinstance(p, Poly):
-        _check_horizon(t, p.t_max, "POLY")
-        return p.k * (1 - t / p.t_max) ** p.p
-    if isinstance(p, Tri):
-        _, shape = _tri_carrier(t, p.l)
-        return p.k0 + (p.k1 - p.k0) * shape
-    if isinstance(p, Tri2):
-        cycle, shape = _tri_carrier(t, p.l)
-        return p.k0 + (p.k1 - p.k0) * shape * 0.5 ** (cycle - 1)
-    if isinstance(p, TriExp):
-        _, shape = _tri_carrier(t, p.l)
-        return p.k0 + (p.k1 - p.k0) * shape * p.gamma ** t
-    if isinstance(p, Sin):
-        return p.k0 + (p.k1 - p.k0) * abs(math.sin(math.pi * t / (2 * p.l)))
-    if isinstance(p, Sin2):
-        cycle = math.floor(1 + t / (2 * p.l))
-        s = abs(math.sin(math.pi * t / (2 * p.l)))
-        return p.k0 + (p.k1 - p.k0) * s * 0.5 ** (cycle - 1)
-    if isinstance(p, SinExp):
-        s = abs(math.sin(math.pi * t / (2 * p.l)))
-        return p.k0 + (p.k1 - p.k0) * s * p.gamma ** t
-    if isinstance(p, CosineDecay):
-        _check_horizon(t, p.t_max, "COSINE")
-        return p.k_min + 0.5 * (p.k - p.k_min) * (1 + math.cos(math.pi * t / p.t_max))
-    if isinstance(p, LinearDecay):
-        _check_horizon(t, p.t_max, "LINEAR")
-        return p.k - (p.k - p.k_min) * (t / p.t_max)
-    if isinstance(p, Warmup):
-        w = _warmup_iters(p)
-        if t < w:
-            return (t / w) * _eval(p.inner, 0)
-        return _eval(p.inner, t - w)
-    if isinstance(p, Composite):
-        segs = p.segments
-        if t >= segs[-1].end:
-            raise PolicyError(
-                f"t ({t}) is past the composite horizon (last segment ends at {segs[-1].end})")
-        lo, hi = 0, len(segs) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if segs[mid].start <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        seg = segs[lo]
-        return _eval(seg.policy, t - seg.start)
-    if isinstance(p, Scaled):
-        return p.lam * _eval(p.base, t)
-    raise PolicyError(
-        f"{type(p).__name__} has no closed form over t; drive it through a trainer")
+    return partial(form, policy)
 
 
 def lr_at(policy: Policy, t: int) -> float:
@@ -477,7 +530,7 @@ def lr_at(policy: Policy, t: int) -> float:
     """
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise PolicyError(f"t must be an integer >= 0, got {t!r}")
-    return _eval(_validated(policy), t)
+    return _closed_form(_validated(policy))(policy, t)
 
 
 def sample_trace(policy: Policy, t_max: int, stride: int = 1) -> list[tuple[int, float]]:
@@ -491,9 +544,9 @@ def sample_trace(policy: Policy, t_max: int, stride: int = 1) -> list[tuple[int,
         raise PolicyError(f"t_max must be an integer >= 0, got {t_max!r}")
     if not isinstance(stride, int) or stride < 1:
         raise PolicyError(f"stride must be an integer >= 1, got {stride!r}")
-    _validated(policy)
+    form = _closed_form(_validated(policy))
     n = math.ceil(t_max / stride)
-    return [(min(i * stride, t_max), _eval(policy, min(i * stride, t_max)))
+    return [(min(i * stride, t_max), form(policy, min(i * stride, t_max)))
             for i in range(n + 1)]
 
 
@@ -504,100 +557,33 @@ def trace_to_csv(points: list[tuple[int, float]]) -> str:
 
 
 # --- JSON wire format ---
-#
-# Scaled policies serialize as the base family plus a top-level "lambda" key.
-# Nested scalings flatten to a single product on serialization.
-
-_SIMPLE_FIELDS = {
-    Fix: ("FIX", ("k",)),
-    Step: ("STEP", ("k", "gamma", "l")),
-    Exp: ("EXP", ("k", "gamma", "l")),
-    Poly: ("POLY", ("k", "p", "t_max")),
-    CosineDecay: ("COSINE", ("k", "t_max", "k_min")),
-    LinearDecay: ("LINEAR", ("k", "t_max", "k_min")),
-    Tri: ("TRI", ("k0", "k1", "l")),
-    Tri2: ("TRI2", ("k0", "k1", "l")),
-    TriExp: ("TRIEXP", ("k0", "k1", "l", "gamma")),
-    Sin: ("SIN", ("k0", "k1", "l")),
-    Sin2: ("SIN2", ("k0", "k1", "l")),
-    SinExp: ("SINEXP", ("k0", "k1", "l", "gamma")),
-}
-
-_FAMILY_TO_TYPE = {name: cls for cls, (name, _) in _SIMPLE_FIELDS.items()}
 
 
-def family_name(policy: Policy) -> str:
-    if isinstance(policy, Scaled):
-        return family_name(policy.base)
-    if type(policy) in _SIMPLE_FIELDS:
-        return _SIMPLE_FIELDS[type(policy)][0]
-    if isinstance(policy, NStep):
-        return "NSTEP"
-    if isinstance(policy, Warmup):
-        return "WARMUP"
-    if isinstance(policy, Composite):
-        return "MULTI"
-    from . import adaptive
-
-    if isinstance(policy, adaptive.ReduceOnPlateau):
-        return "PLATEAU_REDUCE"
-    if isinstance(policy, adaptive.ChangeOnPlateau):
-        return "PLATEAU_CHANGE"
-    raise PolicyError(f"unknown policy type {type(policy).__name__}")
+def _wire(value):
+    """A field value in wire form: policies as wire dicts, tuples as lists."""
+    if isinstance(value, (int, float, str)):
+        return value
+    if type(value) in _ROWS:
+        return policy_to_dict(value)
+    if type(value) is Segment:
+        return {"start": value.start, "end": value.end, "policy": policy_to_dict(value.policy)}
+    if isinstance(value, (tuple, list)):
+        return [_wire(v) for v in value]
+    return value
 
 
 def policy_to_dict(policy) -> dict:
-    """Serialize a policy to the {"family", "params"} wire dict."""
-    if isinstance(policy, Scaled):
-        lam = policy.lam
-        base = policy.base
-        while isinstance(base, Scaled):
-            lam *= base.lam
-            base = base.base
-        d = policy_to_dict(base)
+    """Serialize a policy to the {"family", "params"} wire dict.
+
+    A Scaled policy is its base's dict plus a top-level "lambda" key, with
+    nested scalings flattened to one product (see `split_lambda`).
+    """
+    base, lam = split_lambda(policy)
+    row = _row(base)
+    d = {"family": row.name, "params": {f: _wire(getattr(base, f)) for f in row.checks}}
+    if base is not policy:
         d["lambda"] = lam
-        return d
-    cls = type(policy)
-    if cls in _SIMPLE_FIELDS:
-        name, fields = _SIMPLE_FIELDS[cls]
-        return {"family": name, "params": {f: getattr(policy, f) for f in fields}}
-    if isinstance(policy, NStep):
-        return {"family": "NSTEP",
-                "params": {"k": policy.k, "gamma": policy.gamma,
-                           "milestones": list(policy.milestones)}}
-    if isinstance(policy, Warmup):
-        return {"family": "WARMUP",
-                "params": {"w": policy.w, "inner": policy_to_dict(policy.inner)}}
-    if isinstance(policy, Composite):
-        return {"family": "MULTI",
-                "params": {"segments": [
-                    {"start": s.start, "end": s.end, "policy": policy_to_dict(s.policy)}
-                    for s in policy.segments]}}
-    from . import adaptive
-
-    if isinstance(policy, (adaptive.ReduceOnPlateau, adaptive.ChangeOnPlateau)):
-        return adaptive.plateau_to_dict(policy)
-    raise PolicyError(f"cannot serialize {type(policy).__name__}")
-
-
-def _params(d: dict) -> dict:
-    _need(isinstance(d, dict), f"policy must be a JSON object, got {d!r}")
-    _need("family" in d, "policy is missing the 'family' key")
-    params = d.get("params", {})
-    _need(isinstance(params, dict), "'params' must be a JSON object")
-    return params
-
-
-def _take(params: dict, family: str, required: tuple, optional: dict) -> dict:
-    kwargs = {}
-    for key in required:
-        _need(key in params, f"{family} is missing required param '{key}'")
-        kwargs[key] = params[key]
-    for key, default in optional.items():
-        kwargs[key] = params.get(key, default)
-    extra = set(params) - set(required) - set(optional)
-    _need(not extra, f"{family} got unknown params {sorted(extra)}")
-    return kwargs
+    return d
 
 
 def _as_int(family: str, key: str, value):
@@ -608,77 +594,49 @@ def _as_int(family: str, key: str, value):
     return value
 
 
+def _segment_from_dict(family: str, key: str, s) -> Segment:
+    _need(isinstance(s, dict) and {"start", "end", "policy"} <= set(s),
+          "each MULTI segment needs 'start', 'end', and 'policy'")
+    return Segment(start=_as_int(family, "start", s["start"]),
+                   end=_as_int(family, "end", s["end"]),
+                   policy=policy_from_dict(s["policy"]))
+
+
+def _warmup_shorthand(params: dict) -> dict:
+    """WARMUP takes 'inner', or 'k' alone as shorthand for a FIX inner policy."""
+    _need(("inner" in params) != ("k" in params), "WARMUP needs exactly one of 'inner' or 'k'")
+    if "k" not in params:
+        return params
+    params = dict(params)
+    params["inner"] = {"family": "FIX", "params": {"k": params.pop("k")}}
+    return params
+
+
 def policy_from_dict(d: dict):
-    """Parse the {"family", "params"} wire dict back into a policy."""
-    params = _params(d)
+    """Parse the {"family", "params"} wire dict back into a validated policy."""
+    _need(isinstance(d, dict), f"policy must be a JSON object, got {d!r}")
+    _need("family" in d, "policy is missing the 'family' key")
+    params = d.get("params", {})
+    _need(isinstance(params, dict), "'params' must be a JSON object")
     family = d["family"]
-    lam = d.get("lambda")
-
-    if family == "FIX":
-        policy = Fix(**_take(params, family, ("k",), {}))
-    elif family == "STEP":
-        kw = _take(params, family, ("k", "gamma"), {"l": 1})
-        kw["l"] = _as_int(family, "l", kw["l"])
-        policy = Step(**kw)
-    elif family == "NSTEP":
-        kw = _take(params, family, ("k", "gamma", "milestones"), {})
-        ms = kw["milestones"]
-        _need(isinstance(ms, (list, tuple)), f"{family} param 'milestones' must be a list")
-        kw["milestones"] = tuple(_as_int(family, "milestones", m) for m in ms)
-        policy = NStep(**kw)
-    elif family == "EXP":
-        kw = _take(params, family, ("k", "gamma"), {"l": 1})
-        kw["l"] = _as_int(family, "l", kw["l"])
-        policy = Exp(**kw)
-    elif family == "POLY":
-        kw = _take(params, family, ("k", "p", "t_max"), {})
-        kw["t_max"] = _as_int(family, "t_max", kw["t_max"])
-        policy = Poly(**kw)
-    elif family in ("COSINE", "LINEAR"):
-        kw = _take(params, family, ("k", "t_max"), {"k_min": 0.0})
-        kw["t_max"] = _as_int(family, "t_max", kw["t_max"])
-        policy = (CosineDecay if family == "COSINE" else LinearDecay)(**kw)
-    elif family in ("TRI", "TRI2", "SIN", "SIN2"):
-        kw = _take(params, family, ("k0", "k1", "l"), {})
-        kw["l"] = _as_int(family, "l", kw["l"])
-        cls = {"TRI": Tri, "TRI2": Tri2, "SIN": Sin, "SIN2": Sin2}[family]
-        policy = cls(**kw)
-    elif family in ("TRIEXP", "SINEXP"):
-        kw = _take(params, family, ("k0", "k1", "l", "gamma"), {})
-        kw["l"] = _as_int(family, "l", kw["l"])
-        policy = (TriExp if family == "TRIEXP" else SinExp)(**kw)
-    elif family == "WARMUP":
-        # 'inner' is a nested policy; 'k' alone is shorthand for ramp-then-hold
-        _need("w" in params, "WARMUP is missing required param 'w'")
-        has_inner = "inner" in params
-        has_k = "k" in params
-        _need(has_inner != has_k, "WARMUP needs exactly one of 'inner' or 'k'")
-        extra = set(params) - {"w", "inner", "k"}
-        _need(not extra, f"WARMUP got unknown params {sorted(extra)}")
-        inner = policy_from_dict(params["inner"]) if has_inner else Fix(k=params["k"])
-        policy = Warmup(w=params["w"], inner=inner)
-    elif family == "MULTI":
-        kw = _take(params, family, ("segments",), {})
-        segs = kw["segments"]
-        _need(isinstance(segs, list) and segs, "MULTI param 'segments' must be a non-empty list")
-        built = []
-        for s in segs:
-            _need(isinstance(s, dict) and {"start", "end", "policy"} <= set(s),
-                  "each MULTI segment needs 'start', 'end', and 'policy'")
-            built.append(Segment(start=_as_int(family, "start", s["start"]),
-                                 end=_as_int(family, "end", s["end"]),
-                                 policy=policy_from_dict(s["policy"])))
-        policy = Composite(segments=tuple(built))
-    elif family in ("PLATEAU_REDUCE", "PLATEAU_CHANGE"):
-        from . import adaptive
-
-        _need(lam is None, "lambda scaling does not apply to metric-driven policies")
-        policy = adaptive.plateau_from_dict(d)
-    else:
-        raise PolicyError(f"unknown family {family!r}")
-
-    if lam is not None:
-        policy = Scaled(lam=lam, base=policy)
+    row = _BY_NAME.get(family) if isinstance(family, str) else None
+    _need(row is not None, f"unknown family {family!r}")
+    if row.parse_hook is not None:
+        params = row.parse_hook(params)
+    for f in fields(row.cls):
+        _need(f.name in params or f.default is not MISSING,
+              f"{family} is missing required param '{f.name}'")
+    extra = set(params) - set(row.checks)
+    _need(not extra, f"{family} got unknown params {sorted(extra)}")
+    kwargs = dict(params)
+    for key, value in params.items():
+        parse = _WIRE_PARSERS.get(row.checks[key])
+        if parse is not None:
+            kwargs[key] = (tuple(parse(family, key, v) for v in value)
+                           if isinstance(value, (list, tuple)) else parse(family, key, value))
+    policy = row.cls(**kwargs)
+    if d.get("lambda") is not None:
+        policy = Scaled(lam=d["lambda"], base=policy)
     validate(policy)
     return policy
 
@@ -698,3 +656,80 @@ def policy_from_json(text: str):
 def canonical_policy_key(policy) -> str:
     """Deterministic serialized form, used for tie-breaks and store keys."""
     return json.dumps(policy_to_dict(policy), sort_keys=True, separators=(",", ":"))
+
+
+# --- the family table ---
+
+
+@dataclass(frozen=True)
+class Family:
+    """One policy family: all that the generic code above knows about it."""
+
+    cls: type
+    name: Optional[str]               # wire name; None for Scaled, which is its base + "lambda"
+    checks: dict                      # every field, in dataclass order -> check(name, value)
+    closed_form: Optional[Callable]   # (policy, t) -> eta(t); None when metric-driven
+    horizon: Callable = lambda p: None  # horizon rule: policy -> largest valid t, or None
+    horizon_by: str = "t_max"         # what sets that horizon, for error messages
+    rule: Optional[Callable] = None   # check across fields, after the field checks
+    parse_hook: Optional[Callable] = None  # rewrites wire params before they are read
+
+
+# Integer fields take 2.0 for 2 on the wire; policy fields are nested wire
+# dicts. A field's check says which it is.
+_WIRE_PARSERS = {
+    _posint: _as_int, _count: _as_int, _milestones: _as_int,
+    _closed: lambda family, key, d: policy_from_dict(d),
+    _closed_each: lambda family, key, d: policy_from_dict(d),
+    _segments: _segment_from_dict,
+}
+
+_DECAY = {"k": _nonneg, "gamma": _gamma, "l": _posint}
+_ANNEAL = {"k": _nonneg, "t_max": _posint, "k_min": _nonneg}
+_CYCLIC = {"k0": _nonneg, "k1": _nonneg, "l": _posint}
+_DAMPED = {**_CYCLIC, "gamma": _gamma}
+_PLATEAU = {"patience": _posint, "monitor": _one_of(_MONITORS), "mode": _one_of(_MODES),
+            "min_delta": _nonneg, "cooldown": _count}
+
+FAMILIES = (
+    Family(Fix, "FIX", {"k": _nonneg}, lambda p, t: p.k),
+    Family(Step, "STEP", _DECAY, lambda p, t: p.k * p.gamma ** (t // p.l)),
+    Family(NStep, "NSTEP", {"k": _nonneg, "gamma": _gamma, "milestones": _milestones},
+           lambda p, t: p.k * p.gamma ** bisect_right(p.milestones, t)),
+    Family(Exp, "EXP", _DECAY, lambda p, t: p.k * p.gamma ** (t / p.l)),
+    Family(Poly, "POLY", {"k": _nonneg, "p": _positive, "t_max": _posint},
+           lambda p, t: p.k * (1 - _upto(p, t) / p.t_max) ** p.p, _t_max),
+    Family(CosineDecay, "COSINE", _ANNEAL,
+           lambda p, t: p.k_min + 0.5 * (p.k - p.k_min) * (
+               1 + math.cos(math.pi * _upto(p, t) / p.t_max)),
+           _t_max, rule=_k_min_at_most_k),
+    Family(LinearDecay, "LINEAR", _ANNEAL,
+           lambda p, t: p.k - (p.k - p.k_min) * (_upto(p, t) / p.t_max),
+           _t_max, rule=_k_min_at_most_k),
+    Family(Tri, "TRI", _CYCLIC, lambda p, t: p.k0 + (p.k1 - p.k0) * _tri_carrier(t, p.l)[1],
+           rule=_k0_at_most_k1),
+    Family(Tri2, "TRI2", _CYCLIC, lambda p, t: _halved(p, *_tri_carrier(t, p.l)),
+           rule=_k0_at_most_k1),
+    Family(TriExp, "TRIEXP", _DAMPED,
+           lambda p, t: p.k0 + (p.k1 - p.k0) * _tri_carrier(t, p.l)[1] * p.gamma ** t,
+           rule=_k0_at_most_k1),
+    Family(Sin, "SIN", _CYCLIC, lambda p, t: p.k0 + (p.k1 - p.k0) * _sin_carrier(t, p.l)[1],
+           rule=_k0_at_most_k1),
+    Family(Sin2, "SIN2", _CYCLIC, lambda p, t: _halved(p, *_sin_carrier(t, p.l)),
+           rule=_k0_at_most_k1),
+    Family(SinExp, "SINEXP", _DAMPED,
+           lambda p, t: p.k0 + (p.k1 - p.k0) * _sin_carrier(t, p.l)[1] * p.gamma ** t,
+           rule=_k0_at_most_k1),
+    Family(Warmup, "WARMUP", {"w": _nonneg, "inner": _closed}, _warmup, _warmup_horizon,
+           "horizon (w plus the inner policy's horizon)", _warmup_rule, _warmup_shorthand),
+    Family(Composite, "MULTI", {"segments": _segments}, _composite,
+           lambda p: p.segments[-1].end - 1, "segments"),
+    Family(Scaled, None, {"lam": _positive, "base": _closed},
+           lambda p, t: p.lam * _eval(p.base, t), lambda p: _horizon(p.base)),
+    Family(ReduceOnPlateau, "PLATEAU_REDUCE",
+           {"k": _positive, "factor": _fraction, **_PLATEAU, "min_lr": _nonneg}, None),
+    Family(ChangeOnPlateau, "PLATEAU_CHANGE", {"policies": _closed_each, **_PLATEAU}, None),
+)
+
+_ROWS = {row.cls: row for row in FAMILIES}
+_BY_NAME = {row.name: row for row in FAMILIES if row.name is not None}

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import adaptive
 from .model import ModelSpec
 from .optim import OptimizerSpec
 from .problems import TaskData
@@ -83,8 +82,7 @@ class TuneResult:
 def _apply_lambda(template: Policy, lam: float) -> Policy:
     if lam == 1.0:
         return template
-    if isinstance(template, (adaptive.ReduceOnPlateau, adaptive.ChangeOnPlateau)):
-        raise PolicyError("lambda scaling does not apply to metric-driven policies")
+    # a metric-driven template is rejected when the trials compile, before any step
     return Scaled(lam=lam, base=template)
 
 

@@ -11,11 +11,9 @@ from lrforge.adaptive import (
     current_lr,
     initial_state,
     observe,
-    plateau_from_dict,
-    plateau_to_dict,
-    validate_plateau,
 )
-from lrforge.schedule import Fix, PolicyError, Step, policy_from_dict
+from lrforge.schedule import (Fix, PolicyError, Step, policy_from_dict, policy_to_dict,
+                              validate)
 
 
 def _feed(config, metrics, state=None, t=0):
@@ -147,6 +145,11 @@ def test_current_lr_rejects_t_before_origin():
         current_lr(state, CHANGE, 49)
 
 
+def test_initial_state_rejects_a_closed_form_policy():
+    with pytest.raises(PolicyError, match="Fix is not a metric-driven policy"):
+        initial_state(Fix(k=0.1))
+
+
 def test_observe_rejects_non_finite_metric():
     state = initial_state(REDUCE)
     with pytest.raises(PolicyError, match="finite"):
@@ -167,32 +170,30 @@ def test_observe_rejects_non_finite_metric():
 ])
 def test_validate_plateau_rejects(config, fragment):
     with pytest.raises(PolicyError, match=fragment):
-        validate_plateau(config)
+        validate(config)
 
 
 def test_reduce_round_trips_through_wire_format():
     config = ReduceOnPlateau(k=0.1, factor=0.5, patience=3, monitor="train_loss",
                              mode="min", min_delta=0.01, cooldown=2, min_lr=1e-5)
-    assert plateau_from_dict(plateau_to_dict(config)) == config
-    # and through the shared policy parser
-    assert policy_from_dict(plateau_to_dict(config)) == config
+    assert policy_from_dict(policy_to_dict(config)) == config
 
 
 def test_change_round_trips_through_wire_format():
-    assert plateau_from_dict(plateau_to_dict(CHANGE)) == CHANGE
+    assert policy_from_dict(policy_to_dict(CHANGE)) == CHANGE
 
 
 def test_plateau_wire_format_rejects_unknown_and_missing_params():
     with pytest.raises(PolicyError, match="unknown params"):
-        plateau_from_dict({"family": "PLATEAU_REDUCE",
-                           "params": {"k": 0.1, "factor": 0.5, "patience": 1,
-                                      "zap": 1}})
+        policy_from_dict({"family": "PLATEAU_REDUCE",
+                          "params": {"k": 0.1, "factor": 0.5, "patience": 1,
+                                     "zap": 1}})
     with pytest.raises(PolicyError, match="missing required param"):
-        plateau_from_dict({"family": "PLATEAU_CHANGE", "params": {"patience": 1}})
+        policy_from_dict({"family": "PLATEAU_CHANGE", "params": {"patience": 1}})
 
 
 def test_lambda_does_not_apply_to_plateau_policies():
-    doc = plateau_to_dict(REDUCE)
+    doc = policy_to_dict(REDUCE)
     doc["lambda"] = 0.5
     with pytest.raises(PolicyError, match="does not apply"):
         policy_from_dict(doc)

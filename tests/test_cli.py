@@ -140,6 +140,15 @@ def test_manifest_validation_exit_code(tmp_path):
     assert "budget" in proc.stderr
 
 
+def test_plateau_field_of_the_wrong_type_is_a_validation_error(tmp_path):
+    manifest = write_manifest(tmp_path, policy={
+        "family": "PLATEAU_REDUCE", "params": {"k": "0.1", "factor": 0.5, "patience": 1}})
+    proc = run_cli("train", "--manifest", manifest, "--out-dir", "out", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "k must be a number" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --- tune ---
 
 
@@ -287,4 +296,20 @@ def test_surface_checks_every_horizon_before_tracing(tmp_path):
     proc = run_cli("surface", "--manifest", str(path), "--out-dir", str(out), cwd=tmp_path)
     assert proc.returncode == 2
     assert "POLY t_max" in proc.stderr
+    assert not [f for f in os.listdir(out) if f.startswith("path_")]
+
+
+def test_surface_rejects_a_metric_driven_policy_before_tracing(tmp_path):
+    doc = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
+           "start": [1.0, 1.0], "iterations": 20,
+           "policies": [{"name": "fix", "policy": {"family": "FIX", "params": {"k": 0.1}}},
+                        {"name": "reduce", "policy": {
+                            "family": "PLATEAU_REDUCE",
+                            "params": {"k": 0.1, "factor": 0.5, "patience": 1}}}]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("surface", "--manifest", str(path), "--out-dir", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "PLATEAU_REDUCE has no closed form" in proc.stderr
     assert not [f for f in os.listdir(out) if f.startswith("path_")]

@@ -1,7 +1,11 @@
 """Closed-form policy curves: frozen values, reference sweeps, invariants."""
 
+import dataclasses
 import json
 import math
+import os
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 from lrforge import schedule
 from lrforge.schedule import (
+    ChangeOnPlateau,
     Composite,
     CosineDecay,
     Exp,
@@ -18,6 +23,7 @@ from lrforge.schedule import (
     NStep,
     Poly,
     PolicyError,
+    ReduceOnPlateau,
     Scaled,
     Segment,
     Sin,
@@ -355,6 +361,21 @@ def test_composite_picks_owning_segment(data):
      "must exceed"),
     (Scaled(lam=0.0, base=Fix(k=0.1)), "lam must be > 0"),
     (Scaled(lam=1.0, base=Fix(k=-1.0)), "k must be >= 0"),
+    # plateau fields go through the same field checks as every other family
+    (ReduceOnPlateau(k="0.1", factor=0.5, patience=1), "k must be a number"),
+    (ReduceOnPlateau(k=True, factor=0.5, patience=1), "k must be a number"),
+    (ReduceOnPlateau(k=0.1, factor=0.5, patience=True), "patience must be an integer"),
+    (ChangeOnPlateau(policies=(Fix(k=0.1),), patience=1, min_delta="0"),
+     "min_delta must be a number"),
+    # a metric-driven policy has no closed form, so no other policy may hold one
+    (Warmup(w=5, inner=ReduceOnPlateau(k=0.1, factor=0.5, patience=1)),
+     "PLATEAU_REDUCE has no closed form"),
+    (Composite(segments=(Segment(start=0, end=5, policy=ReduceOnPlateau(
+        k=0.1, factor=0.5, patience=1)),)), "PLATEAU_REDUCE has no closed form"),
+    (Scaled(lam=2.0, base=ReduceOnPlateau(k=0.1, factor=0.5, patience=1)), "does not apply"),
+    (ChangeOnPlateau(policies=(Fix(k=0.1), ChangeOnPlateau(policies=(Fix(k=0.1),),
+                                                           patience=1)), patience=1),
+     "PLATEAU_CHANGE has no closed form"),
 ])
 def test_validate_rejects(policy, fragment):
     with pytest.raises(PolicyError, match=fragment):
@@ -525,6 +546,9 @@ def test_wire_format_shape():
                  "params": {"k": 0.1, "gamma": 0.1, "milestones": [5, 9]}}
 
 
+REDUCE_DOC = {"family": "PLATEAU_REDUCE", "params": {"k": 0.1, "factor": 0.5, "patience": 1}}
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ({"params": {"k": 0.1}}, "missing the 'family' key"),
     ({"family": "NOPE", "params": {}}, "unknown family"),
@@ -538,6 +562,19 @@ def test_wire_format_shape():
     ({"family": "MULTI", "params": {"segments": []}}, "non-empty"),
     ({"family": "MULTI", "params": {"segments": [{"start": 0}]}}, "needs"),
     ({"family": "FIX", "params": {"k": 0.1}, "lambda": 0.0}, "lam must be > 0"),
+    ({"family": "PLATEAU_REDUCE", "params": {"k": "0.1", "factor": 0.5, "patience": 1}},
+     "k must be a number"),
+    ({"family": "PLATEAU_REDUCE", "params": {"k": True, "factor": 0.5, "patience": 1}},
+     "k must be a number"),
+    ({"family": "PLATEAU_REDUCE", "params": {"k": 0.1, "factor": 0.5, "patience": True}},
+     "'patience' must be an integer"),
+    ({"family": "WARMUP", "params": {"w": 5, "inner": REDUCE_DOC}},
+     "PLATEAU_REDUCE has no closed form"),
+    ({"family": "PLATEAU_CHANGE", "params": {"policies": [REDUCE_DOC], "patience": 1}},
+     "PLATEAU_REDUCE has no closed form"),
+    ({"family": "MULTI",
+      "params": {"segments": [{"start": 0, "end": 5, "policy": REDUCE_DOC}]}},
+     "PLATEAU_REDUCE has no closed form"),
 ])
 def test_policy_from_dict_rejects(doc, fragment):
     with pytest.raises(PolicyError, match=fragment):
@@ -558,3 +595,79 @@ def test_canonical_key_is_compact_and_sorted():
 def test_canonical_key_breaks_ties_by_family():
     assert canonical_policy_key(Fix(k=0.1)) < canonical_policy_key(
         Step(k=0.1, gamma=1.0, l=1))
+
+
+def test_plateau_integer_fields_take_integral_floats():
+    p = policy_from_dict({"family": "PLATEAU_REDUCE",
+                          "params": {"k": 0.1, "factor": 0.5, "patience": 2.0,
+                                     "cooldown": 1.0}})
+    assert p == ReduceOnPlateau(k=0.1, factor=0.5, patience=2, cooldown=1)
+    assert type(p.patience) is int and type(p.cooldown) is int
+
+
+# --- metric-driven policies fail fast on every closed-form query ---
+
+
+@pytest.mark.parametrize("policy", [
+    ReduceOnPlateau(k=0.1, factor=0.5, patience=1),
+    ChangeOnPlateau(policies=(Fix(k=0.1),), patience=1),
+], ids=family_name)
+def test_closed_form_queries_reject_metric_driven_policies(policy):
+    fragment = f"{family_name(policy)} has no closed form over t"
+    for query in (lambda: schedule.compile(policy, 10), lambda: lr_at(policy, 0),
+                  lambda: sample_trace(policy, 3)):
+        with pytest.raises(PolicyError, match=fragment):
+            query()
+
+
+# --- the family table ---
+
+
+# one policy per row, every field set away from its default
+TABLE_EXAMPLES = ROUND_TRIP_POLICIES + [
+    ReduceOnPlateau(k=0.1, factor=0.5, patience=3, monitor="train_loss", mode="min",
+                    min_delta=0.01, cooldown=2, min_lr=1e-5),
+    ChangeOnPlateau(policies=(Fix(k=0.5), Scaled(lam=0.5, base=Step(k=0.1, gamma=0.5, l=2))),
+                    patience=2, monitor="train_loss", mode="min", min_delta=0.1, cooldown=1),
+]
+
+
+def test_every_family_has_exactly_one_row():
+    classes = [row.cls for row in schedule.FAMILIES]
+    assert len(classes) == len(set(classes))
+    assert set(classes) == set(typing.get_args(schedule.Policy)) | {ReduceOnPlateau,
+                                                                    ChangeOnPlateau}
+    assert {type(p) for p in TABLE_EXAMPLES} == set(classes)
+    names = [row.name for row in schedule.FAMILIES if row.name is not None]
+    assert len(names) == len(set(names))
+    for row in schedule.FAMILIES:
+        # the wire format writes params in this order
+        assert tuple(row.checks) == tuple(f.name for f in dataclasses.fields(row.cls))
+
+
+@pytest.mark.parametrize("policy", TABLE_EXAMPLES, ids=lambda p: type(p).__name__)
+def test_every_row_round_trips_through_the_wire_format(policy):
+    d = json.loads(policy_to_json(policy))
+    assert policy_from_dict(d) == policy
+    assert policy_to_dict(policy_from_dict(d)) == d
+
+
+def test_unregistered_policy_type_is_rejected():
+    class MyFix(Fix):
+        pass
+
+    p = MyFix(k=0.1)
+    for query in (validate, family_name, policy_to_dict, horizon,
+                  lambda q: lr_at(q, 0), lambda q: schedule.compile(q, 3)):
+        with pytest.raises(PolicyError, match="unknown policy type MyFix"):
+            query(p)
+
+
+def test_readme_policy_table_names_every_wire_family():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("## Policy JSON", 1)[1].split("\n## ", 1)[0]
+    documented = [name for line in section.splitlines() if line.startswith("| `")
+                  for name in re.findall(r"`([A-Z0-9_]+)`", line.split("|")[1])]
+    assert sorted(documented) == sorted(row.name for row in schedule.FAMILIES if row.name)
