@@ -653,9 +653,14 @@ def policy_from_json(text: str):
     return policy_from_dict(d)
 
 
+#: Canonical JSON text: sorted keys, no spaces. Store lines, store record
+#: identities and tuner tie-breaks all go through this one encoder.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_policy_key(policy) -> str:
     """Deterministic serialized form, used for tie-breaks and store keys."""
-    return json.dumps(policy_to_dict(policy), sort_keys=True, separators=(",", ":"))
+    return canonical_json(policy_to_dict(policy))
 
 
 # --- the family table ---

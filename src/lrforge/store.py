@@ -6,12 +6,20 @@ the existing id, while the same identity with a different outcome is
 rejected. Wall time and timestamp are informational and excluded from
 that comparison, so deterministic reruns leave the file untouched.
 
+Each record's canonical policy string (`schedule.canonical_json` of its
+wire dict) is computed once, when the record is loaded or appended, and is
+shared by every record with an equal policy. The store keeps it in the
+identity index and in a per-task index of (record, policy string) pairs in
+line order; `records(task)` and `query_top_k` read only that task's list
+and rank by the cached string, so a query never re-serializes a policy.
+
 A partially written trailing line (interrupted writer) is skipped with a
 warning on load; corruption anywhere else is an error.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import os
@@ -19,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .schedule import canonical_policy_key, policy_to_dict
+from .schedule import canonical_json, policy_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -51,9 +59,7 @@ class TrialRecord:
     artifact_version: Optional[str] = None
 
     def key(self) -> tuple:
-        return (self.task,
-                json.dumps(self.policy, sort_keys=True, separators=(",", ":")),
-                self.lam, self.seed)
+        return (self.task, canonical_json(self.policy), self.lam, self.seed)
 
     def stable_outcome(self) -> tuple:
         return (self.final_accuracy, self.best_accuracy, self.iterations_run,
@@ -95,7 +101,7 @@ def _record_to_line(record: TrialRecord) -> str:
         "timestamp": record.timestamp,
         "artifact_version": record.artifact_version,
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return canonical_json(obj)
 
 
 def _record_from_obj(obj: dict) -> TrialRecord:
@@ -119,11 +125,31 @@ class StoreConflict(ValueError):
     """Same (task, policy, lambda, seed) appended with a different outcome."""
 
 
+def _rank_max_accuracy(entry: tuple) -> tuple:
+    r, policy_key = entry
+    return (1 if r.diverged else 0, -r.final_accuracy,
+            r.cost(), policy_key, r.lam, r.seed)
+
+
+def _rank_min_cost(entry: tuple) -> tuple:
+    r, policy_key = entry
+    unreached = r.diverged or r.iterations_to_target is None
+    return (1 if unreached else 0, 0 if unreached else r.iterations_to_target,
+            r.cost(), policy_key, r.lam, r.seed)
+
+
+#: Sort keys over (record, policy string) index entries, best first. Past
+#: the objective, ties break on cost, then on the identity, which is unique.
+_RANK = {"max_accuracy": _rank_max_accuracy, "min_cost": _rank_min_cost}
+
+
 class PolicyStore:
     """JSONL-backed record store with idempotent appends.
 
-    Ids are 0-based line indices. Appends from concurrent tuner trials
-    funnel through one lock, so the file only ever grows by whole lines.
+    Ids are 0-based line indices. The lock makes each append's lookup,
+    write and index update one step, so threads sharing a store object
+    never write one identity twice or interleave partial lines. It does
+    not guard against another process appending to the same file.
     """
 
     def __init__(self, path):
@@ -131,7 +157,21 @@ class PolicyStore:
         self._lock = threading.Lock()
         self._records: list[TrialRecord] = []
         self._by_key: dict[tuple, int] = {}
+        self._by_task: dict[str, list[tuple[TrialRecord, str]]] = {}
+        self._policy_keys: dict[str, str] = {}
         self._load()
+
+    def _identity(self, record: TrialRecord) -> tuple:
+        """`record.key()`, its policy string shared with equal earlier ones."""
+        task, policy_key, lam, seed = record.key()
+        return task, self._policy_keys.setdefault(policy_key, policy_key), lam, seed
+
+    def _index(self, record: TrialRecord, key: tuple) -> int:
+        new_id = len(self._records)
+        self._records.append(record)
+        self._by_key[key] = new_id
+        self._by_task.setdefault(record.task, []).append((record, key[1]))
+        return new_id
 
     def _load(self):
         if not os.path.exists(self.path):
@@ -159,8 +199,7 @@ class PolicyStore:
                 with open(self.path, "ab") as f:
                     f.write(b"\n")
             record = _record_from_obj(obj)
-            self._by_key[record.key()] = len(self._records)
-            self._records.append(record)
+            self._index(record, self._identity(record))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -168,7 +207,7 @@ class PolicyStore:
     def append(self, record: TrialRecord) -> int:
         """Persist one record; duplicate identities are idempotent."""
         with self._lock:
-            key = record.key()
+            key = self._identity(record)
             existing_id = self._by_key.get(key)
             if existing_id is not None:
                 existing = self._records[existing_id]
@@ -179,33 +218,22 @@ class PolicyStore:
             with open(self.path, "a", encoding="utf-8") as f:
                 f.write(_record_to_line(record) + "\n")
                 f.flush()
-            new_id = len(self._records)
-            self._records.append(record)
-            self._by_key[key] = new_id
-            return new_id
+            return self._index(record, key)
 
     def records(self, task: Optional[str] = None) -> list[TrialRecord]:
         if task is None:
             return list(self._records)
-        return [r for r in self._records if r.task == task]
+        return [r for r, _ in self._by_task.get(task, ())]
 
     def query_top_k(self, task: str, k: int, objective: str = "max_accuracy"
                     ) -> list[TrialRecord]:
         """Best k records for a task; top-(k-1) is always a prefix of top-k."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if objective not in ("max_accuracy", "min_cost"):
+        rank = _RANK.get(objective)
+        if rank is None:
             raise ValueError(f"objective must be max_accuracy or min_cost, "
                              f"got {objective!r}")
-        candidates = self.records(task)
-
-        def key(r: TrialRecord):
-            policy_key = json.dumps(r.policy, sort_keys=True, separators=(",", ":"))
-            tie = (r.cost(), policy_key, r.lam, r.seed)
-            if objective == "max_accuracy":
-                return (1 if r.diverged else 0, -r.final_accuracy) + tie
-            unreached = r.diverged or r.iterations_to_target is None
-            value = r.iterations_to_target if not unreached else 0
-            return (1 if unreached else 0, value) + tie
-
-        return sorted(candidates, key=key)[:k]
+        # the same answer as sorted(...)[:k], without sorting every candidate
+        entries = heapq.nsmallest(k, self._by_task.get(task, ()), key=rank)
+        return [r for r, _ in entries]

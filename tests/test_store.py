@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrforge import __version__
-from lrforge.schedule import Fix, Step
+from lrforge.schedule import (
+    Composite,
+    CosineDecay,
+    Fix,
+    Scaled,
+    Segment,
+    Step,
+    Tri2,
+    Warmup,
+    canonical_policy_key,
+)
 from lrforge.store import (
     DEFAULT_DB,
     PolicyStore,
@@ -18,6 +28,11 @@ from lrforge.store import (
     resolve_db_path,
 )
 from lrforge.trainer import TrialOutcome
+
+
+_OUTCOME = TrialOutcome(final_accuracy=0.8, best_accuracy=0.85,
+                        iterations_run=50, iterations_to_target=40,
+                        diverged=False, wall_time_sec=2.0)
 
 
 def _rec(task="blobs", k=0.1, lam=1.0, seed=0, acc=0.9, best=None, iters=100,
@@ -66,12 +81,28 @@ def test_identity_includes_task_lambda_and_seed(tmp_path):
 
 
 def test_records_filter_and_task_order(tmp_path):
-    store = PolicyStore(tmp_path / "db.jsonl")
-    store.append(_rec(task="b"))
-    store.append(_rec(task="a"))
-    store.append(_rec(task="b", k=0.2))
-    assert [r.task for r in store.records()] == ["b", "a", "b"]
-    assert len(store.records("b")) == 2
+    path = tmp_path / "db.jsonl"
+    store = PolicyStore(path)
+    store.append(_rec(task="b", k=0.1))
+    store.append(_rec(task="a", k=0.1))
+    store.append(_rec(task="b", k=0.2, acc=0.95))
+    reopened = PolicyStore(path)
+    reopened.append(_rec(task="a", k=0.2))
+    reopened.append(_rec(task="b", k=0.3, acc=0.5))
+    assert [r.task for r in reopened.records()] == ["b", "a", "b", "a", "b"]
+    # line order per task, across the load and later appends
+    assert [r.policy["params"]["k"] for r in reopened.records("b")] == [0.1, 0.2, 0.3]
+    assert [r.policy["params"]["k"] for r in reopened.records("a")] == [0.1, 0.2]
+    assert reopened.records("nope") == []
+    # a caller's list is its own: changing it leaves the store alone
+    top = reopened.query_top_k("b", k=3)
+    got = reopened.records("b")
+    got.clear()
+    reopened.records("nope").append(_rec(task="nope"))
+    assert len(reopened.records("b")) == 3
+    assert reopened.records("nope") == []
+    assert reopened.query_top_k("b", k=3) == top
+    assert reopened.query_top_k("nope", k=3) == []
 
 
 def test_reopen_sees_the_same_records(tmp_path):
@@ -147,11 +178,8 @@ def test_resolve_db_path_precedence(monkeypatch):
 
 
 def test_make_record_copies_outcome_and_stamps_version():
-    outcome = TrialOutcome(final_accuracy=0.8, best_accuracy=0.85,
-                           iterations_run=50, iterations_to_target=40,
-                           diverged=False, wall_time_sec=2.0)
     rec = make_record("blobs", Step(k=0.1, gamma=0.5, l=3), lam=2.0, seed=7,
-                      outcome=outcome, timestamp="2026-02-03T04:05:06Z")
+                      outcome=_OUTCOME, timestamp="2026-02-03T04:05:06Z")
     assert rec.policy == {"family": "STEP",
                           "params": {"k": 0.1, "gamma": 0.5, "l": 3}}
     assert rec.lam == 2.0 and rec.seed == 7
@@ -159,6 +187,21 @@ def test_make_record_copies_outcome_and_stamps_version():
     assert rec.artifact_version == __version__
     assert rec.cost() == 40
     assert _rec(to_target=None, iters=123).cost() == 123
+
+
+@pytest.mark.parametrize("template", [
+    Warmup(w=0.1, inner=Warmup(w=5, inner=CosineDecay(k=0.5, t_max=100))),
+    Composite(segments=(Segment(0, 50, Fix(k=0.2)),
+                        Segment(50, 100, Scaled(lam=0.5, base=Tri2(k0=0.1, k1=1.0, l=10))))),
+    Scaled(lam=3.0, base=Scaled(lam=0.5, base=Step(k=0.1, gamma=0.5, l=3))),
+], ids=["nested-warmup", "multi", "scaled"])
+def test_record_identity_uses_the_canonical_policy_key(tmp_path, template):
+    # the store's identity and the tuner's tie-break key are one encoding
+    rec = make_record("blobs", template, lam=1.0, seed=0, outcome=_OUTCOME)
+    assert rec.key()[1] == canonical_policy_key(template)
+    store = PolicyStore(tmp_path / "db.jsonl")
+    store.append(rec)
+    assert PolicyStore(store.path).records()[0].key() == rec.key()
 
 
 def test_top_k_ranking_and_validation(tmp_path):
@@ -206,3 +249,62 @@ def test_top_k_prefix_stability(tmp_path_factory, accs, objective, data):
     for k in range(len(accs) + 1):
         assert store.query_top_k("blobs", k=k, objective=objective) == ranked[:k]
     os.remove(path)
+
+
+def _brute_top_k(records, k, objective):
+    """The ranking as a full sort with the policy serialized per record."""
+    def key(r):
+        policy_key = json.dumps(r.policy, sort_keys=True, separators=(",", ":"))
+        tie = (r.cost(), policy_key, r.lam, r.seed)
+        if objective == "max_accuracy":
+            return (1 if r.diverged else 0, -r.final_accuracy) + tie
+        unreached = r.diverged or r.iterations_to_target is None
+        value = r.iterations_to_target if not unreached else 0
+        return (1 if unreached else 0, value) + tie
+
+    return sorted(records, key=key)[:k]
+
+
+_record_fields = st.fixed_dictionaries({
+    "task": st.sampled_from(["t0", "t1", "t2", "t3"]),
+    # few distinct values, so accuracy, cost and policy all tie often
+    "k": st.sampled_from([0.1, 0.2]),
+    "lam": st.sampled_from([0.5, 1.0]),
+    "seed": st.integers(0, 2),
+    "acc": st.sampled_from([0.0, 0.5, 0.9]),
+    "iters": st.sampled_from([10, 100]),
+    "to_target": st.one_of(st.none(), st.sampled_from([5, 10])),
+    "diverged": st.booleans(),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=st.lists(_record_fields, max_size=30,
+                       unique_by=lambda f: (f["task"], f["k"], f["lam"], f["seed"])),
+       data=st.data())
+def test_top_k_equals_a_full_sort_across_load_and_append(tmp_path_factory, fields, data):
+    records = [_rec(**f) for f in fields]
+    split = data.draw(st.integers(0, len(records)))
+    tmp = tmp_path_factory.mktemp("dbs")
+    # every record through the append path; then the same records split
+    # between the load path and later appends; then all of them loaded
+    appended = PolicyStore(tmp / "appended.jsonl")
+    for r in records:
+        appended.append(r)
+    first = PolicyStore(tmp / "db.jsonl")
+    for r in records[:split]:
+        first.append(r)
+    store = PolicyStore(tmp / "db.jsonl")
+    for r in records[split:]:
+        store.append(r)
+    reopened = PolicyStore(tmp / "db.jsonl")
+    for task in ("t0", "t1", "t2", "t3", "nope"):
+        mine = store.records(task)
+        assert mine == [r for r in records if r.task == task]
+        for objective in ("max_accuracy", "min_cost"):
+            for k in range(len(mine) + 2):
+                want = _brute_top_k(mine, k, objective)
+                assert store.query_top_k(task, k, objective) == want
+                # the load path and the append path build the same index
+                assert reopened.query_top_k(task, k, objective) == want
+                assert appended.query_top_k(task, k, objective) == want
