@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import __version__, model, problems, schedule, store, trainer, tuner
 from .optim import OptimizerSpec
@@ -35,7 +37,128 @@ class ManifestError(ValueError):
     """Manifest fails schema validation; message names the offending field."""
 
 
-# --- manifest parsing ---
+# --- the manifest table ---
+
+
+class Req(NamedTuple):
+    """Marks a key the manifest must give; every other key may be left out."""
+
+    type: object
+
+
+class Kind(NamedTuple):
+    """A JSON object that takes only these keys, built from the ones it gives.
+
+    `keys` maps each key to its type: a Python type (a float key takes an
+    int, a bool is never a number), `[t]` for a list of t, a `Kind`, a dict
+    of kind name -> `Kind` for an object picked by its "kind" key, or a
+    function (value, where) -> value. `Req(t)` marks a required key. Only
+    the keys present reach `build`, so every default is the constructor's own.
+    """
+
+    keys: dict
+    build: Callable = dict
+
+
+def _policy(value, where: str):
+    try:
+        return schedule.policy_from_dict(value)
+    except schedule.PolicyError as e:
+        raise ManifestError(f"{where}: {e}") from None
+
+
+def _named_policy(value, where: str) -> dict:
+    """A `policies` entry: {"name", "policy"}, or a bare policy named by its family."""
+    if not (isinstance(value, dict) and "policy" in value):
+        value = {"policy": value}
+    return _check(value, Kind({"name": str, "policy": Req(_policy)}), where)
+
+
+#: Every top-level manifest key. A command reads the keys it needs and
+#: leaves the others unchecked, so one manifest can serve several commands.
+MANIFEST = {
+    "task": str,
+    "out_dir": str,
+    "db": str,
+    "dataset": {
+        "blobs": Kind({"seed": Req(int), "n_per_class": Req(int), "n_classes": int,
+                       "d": int, "separation": float}, problems.gen_blobs),
+        "moons": Kind({"seed": Req(int), "n": Req(int), "noise": float}, problems.gen_moons),
+        "idx": Kind({"train_images": Req(str), "train_labels": Req(str),
+                     "test_images": Req(str), "test_labels": Req(str), "name": str},
+                    problems.idx_task),
+    },
+    "model": {"linear": Kind({}, model.Linear),
+              "mlp": Kind({"hidden": Req(int)}, model.MLP)},
+    "optimizer": {
+        "sgd": Kind({"momentum": float}, partial(OptimizerSpec, "sgd")),
+        "adam": Kind({"beta1": float, "beta2": float, "eps": float},
+                     partial(OptimizerSpec, "adam")),
+    },
+    "train": Kind({"batch_size": int, "budget": Req(int), "eval_every": int,
+                   "target_accuracy": float, "seed": int}, trainer.TrainConfig),
+    "policy": _policy,
+    "search": Kind({"templates": Req([_policy]), "lambda_grid": [float],
+                    "lambda_range": [float], "trials_per_point": int, "objective": str,
+                    "boundaries": [int], "n_samples": int, "seed": int}),
+    "range_test": Kind({"k_grid": Req([float]), "trial_budget": int, "tolerance": float}),
+    "surface": {
+        "quadratic": Kind({"a": Req([[float]])}, problems.Quadratic),
+        "rosenbrock": Kind({"a": float, "b": float}, problems.Rosenbrock),
+        "multibasin": Kind({"wells": Req([Kind({"center": Req([float]), "depth": Req(float),
+                                                "width": Req(float)}, problems.Well)])},
+                           problems.MultiBasin),
+    },
+    "start": [float],
+    "iterations": int,
+    "policies": [_named_policy],
+}
+
+
+def _reject_unknown(obj: dict, known, where: str):
+    unknown = [repr(k) for k in obj if k not in known]
+    if unknown:
+        raise ManifestError(f"{where}: unknown key {', '.join(unknown)}")
+
+
+def _check(value, type_, where: str, **context):
+    """`value` checked against `type_` (see `Kind`) and built; errors name `where`.
+
+    `context` reaches `build` beside the keys, for what a section needs from outside.
+    """
+    if isinstance(type_, (dict, Kind)) and not isinstance(value, dict):
+        raise ManifestError(f"'{where}' must be a JSON object")
+    if isinstance(type_, dict):
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in type_:
+            raise ManifestError(f"{where}.kind must be one of {', '.join(type_)}, got {kind!r}")
+        rest = {k: v for k, v in value.items() if k != "kind"}
+        return _check(rest, type_[kind], where, **context)
+    if isinstance(type_, Kind):
+        _reject_unknown(value, type_.keys, where)
+        present = {}
+        for key, key_type in type_.keys.items():
+            required = isinstance(key_type, Req)
+            if key in value:
+                present[key] = _check(value[key], key_type.type if required else key_type,
+                                      f"{where}.{key}")
+            elif required:
+                raise ManifestError(f"{where}.{key} is required")
+        try:
+            return type_.build(**present, **context)
+        except ValueError as e:
+            raise ManifestError(f"{where}: {e}") from None
+    if isinstance(type_, list):
+        if not isinstance(value, list):
+            raise ManifestError(f"{where} has the wrong type: {value!r}")
+        return tuple(_check(v, type_[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if not isinstance(type_, type):
+        return type_(value, where)
+    if type_ is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, type_) or isinstance(value, bool) and type_ is not bool:
+        raise ManifestError(f"{where} has the wrong type: {value!r}")
+    return value
 
 
 def _load_manifest(path) -> dict:
@@ -50,143 +173,54 @@ def _load_manifest(path) -> dict:
         raise ManifestError(f"manifest {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest {path} must be a JSON object")
+    _reject_unknown(doc, MANIFEST, "manifest")
     return doc
 
 
-def _section(doc: dict, key: str, required: bool = True) -> dict:
+def _read(doc: dict, key: str, default=..., **context):
+    """Top-level manifest entry `key`, checked against `MANIFEST` and built."""
     if key not in doc:
-        if required:
-            raise ManifestError(f"manifest is missing the '{key}' section")
-        return {}
-    section = doc[key]
-    if not isinstance(section, dict):
-        raise ManifestError(f"'{key}' must be a JSON object")
-    return section
-
-
-def _field(section: dict, name: str, types, where: str, default=...):
-    if name not in section:
         if default is ...:
-            raise ManifestError(f"{where}.{name} is required")
+            raise ManifestError(f"manifest is missing '{key}'")
         return default
-    value = section[name]
-    if types is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise ManifestError(f"{where}.{name} has the wrong type: {value!r}")
-    return value
+    return _check(doc[key], MANIFEST[key], key, **context)
 
 
-def _task_from(doc: dict) -> problems.TaskData:
-    section = _section(doc, "dataset")
-    kind = _field(section, "kind", str, "dataset")
-    if kind == "blobs":
-        return problems.gen_blobs(
-            seed=_field(section, "seed", int, "dataset"),
-            n_per_class=_field(section, "n_per_class", int, "dataset"),
-            n_classes=_field(section, "n_classes", int, "dataset", 2),
-            d=_field(section, "d", int, "dataset", 2),
-            separation=_field(section, "separation", float, "dataset", 10.0))
-    if kind == "moons":
-        return problems.gen_moons(
-            seed=_field(section, "seed", int, "dataset"),
-            n=_field(section, "n", int, "dataset"),
-            noise=_field(section, "noise", float, "dataset", 0.1))
-    if kind == "idx":
-        return problems.idx_task(
-            _field(section, "train_images", str, "dataset"),
-            _field(section, "train_labels", str, "dataset"),
-            _field(section, "test_images", str, "dataset"),
-            _field(section, "test_labels", str, "dataset"),
-            name=_field(section, "name", str, "dataset", "idx"))
-    raise ManifestError(f"dataset.kind must be blobs, moons, or idx, got {kind!r}")
-
-
-def _model_from(doc: dict, task: problems.TaskData) -> model.ModelSpec:
-    section = _section(doc, "model")
-    kind = _field(section, "kind", str, "model")
-    d_in = task.train.features.shape[1]
-    n_classes = task.train.n_classes
-    if kind == "linear":
-        return model.Linear(d_in=d_in, n_classes=n_classes)
-    if kind == "mlp":
-        return model.MLP(d_in=d_in, hidden=_field(section, "hidden", int, "model"),
-                         n_classes=n_classes)
-    raise ManifestError(f"model.kind must be linear or mlp, got {kind!r}")
-
-
-def _optimizer_from(doc: dict) -> OptimizerSpec:
-    section = _section(doc, "optimizer", required=False) or {"kind": "sgd"}
-    kind = _field(section, "kind", str, "optimizer")
-    if kind == "sgd":
-        return OptimizerSpec(kind="sgd",
-                             momentum=_field(section, "momentum", float, "optimizer", 0.0))
-    if kind == "adam":
-        return OptimizerSpec(kind="adam",
-                             beta1=_field(section, "beta1", float, "optimizer", 0.9),
-                             beta2=_field(section, "beta2", float, "optimizer", 0.999),
-                             eps=_field(section, "eps", float, "optimizer", 1e-8))
-    raise ManifestError(f"optimizer.kind must be sgd or adam, got {kind!r}")
-
-
-def _train_config_from(doc: dict) -> trainer.TrainConfig:
-    section = _section(doc, "train")
-    cfg = trainer.TrainConfig(
-        batch_size=_field(section, "batch_size", int, "train", 32),
-        budget=_field(section, "budget", int, "train"),
-        eval_every=_field(section, "eval_every", int, "train", None),
-        target_accuracy=_field(section, "target_accuracy", float, "train", None),
-        seed=_field(section, "seed", int, "train", 0))
+def _trial_context(doc: dict) -> tuner.TrialContext:
+    """The dataset, model, optimizer and train sections that every trial runs on."""
+    task = _read(doc, "dataset")
+    cfg = _read(doc, "train")
     try:
         cfg.validate()
     except ValueError as e:
         raise ManifestError(f"train: {e}") from None
-    return cfg
+    return tuner.TrialContext(
+        model=_read(doc, "model", d_in=task.train.features.shape[1],
+                    n_classes=task.train.n_classes),
+        task=task, optimizer=_read(doc, "optimizer", OptimizerSpec()), config=cfg)
 
 
-def _policy_from(doc: dict, key: str = "policy"):
-    if key not in doc:
-        raise ManifestError(f"manifest is missing the '{key}' section")
-    try:
-        return schedule.policy_from_dict(doc[key])
-    except schedule.PolicyError as e:
-        raise ManifestError(f"{key}: {e}") from None
-
-
-def _surface_from(doc: dict) -> problems.Surface:
-    section = _section(doc, "surface")
-    kind = _field(section, "kind", str, "surface")
-    try:
-        if kind == "quadratic":
-            return problems.Quadratic(a=_field(section, "a", list, "surface"))
-        if kind == "rosenbrock":
-            return problems.Rosenbrock(a=_field(section, "a", float, "surface", 1.0),
-                                       b=_field(section, "b", float, "surface", 100.0))
-        if kind == "multibasin":
-            wells = _field(section, "wells", list, "surface")
-            built = tuple(problems.Well(center=tuple(w["center"]), depth=w["depth"],
-                                        width=w["width"]) for w in wells)
-            return problems.MultiBasin(wells=built)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ManifestError(f"surface: {e}") from None
-    raise ManifestError(f"surface.kind must be quadratic, rosenbrock, or multibasin, "
-                        f"got {kind!r}")
+def _open_db(args, doc: dict) -> store.PolicyStore:
+    """The record store of --db or the manifest, checked appendable but not created."""
+    path = store.resolve_db_path(args.db or _read(doc, "db", None))
+    parent = os.path.dirname(path) or "."
+    if not (os.access(path, os.W_OK) if os.path.exists(path)
+            else os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise OSError(f"cannot append to record database {path}")
+    return store.PolicyStore(path)
 
 
 def _out_dir(doc: dict, override) -> str:
-    path = override or doc.get("out_dir")
+    path = override or _read(doc, "out_dir", None)
     if not path:
         raise ManifestError("out_dir is required (manifest key or --out-dir)")
     os.makedirs(path, exist_ok=True)
     return path
 
 
-def _task_name(doc: dict, task: problems.TaskData, spec, opt: OptimizerSpec,
-               objective: str) -> str:
-    explicit = doc.get("task")
-    if explicit:
-        return explicit
-    return f"{task.name}/{spec.descriptor()}/{opt.descriptor()}/{objective}"
+def _task_name(doc: dict, ctx: tuner.TrialContext, objective: str) -> str:
+    parts = (ctx.task.name, ctx.model.descriptor(), ctx.optimizer.descriptor(), objective)
+    return _read(doc, "task", None) or "/".join(parts)
 
 
 def _now() -> str:
@@ -257,22 +291,19 @@ def cmd_eval(args) -> int:
 
 def cmd_train(args) -> int:
     doc = _load_manifest(args.manifest)
-    task = _task_from(doc)
-    spec = _model_from(doc, task)
-    opt = _optimizer_from(doc)
-    cfg = _train_config_from(doc)
-    policy = _policy_from(doc)
+    ctx = _trial_context(doc)
+    cfg = ctx.config
+    policy = _read(doc, "policy")
+    db = _open_db(args, doc)
     out_dir = _out_dir(doc, args.out_dir)
 
-    trace = trainer.run_trial(spec, task, policy, opt, cfg)
+    trace = trainer.run_trial(ctx.model, ctx.task, policy, ctx.optimizer, cfg)
     trainer.write_train_csv(trace, os.path.join(out_dir, "trace_train.csv"))
     trainer.write_eval_csv(trace, os.path.join(out_dir, "trace_eval.csv"))
     _write_json(os.path.join(out_dir, "outcome.json"), trace.outcome.to_dict())
 
-    task_name = _task_name(doc, task, spec, opt,
-                           "min_cost" if cfg.target_accuracy else "max_accuracy")
+    task_name = _task_name(doc, ctx, "min_cost" if cfg.target_accuracy else "max_accuracy")
     template, lam = schedule.split_lambda(policy)
-    db = store.PolicyStore(store.resolve_db_path(args.db or doc.get("db")))
     db.append(store.make_record(task_name, template, lam, cfg.seed, trace.outcome,
                                 timestamp=_now()))
 
@@ -289,31 +320,6 @@ def cmd_train(args) -> int:
     print(f"wall time       {o.wall_time_sec:.2f}s")
     print(f"outputs         {out_dir}")
     return EXIT_ALL_DIVERGED if o.diverged else EXIT_OK
-
-
-def _search_space_from(doc: dict) -> tuner.SearchSpace:
-    section = _section(doc, "search")
-    raw_templates = _field(section, "templates", list, "search")
-    if not raw_templates:
-        raise ManifestError("search.templates must be non-empty")
-    try:
-        templates = tuple(schedule.policy_from_dict(t) for t in raw_templates)
-    except schedule.PolicyError as e:
-        raise ManifestError(f"search.templates: {e}") from None
-    grid = section.get("lambda_grid")
-    rng = section.get("lambda_range")
-    if grid is not None and rng is not None:
-        raise ManifestError("search: give lambda_grid or lambda_range, not both")
-    if grid is None and rng is None:
-        grid = [1.0]
-    if rng is not None and (not isinstance(rng, list) or len(rng) != 2):
-        raise ManifestError("search.lambda_range must be [low, high]")
-    return tuner.SearchSpace(
-        templates=templates,
-        lambda_grid=tuple(float(v) for v in grid) if grid is not None else None,
-        lambda_range=tuple(float(v) for v in rng) if rng is not None else None,
-        trials_per_point=_field(section, "trials_per_point", int, "search", 1),
-        objective=_field(section, "objective", str, "search", "max_accuracy"))
 
 
 def _print_leaderboard(result: tuner.TuneResult, limit: int = 10):
@@ -343,22 +349,26 @@ def _print_leaderboard(result: tuner.TuneResult, limit: int = 10):
 
 def cmd_tune(args) -> int:
     doc = _load_manifest(args.manifest)
-    task = _task_from(doc)
-    spec = _model_from(doc, task)
-    opt = _optimizer_from(doc)
-    cfg = _train_config_from(doc)
-    space = _search_space_from(doc)
-    section = _section(doc, "search")
+    ctx = _trial_context(doc)
+    search = _read(doc, "search")
+    boundaries = search.pop("boundaries", None)
+    n_samples = search.pop("n_samples", None)
+    seed = search.pop("seed", ctx.config.seed)
+    if "lambda_range" in search:
+        if "lambda_grid" in search:
+            raise ManifestError("search: give lambda_grid or lambda_range, not both")
+        if len(search["lambda_range"]) != 2:
+            raise ManifestError("search.lambda_range must be [low, high]")
+    else:
+        search.setdefault("lambda_grid", (1.0,))
+    space = tuner.SearchSpace(**search)
+    db = _open_db(args, doc)
     out_dir = _out_dir(doc, args.out_dir)
-    ctx = tuner.TrialContext(model=spec, task=task, optimizer=opt, config=cfg)
-    task_name = _task_name(doc, task, spec, opt, space.objective)
-    db = store.PolicyStore(store.resolve_db_path(args.db or doc.get("db")))
+    task_name = _task_name(doc, ctx, space.objective)
     stamp = _now()
 
-    boundaries = section.get("boundaries")
     if boundaries is not None:
-        composite, phase_results = tuner.compose_search(space, ctx, boundaries,
-                                                        workers=args.workers)
+        composite, phase_results = tuner.compose_search(space, ctx, boundaries)
         for i, result in enumerate(phase_results):
             tuner.write_leaderboard_csv(
                 result, os.path.join(out_dir, f"leaderboard_phase{i}.csv"))
@@ -366,8 +376,8 @@ def cmd_tune(args) -> int:
         _write_json(os.path.join(out_dir, "composite.json"),
                     schedule.policy_to_dict(composite))
         # confirmation run of the stitched policy over the full horizon
-        full_cfg = replace(cfg, budget=int(boundaries[-1]))
-        trace = trainer.run_trial(spec, task, composite, opt, full_cfg)
+        full_cfg = replace(ctx.config, budget=boundaries[-1])
+        trace = trainer.run_trial(ctx.model, ctx.task, composite, ctx.optimizer, full_cfg)
         trainer.write_train_csv(trace, os.path.join(out_dir, "trace_train.csv"))
         trainer.write_eval_csv(trace, os.path.join(out_dir, "trace_eval.csv"))
         _write_json(os.path.join(out_dir, "outcome.json"), trace.outcome.to_dict())
@@ -382,13 +392,13 @@ def cmd_tune(args) -> int:
         return EXIT_OK
 
     if space.objective == "min_cost":
-        result = tuner.cost_effective(space, ctx, workers=args.workers)
+        result = tuner.cost_effective(space, ctx)
     elif space.lambda_range is not None:
-        n = _field(section, "n_samples", int, "search")
-        seed = _field(section, "seed", int, "search", cfg.seed)
-        result = tuner.random_search(space, ctx, n, seed, workers=args.workers)
+        if n_samples is None:
+            raise ManifestError("search.n_samples is required")
+        result = tuner.random_search(space, ctx, n_samples, seed)
     else:
-        result = tuner.grid_search(space, ctx, workers=args.workers)
+        result = tuner.grid_search(space, ctx)
 
     tuner.write_leaderboard_csv(result, os.path.join(out_dir, "leaderboard.csv"))
     _write_json(os.path.join(out_dir, "tune_result.json"),
@@ -404,22 +414,13 @@ def cmd_tune(args) -> int:
 
 def cmd_range_test(args) -> int:
     doc = _load_manifest(args.manifest)
-    task = _task_from(doc)
-    spec = _model_from(doc, task)
-    opt = _optimizer_from(doc)
-    cfg = _train_config_from(doc)
-    section = _section(doc, "range_test")
-    k_grid = _field(section, "k_grid", list, "range_test")
-    trial_budget = _field(section, "trial_budget", int, "range_test", None)
-    tolerance = _field(section, "tolerance", float, "range_test", 0.05)
+    ctx = _trial_context(doc)
+    probes = _read(doc, "range_test")
+    db = _open_db(args, doc)
     out_dir = _out_dir(doc, args.out_dir)
 
-    ctx = tuner.TrialContext(model=spec, task=task, optimizer=opt, config=cfg)
-    result = tuner.range_test(ctx, k_grid, trial_budget=trial_budget,
-                              tolerance=tolerance, workers=args.workers)
-
-    task_name = _task_name(doc, task, spec, opt, "range_test")
-    db = store.PolicyStore(store.resolve_db_path(args.db or doc.get("db")))
+    result = tuner.range_test(ctx, **probes)
+    task_name = _task_name(doc, ctx, "range_test")
     stamp = _now()
     for k, outcome in zip(result.ks, result.outcomes):
         db.append(store.make_record(task_name, schedule.Fix(k=k), 1.0, result.seed,
@@ -461,34 +462,28 @@ def cmd_top_k(args) -> int:
 
 def cmd_surface(args) -> int:
     doc = _load_manifest(args.manifest)
-    surface = _surface_from(doc)
-    start = doc.get("start")
-    if not (isinstance(start, list) and len(start) == 2):
+    surface = _read(doc, "surface")
+    start = _read(doc, "start")
+    if len(start) != 2:
         raise ManifestError("start must be [x, y]")
-    iterations = _field(doc, "iterations", int, "manifest")
-    opt = _optimizer_from(doc)
-    raw_policies = _field(doc, "policies", list, "manifest")
-    if not raw_policies:
+    iterations = _read(doc, "iterations")
+    opt = _read(doc, "optimizer", OptimizerSpec())
+    entries = _read(doc, "policies")
+    if not entries:
         raise ManifestError("policies must be non-empty")
     out_dir = _out_dir(doc, args.out_dir)
 
-    named = []
-    seen = set()
-    for i, entry in enumerate(raw_policies):
-        if isinstance(entry, dict) and "policy" in entry:
-            policy = _policy_from(entry, "policy")
-            name = entry.get("name") or f"{schedule.family_name(policy)}_{i}"
-        else:
-            policy = _policy_from({"policy": entry}, "policy")
-            name = f"{schedule.family_name(policy)}_{i}"
-        if name in seen:
+    named = {}
+    for i, entry in enumerate(entries):
+        policy = entry["policy"]
+        name = entry.get("name") or f"{schedule.family_name(policy)}_{i}"
+        if name in named:
             raise ManifestError(f"duplicate policy name {name!r}")
-        seen.add(name)
         schedule.compile(policy, iterations)  # before any path is traced or written
-        named.append((name, policy))
+        named[name] = policy
 
     print(f"{'policy':<24} {'final value':>12}  {'min value':>12}")
-    for name, policy in named:
+    for name, policy in named.items():
         path = trainer.run_surface_trial(surface, start, policy, opt, iterations)
         trainer.write_surface_csv(path, os.path.join(out_dir, f"path_{name}.csv"))
         status = " (diverged)" if path.diverged else ""

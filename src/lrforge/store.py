@@ -14,7 +14,9 @@ line order; `records(task)` and `query_top_k` read only that task's list
 and rank by the cached string, so a query never re-serializes a policy.
 
 A partially written trailing line (interrupted writer) is skipped with a
-warning on load; corruption anywhere else is an error.
+warning on load; corruption anywhere else is an error. A line that repeats
+an earlier identity (two stores appending to one file) is skipped when its
+outcome is the same and rejected when it differs.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ _RANK = {"max_accuracy": _rank_max_accuracy, "min_cost": _rank_min_cost}
 class PolicyStore:
     """JSONL-backed record store with idempotent appends.
 
-    Ids are 0-based line indices. The lock makes each append's lookup,
+    Ids are 0-based indices of the distinct records, in the order of the
+    lines that first hold them. The lock makes each append's lookup,
     write and index update one step, so threads sharing a store object
     never write one identity twice or interleave partial lines. It does
     not guard against another process appending to the same file.
@@ -199,7 +202,13 @@ class PolicyStore:
                 with open(self.path, "ab") as f:
                     f.write(b"\n")
             record = _record_from_obj(obj)
-            self._index(record, self._identity(record))
+            key = self._identity(record)
+            existing_id = self._by_key.get(key)
+            if existing_id is None:
+                self._index(record, key)
+            elif self._records[existing_id].stable_outcome() != record.stable_outcome():
+                raise StoreConflict(f"record at {self.path}:{i + 1} repeats an earlier "
+                                    f"line's identity {key} with a different outcome")
 
     def __len__(self) -> int:
         return len(self._records)

@@ -4,8 +4,7 @@ Every search is deterministic for a given (space, context): trial seeds
 derive from the context seed and cells are ranked by value with fixed tie
 breaks. All the trials of a search (or of one compose phase) train as one
 stacked population (`trainer.run_population`), whose rows are bit for bit
-the trials run alone. The `workers` arguments are accepted for
-compatibility and have no effect.
+the trials run alone.
 """
 
 from __future__ import annotations
@@ -161,12 +160,8 @@ def _rank(entries: list[CellResult], objective: str) -> list[CellResult]:
     return sorted(entries, key=key)
 
 
-def grid_search(space: SearchSpace, ctx: TrialContext,
-                workers: Optional[int] = None) -> TuneResult:
-    """Exhaustive sweep over templates x lambda_grid, ranked by the objective.
-
-    `workers` has no effect: every trial runs in one stacked population.
-    """
+def grid_search(space: SearchSpace, ctx: TrialContext) -> TuneResult:
+    """Exhaustive sweep over templates x lambda_grid, ranked by the objective."""
     _validate_space(space, need_grid=True)
     ctx.config.validate()
     if space.objective == "min_cost" and ctx.config.target_accuracy is None:
@@ -193,22 +188,20 @@ def draw_lambdas(lambda_range: tuple[float, float], n: int, seed: int) -> list[f
     return [float(v) for v in np.exp(rng.uniform(np.log(low), np.log(high), n))]
 
 
-def random_search(space: SearchSpace, ctx: TrialContext, n: int, seed: int,
-                  workers: Optional[int] = None) -> TuneResult:
+def random_search(space: SearchSpace, ctx: TrialContext, n: int, seed: int) -> TuneResult:
     """Grid search over n lambdas drawn log-uniformly from space.lambda_range."""
     if space.lambda_range is None:
         raise PolicyError("random_search needs lambda_range")
     lams = draw_lambdas(space.lambda_range, n, seed)
     drawn = replace(space, lambda_grid=tuple(lams), lambda_range=None)
-    return grid_search(drawn, ctx, workers)
+    return grid_search(drawn, ctx)
 
 
-def cost_effective(space: SearchSpace, ctx: TrialContext,
-                   workers: Optional[int] = None) -> TuneResult:
+def cost_effective(space: SearchSpace, ctx: TrialContext) -> TuneResult:
     """Rank candidates by iterations needed to hit the context's target accuracy."""
     if ctx.config.target_accuracy is None:
         raise PolicyError("cost_effective requires target_accuracy in the config")
-    return grid_search(replace(space, objective="min_cost"), ctx, workers)
+    return grid_search(replace(space, objective="min_cost"), ctx)
 
 
 @dataclass
@@ -224,7 +217,7 @@ class RangeTestResult:
 
 
 def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
-               tolerance: float = 0.05, workers: Optional[int] = None) -> RangeTestResult:
+               tolerance: float = 0.05) -> RangeTestResult:
     """Probe each fixed LR briefly and bracket the useful range.
 
     Probes run for trial_budget iterations (default: 10% of the context
@@ -330,14 +323,13 @@ def compose_multi(boundaries, phase_results: list[TuneResult]) -> Composite:
     return composite
 
 
-def compose_search(space: SearchSpace, ctx: TrialContext, boundaries,
-                   workers: Optional[int] = None
-                   ) -> tuple[Composite, list[TuneResult]]:
+def compose_search(space: SearchSpace, ctx: TrialContext,
+                   boundaries) -> tuple[Composite, list[TuneResult]]:
     """Search each phase in turn, warm-starting from the previous winner.
 
     Phase i candidates all start from the parameters the phase i-1 winner
     ended with, so later phases are tuned against realistic late-stage
-    behavior rather than a fresh init. `workers` has no effect.
+    behavior rather than a fresh init.
     """
     _validate_space(space, need_grid=True)
     bounds = [int(b) for b in boundaries]

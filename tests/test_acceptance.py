@@ -171,11 +171,11 @@ def test_criterion_06_cyclic_beats_fixed_to_target(moons_task):
         started = time.perf_counter()
         fixed = tuner.cost_effective(
             SearchSpace(templates=(Fix(1e-4), Fix(1e-3), Fix(1e-2), Fix(0.1)),
-                        lambda_grid=(1.0,)), ctx, workers=1)
+                        lambda_grid=(1.0,)), ctx)
         cyclic = tuner.cost_effective(
             SearchSpace(templates=(Tri2(k0=0.01, k1=0.6, l=250),
                                    Sin2(k0=0.01, k1=0.6, l=250)),
-                        lambda_grid=(1.0,)), ctx, workers=1)
+                        lambda_grid=(1.0,)), ctx)
         cyc_best = cyclic.winner
         assert cyc_best.reached_target, "no cyclic policy reached the target"
         fix_best = fixed.winner
@@ -203,11 +203,11 @@ def test_criterion_07_curated_grid_matches_random_search(moons_task):
             ctx = TrialContext(MLP(2, 16, 2), moons_task, SGD, cfg)
             grid = tuner.grid_search(
                 SearchSpace(templates=(template,), lambda_grid=curated),
-                ctx, workers=1)
+                ctx)
             grid_scores.append(grid.winner.metric_mean)
             rand = tuner.random_search(
                 SearchSpace(templates=(template,), lambda_range=(0.001, 0.1)),
-                ctx, n=5, seed=100 + i, workers=1)
+                ctx, n=5, seed=100 + i)
             random_scores.append(rand.winner.metric_mean)
         grid_mean = float(np.mean(grid_scores))
         random_mean = float(np.mean(random_scores))
@@ -223,7 +223,7 @@ def test_criterion_08_range_test_ordering(moons_task):
     cfg = TrainConfig(batch_size=32, budget=10_000, eval_every=100, seed=0)
     ctx = TrialContext(MLP(2, 16, 2), moons_task, SGD, cfg)
     with criterion(8, "k=1e-4 probes strictly below the best fixed LR"):
-        result = tuner.range_test(ctx, k_grid=[0.1, 0.01, 0.001, 0.0001], workers=1)
+        result = tuner.range_test(ctx, k_grid=[0.1, 0.01, 0.001, 0.0001])
         tiny = result.accuracies[result.ks.index(1e-4)]
         best = result.accuracies[result.ks.index(result.k_best)]
         assert result.k_best != 1e-4
@@ -379,6 +379,6 @@ def test_criterion_12_mnist_grid_search_optional():
         result = tuner.grid_search(
             SearchSpace(templates=(Fix(0.1), Tri2(k0=0.01, k1=0.5, l=500)),
                         lambda_grid=(1.0,)),
-            ctx, workers=1)
+            ctx)
         assert result.winner.metric_mean >= 0.95
         print(f"  top-1 accuracy {result.winner.metric_mean:.4f}", end=" ")

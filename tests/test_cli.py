@@ -1,11 +1,14 @@
-"""End-to-end CLI runs through `python -m lrforge`."""
+"""End-to-end CLI runs through `python -m lrforge`, or `cli.main` where no trial runs."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+from lrforge import cli
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ESCAPE_MANIFEST = os.path.join(REPO, "manifests", "surface_escape.json")
@@ -18,6 +21,12 @@ def run_cli(*argv, cwd):
         filter(None, [os.path.join(REPO, "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "lrforge", *argv],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def lr(capsys, *argv):
+    """`lr` in this process: its exit code and what it wrote to stderr."""
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
 
 
 def write_manifest(tmp_path, name="m.json", **overrides):
@@ -138,6 +147,118 @@ def test_manifest_validation_exit_code(tmp_path):
                    cwd=tmp_path)
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+@pytest.mark.parametrize("overrides, fragment", [
+    ({"train": {"batch_size": 16, "budget": 60, "eval_evry": 7},
+      "optimizer": {"kind": "sgd", "momentm": 0.9}}, "train: unknown key 'eval_evry'"),
+    ({"optimizer": {"kind": "sgd", "momentm": 0.9}}, "optimizer: unknown key 'momentm'"),
+    ({"dataset": {"kind": "moons", "seed": 5, "n": 80, "nois": 0.2, "d": 2}},
+     "dataset: unknown key 'nois', 'd'"),
+    ({"polcy": {"family": "FIX", "params": {"k": 0.1}}}, "manifest: unknown key 'polcy'"),
+    ({"optimizer": {"kind": "rmsprop"}}, "optimizer.kind must be one of sgd, adam"),
+])
+def test_unknown_manifest_key_is_a_validation_error(tmp_path, capsys, overrides, fragment):
+    manifest = write_manifest(tmp_path, **overrides)
+    code, err = lr(capsys, "train", "--manifest", manifest, "--out-dir", tmp_path / "out",
+                   "--db", tmp_path / "db.jsonl")
+    assert code == 2
+    assert fragment in err
+    assert not (tmp_path / "db.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, section, values, fragment", [
+    ("tune", "search", {"lambda_grid": [None]}, "search.lambda_grid[0] has the wrong type: None"),
+    ("tune", "search", {"lambda_grid": [True, 0.1]}, "search.lambda_grid[0] has the wrong type"),
+    ("tune", "search", {"lambda_grid": [0.1, "1"]}, "search.lambda_grid[1] has the wrong type"),
+    ("tune", "search", {"lambda_grid": None, "lambda_range": [0.01, None], "n_samples": 2},
+     "search.lambda_range[1] has the wrong type: None"),
+    ("tune", "search", {"boundaries": 5}, "search.boundaries has the wrong type: 5"),
+    ("tune", "search", {"boundaries": [0, 30.5, 60]}, "search.boundaries[1] has the wrong type"),
+    ("range-test", "range_test", {"k_grid": [None]},
+     "range_test.k_grid[0] has the wrong type: None"),
+    ("range-test", "range_test", {"k_grid": [0.1, False]},
+     "range_test.k_grid[1] has the wrong type: False"),
+])
+def test_list_entries_are_checked_one_by_one(tmp_path, capsys, command, section, values,
+                                             fragment):
+    base = {"search": {"templates": [{"family": "FIX", "params": {"k": 1.0}}],
+                       "lambda_grid": [0.1]},
+            "range_test": {"k_grid": [0.1]}}[section]
+    doc = {k: v for k, v in {**base, **values}.items() if v is not None}
+    manifest = write_manifest(tmp_path, **{section: doc})
+    code, err = lr(capsys, command, "--manifest", manifest, "--out-dir", tmp_path / "out",
+                   "--db", tmp_path / "db.jsonl")
+    assert code == 2
+    assert fragment in err
+
+
+@pytest.mark.parametrize("change, fragment", [
+    (lambda d: d["surface"]["wells"][1].update(radius=1.0),
+     "surface.wells[1]: unknown key 'radius'"),
+    (lambda d: d["surface"]["wells"][0].pop("depth"), "surface.wells[0].depth is required"),
+    (lambda d: d["policies"][2].update(nme="x"), "policies[2]: unknown key 'nme'"),
+    (lambda d: d["surface"].update(kind="saddle"),
+     "surface.kind must be one of quadratic, rosenbrock, multibasin, got 'saddle'"),
+    (lambda d: d.update(iterations=True), "iterations has the wrong type: True"),
+])
+def test_nested_manifest_entries_are_checked(tmp_path, capsys, change, fragment):
+    with open(ESCAPE_MANIFEST, encoding="utf-8") as f:
+        doc = json.load(f)
+    change(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, err = lr(capsys, "surface", "--manifest", path, "--out-dir", tmp_path / "out")
+    assert code == 2
+    assert fragment in err
+
+
+@pytest.mark.parametrize("command, section", [
+    ("train", {}),
+    ("tune", {"search": {"templates": [{"family": "FIX", "params": {"k": 1.0}}]}}),
+    ("range-test", {"range_test": {"k_grid": [0.01, 0.1]}}),
+])
+def test_unwritable_db_fails_before_any_artifact(tmp_path, capsys, command, section):
+    manifest = write_manifest(tmp_path, **section)
+    out = tmp_path / "out"
+    code, err = lr(capsys, command, "--manifest", manifest, "--out-dir", out,
+                   "--db", tmp_path / "nodir" / "db.jsonl")
+    assert code == 3
+    assert "cannot append to record database" in err
+    assert read_tree(out) == {}
+    assert not (tmp_path / "nodir").exists()
+
+
+def _table_keys(path, type_, kind=""):
+    """(key path, kind, required) for each key below one `cli.MANIFEST` entry."""
+    if isinstance(type_, dict):
+        for name, kind_type in type_.items():
+            yield from _table_keys(path, kind_type, name)
+    elif isinstance(type_, cli.Kind):
+        for key, key_type in type_.keys.items():
+            required = isinstance(key_type, cli.Req)
+            yield f"{path}.{key}", kind, required
+            yield from _table_keys(f"{path}.{key}", key_type.type if required else key_type,
+                                   kind)
+    elif isinstance(type_, list):
+        yield from _table_keys(f"{path}[]", type_[0], kind)
+
+
+def test_readme_manifest_table_names_every_key():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("## Manifest keys", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, kinds, _, default = (c.strip() for c in line.strip("|").split("|"))
+            path = key.strip("`")
+            nested = "." in path
+            for kind in re.findall(r"`([a-z]+)`", kinds) or [""]:
+                documented.add((path, kind, default == "required" if nested else None))
+    table = set()
+    for key, type_ in cli.MANIFEST.items():
+        table |= set(_table_keys(key, type_)) or {(key, "", None)}
+    assert documented == table
 
 
 def test_plateau_field_of_the_wrong_type_is_a_validation_error(tmp_path):

@@ -72,6 +72,31 @@ def test_conflicting_outcome_is_rejected(tmp_path):
         store.append(_rec(acc=0.91))
 
 
+def test_a_line_repeating_an_identity_loads_once(tmp_path):
+    path = tmp_path / "db.jsonl"
+    first, second = PolicyStore(path), PolicyStore(path)
+    first.append(_rec())
+    second.append(_rec(wall=9.0))  # same stable outcome, other timing
+    assert len(path.read_text().splitlines()) == 2
+    reopened = PolicyStore(path)
+    assert len(reopened) == 1
+    assert reopened.records() == reopened.records("blobs") == [_rec()]
+    assert reopened.query_top_k("blobs", 5) == [_rec()]
+    before = path.read_bytes()
+    assert reopened.append(_rec()) == 0
+    assert path.read_bytes() == before
+
+
+def test_a_line_repeating_an_identity_with_another_outcome_fails_to_load(tmp_path):
+    path = tmp_path / "db.jsonl"
+    first, second = PolicyStore(path), PolicyStore(path)
+    first.append(_rec(k=0.2))
+    first.append(_rec(acc=0.9))
+    second.append(_rec(acc=0.91))
+    with pytest.raises(StoreConflict, match=r"db\.jsonl:3 .*different outcome"):
+        PolicyStore(path)
+
+
 def test_identity_includes_task_lambda_and_seed(tmp_path):
     store = PolicyStore(tmp_path / "db.jsonl")
     store.append(_rec())

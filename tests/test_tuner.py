@@ -34,7 +34,7 @@ SGD = OptimizerSpec("sgd")
 def test_grid_covers_the_full_product(blobs_ctx):
     space = SearchSpace(templates=(Fix(0.05), Fix(0.2)),
                         lambda_grid=(0.5, 1.0, 2.0), trials_per_point=2)
-    result = grid_search(space, blobs_ctx, workers=1)
+    result = grid_search(space, blobs_ctx)
     assert len(result.entries) == 6
     assert result.budget == blobs_ctx.config.budget
     for cell in result.entries:
@@ -45,20 +45,12 @@ def test_grid_covers_the_full_product(blobs_ctx):
     assert means == sorted(means, reverse=True)
 
 
-def test_worker_count_never_changes_the_result(blobs_ctx):
-    space = SearchSpace(templates=(Fix(0.05), Fix(0.2)),
-                        lambda_grid=(0.5, 2.0), trials_per_point=2)
-    serial = grid_search(space, blobs_ctx, workers=1)
-    pooled = grid_search(space, blobs_ctx, workers=3)
-    assert tune_result_to_dict(serial) == tune_result_to_dict(pooled)
-
-
 def test_rank_ties_break_on_canonical_key(blobs_ctx):
     # gamma = 1 makes STEP a constant schedule, so both cells run the
     # exact same trials; FIX must then win on the canonical key.
     space = SearchSpace(templates=(Step(k=0.05, gamma=1.0, l=5), Fix(0.05)),
                         lambda_grid=(1.0,))
-    result = grid_search(space, blobs_ctx, workers=1)
+    result = grid_search(space, blobs_ctx)
     assert result.entries[0].metric_mean == result.entries[1].metric_mean
     assert isinstance(result.entries[0].template, Fix)
     assert isinstance(result.entries[1].template, Step)
@@ -69,7 +61,7 @@ def test_min_cost_puts_unreached_cells_last(blobs_ctx):
                        replace(blobs_ctx.config, target_accuracy=0.9))
     space = SearchSpace(templates=(Fix(0.1), Fix(1e-9)), lambda_grid=(1.0,),
                         objective="min_cost")
-    result = grid_search(space, ctx, workers=1)
+    result = grid_search(space, ctx)
     winner, loser = result.entries
     assert winner.template == Fix(0.1)
     assert winner.reached_target
@@ -81,7 +73,7 @@ def test_min_cost_puts_unreached_cells_last(blobs_ctx):
 
 def test_speedup_is_none_for_accuracy_objective(blobs_ctx):
     space = SearchSpace(templates=(Fix(0.05),), lambda_grid=(1.0,))
-    result = grid_search(space, blobs_ctx, workers=1)
+    result = grid_search(space, blobs_ctx)
     assert result.speedup(result.winner) is None
 
 
@@ -91,7 +83,7 @@ def test_cost_effective_requires_a_target(blobs_ctx):
         cost_effective(space, blobs_ctx)
     ctx = TrialContext(blobs_ctx.model, blobs_ctx.task, blobs_ctx.optimizer,
                        replace(blobs_ctx.config, target_accuracy=0.8))
-    result = cost_effective(space, ctx, workers=1)
+    result = cost_effective(space, ctx)
     assert result.objective == "min_cost"
 
 
@@ -100,7 +92,7 @@ def test_all_diverged_raises(blobs_task):
                        TrainConfig(batch_size=16, budget=100, eval_every=50, seed=0))
     space = SearchSpace(templates=(Fix(1e12),), lambda_grid=(1.0, 10.0))
     with pytest.raises(AllDiverged):
-        grid_search(space, ctx, workers=1)
+        grid_search(space, ctx)
 
 
 def test_space_validation(blobs_ctx):
@@ -122,7 +114,7 @@ def test_lambda_scaling_rejects_metric_driven_policies(blobs_ctx):
     space = SearchSpace(templates=(ReduceOnPlateau(k=0.1, factor=0.5, patience=2),),
                         lambda_grid=(0.5,))
     with pytest.raises(PolicyError, match="lambda scaling"):
-        grid_search(space, blobs_ctx, workers=1)
+        grid_search(space, blobs_ctx)
 
 
 def test_draw_lambdas_deterministic_log_uniform():
@@ -146,10 +138,10 @@ def test_draw_lambdas_validation():
 
 def test_random_search_is_grid_search_on_the_draws(blobs_ctx):
     space = SearchSpace(templates=(Fix(0.1),), lambda_range=(0.01, 1.0))
-    result = random_search(space, blobs_ctx, n=3, seed=11, workers=1)
+    result = random_search(space, blobs_ctx, n=3, seed=11)
     lams = draw_lambdas((0.01, 1.0), n=3, seed=11)
     manual = grid_search(replace(space, lambda_grid=tuple(lams), lambda_range=None),
-                         blobs_ctx, workers=1)
+                         blobs_ctx)
     assert tune_result_to_dict(result) == tune_result_to_dict(manual)
     with pytest.raises(PolicyError, match="lambda_range"):
         random_search(SearchSpace(templates=(Fix(0.1),)), blobs_ctx, n=3, seed=0)
@@ -159,8 +151,7 @@ def test_random_search_is_grid_search_on_the_draws(blobs_ctx):
 
 
 def test_range_test_sorts_probes_and_brackets(blobs_ctx):
-    result = range_test(blobs_ctx, k_grid=[0.3, 1e-6, 0.05], trial_budget=60,
-                        workers=1)
+    result = range_test(blobs_ctx, k_grid=[0.3, 1e-6, 0.05], trial_budget=60)
     assert result.ks == [1e-6, 0.05, 0.3]
     assert result.trial_budget == 60
     assert len(result.accuracies) == 3 and len(result.outcomes) == 3
@@ -175,7 +166,7 @@ def test_range_test_sorts_probes_and_brackets(blobs_ctx):
 
 
 def test_range_test_default_budget_is_a_tenth(blobs_ctx):
-    result = range_test(blobs_ctx, k_grid=[0.05], workers=1)
+    result = range_test(blobs_ctx, k_grid=[0.05])
     assert result.trial_budget == blobs_ctx.config.budget // 10
     assert result.outcomes[0].iterations_run <= result.trial_budget
 
@@ -183,7 +174,7 @@ def test_range_test_default_budget_is_a_tenth(blobs_ctx):
 def test_range_test_excludes_diverged_probes(blobs_task):
     ctx = TrialContext(MLP(2, 8, 3), blobs_task, SGD,
                        TrainConfig(batch_size=16, budget=600, eval_every=60, seed=0))
-    result = range_test(ctx, k_grid=[0.01, 0.1, 1e9], workers=1)
+    result = range_test(ctx, k_grid=[0.01, 0.1, 1e9])
     assert result.diverged == [False, False, True]
     assert result.accuracies[2] == 0.0
     assert result.k_best != 1e9
@@ -203,7 +194,7 @@ def test_range_test_all_diverged(blobs_task):
     ctx = TrialContext(MLP(2, 8, 3), blobs_task, SGD,
                        TrainConfig(batch_size=16, budget=100, eval_every=50, seed=0))
     with pytest.raises(AllDiverged):
-        range_test(ctx, k_grid=[1e12, 1e15], trial_budget=50, workers=1)
+        range_test(ctx, k_grid=[1e12, 1e15], trial_budget=50)
 
 
 # --- composition ---
@@ -263,7 +254,7 @@ def test_compose_search_runs_phases_and_warm_starts(blobs_ctx):
     # lambda 1e-6 freezes learning; in phase 2 it still scores high only
     # because every phase-2 candidate starts from the phase-1 winner.
     space = SearchSpace(templates=(Fix(0.05),), lambda_grid=(1.0, 1e-6))
-    composite, results = compose_search(space, blobs_ctx, [0, 100, 200], workers=1)
+    composite, results = compose_search(space, blobs_ctx, [0, 100, 200])
     assert len(results) == 2
     assert all(r.budget == 100 for r in results)
     assert [(s.start, s.end) for s in composite.segments] == [(0, 100), (100, 200)]
@@ -301,7 +292,7 @@ def test_leaderboard_csv(tmp_path, blobs_ctx):
                        replace(blobs_ctx.config, target_accuracy=0.9))
     space = SearchSpace(templates=(Fix(0.1), Fix(1e-9)), lambda_grid=(1.0,),
                         objective="min_cost")
-    result = grid_search(space, ctx, workers=1)
+    result = grid_search(space, ctx)
     path = tmp_path / "board.csv"
     write_leaderboard_csv(result, path)
     lines = path.read_text().splitlines()
