@@ -12,14 +12,14 @@ from .adaptive import (  # noqa: F401
     AdaptiveState, ChangeOnPlateau, Reduced, ReduceOnPlateau, Switched,
     current_lr, initial_state, observe,
 )
-from .optim import AdamState, OptimizerSpec, SgdState, adam_step, sgd_step  # noqa: F401
+from .optim import OptimizerSpec, OptimizerState, init_state  # noqa: F401
 from .problems import (  # noqa: F401
     Dataset, MultiBasin, Quadratic, Rosenbrock, TaskData, Well, gen_blobs,
     gen_moons, load_idx, save_idx, surface_value_grad,
 )
 from .model import (  # noqa: F401
-    MLP, Linear, ModelSpec, ParamVector, accuracy_on, forward_loss_grad,
-    init_params, param_count,
+    MLP, Linear, ModelSpec, accuracy_on, forward_loss_grad, init_params, layout,
+    param_count, views,
 )
 from .trainer import (  # noqa: F401
     SurfacePath, TrainConfig, TrialOutcome, TrialTrace, run_population,

@@ -351,6 +351,12 @@ def cmd_tune(args) -> int:
     doc = _load_manifest(args.manifest)
     ctx = _trial_context(doc)
     search = _read(doc, "search")
+    for key in ("n_samples", "seed"):
+        if key in search and "lambda_range" not in search:
+            raise ManifestError(f"search.{key} applies only with lambda_range")
+    if "boundaries" in search and search.get("objective") == "min_cost":
+        raise ManifestError("search.objective min_cost does not apply with boundaries: "
+                            "each phase ranks by accuracy")
     boundaries = search.pop("boundaries", None)
     n_samples = search.pop("n_samples", None)
     seed = search.pop("seed", ctx.config.seed)

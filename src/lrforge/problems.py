@@ -52,6 +52,12 @@ class Well:
     depth: float
     width: float
 
+    def __post_init__(self):
+        if len(self.center) != 2:
+            raise ValueError(f"center must have 2 coordinates, got {len(self.center)}")
+        if self.depth <= 0 or self.width <= 0:
+            raise ValueError(f"well depth and width must be > 0, got {self}")
+
 
 @dataclass(frozen=True)
 class MultiBasin:
@@ -68,9 +74,6 @@ class MultiBasin:
         depths = sorted((w.depth for w in self.wells), reverse=True)
         if len(depths) > 1 and depths[0] == depths[1]:
             raise ValueError("deepest well must be unique")
-        for w in self.wells:
-            if w.depth <= 0 or w.width <= 0:
-                raise ValueError(f"well depth and width must be > 0, got {w}")
 
 
 Surface = Quadratic | Rosenbrock | MultiBasin

@@ -6,16 +6,17 @@ from config.seed, so the same inputs always produce the same trace.
 
 `run_population` trains trials that share the model, task, optimizer and
 config (all but the seed) but not the policy as one stacked numpy
-computation: their parameters form a (C, P) array, and each step is one
-batched forward/backward pass and one optimizer update over every trial
-still running. Each row gets exactly the floats it would get alone, so how
-trials are grouped never changes a result; `run_trial` is a population of
-one.
+computation: their parameters form a (C, P) array, each row laid out by
+`model.layout`, and each step is one batched forward/backward pass and
+one optimizer update over every trial still running. Each row gets
+exactly the floats it would get alone, so how trials are grouped never
+changes a result; `run_trial` is a population of one.
 
-Divergence (a non-finite loss or gradient) is a first-class outcome, not
-an exception: the trial stops and the trace is marked diverged. Large
-learning rates are expected to blow up during sweeps. A trial that
-diverges or reaches its target leaves the stack, and the rest go on.
+Divergence (a non-finite loss, gradient or learning rate) is a first-class
+outcome, not an exception: the trial stops and the trace is marked
+diverged. Large learning rates are expected to blow up during sweeps. A
+trial that diverges or reaches its target leaves the stack, and the rest
+go on.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import adaptive, optim, schedule
-from .model import ModelSpec, ParamVector, accuracy_on, forward_loss_grad, init_params
+from .model import ModelSpec, accuracy_on, forward_loss_grad, init_params, param_count
 from .problems import Surface, TaskData, surface_value_grad
 
 
@@ -83,7 +84,7 @@ class TrialTrace:
     eval_iterations: list[int]
     eval_accuracies: list[float]
     outcome: TrialOutcome
-    final_params: ParamVector
+    final_params: np.ndarray  # (P,), laid out by model.layout
     # policies with integer fields give integer LRs, which the CSV writes as such
     int_lr_steps: tuple[int, ...] = ()
 
@@ -107,12 +108,9 @@ def epoch_length(n_train: int, batch_size: int) -> int:
     return math.ceil(n_train / batch_size)
 
 
-_PLATEAU = (adaptive.ReduceOnPlateau, adaptive.ChangeOnPlateau)
-
-
 def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple],
                    opt_spec: optim.OptimizerSpec, config: TrainConfig,
-                   init: Optional[ParamVector] = None) -> list[TrialTrace]:
+                   init: Optional[np.ndarray] = None) -> list[TrialTrace]:
     """Train each (policy, seed) in `trials` under config, all stacked together.
 
     config.seed is replaced by each trial's seed. Returns one trace per
@@ -126,7 +124,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     plateau = {}  # trial index -> adaptive state
     closed = {}   # trial index -> validated t -> lr
     for i, policy in enumerate(policies):
-        if isinstance(policy, _PLATEAU):
+        if isinstance(policy, adaptive.PlateauPolicy):
             plateau[i] = adaptive.initial_state(policy)
         else:
             closed[i] = schedule.compile(policy, config.budget)
@@ -147,12 +145,13 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     rngs = [np.random.default_rng(seed) for seed in seeds]
     group = np.array([seeds.index(seed) for _, seed in trials], dtype=np.intp)
     if init is not None:
-        layout = init.layout
-        params = np.repeat(init.data[None], len(trials), axis=0)
+        if init.shape != (param_count(model_spec),):
+            raise ValueError(f"init must have shape ({param_count(model_spec)},), "
+                             f"got {init.shape}")
+        params = np.repeat(init[None], len(trials), axis=0)
     else:
         inits = {seed: init_params(model_spec, seed) for seed in seeds}
-        layout = inits[seeds[0]].layout
-        params = np.stack([inits[seed].data for _, seed in trials])
+        params = np.stack([inits[seed] for _, seed in trials])
     opt_state = optim.init_state(opt_spec, params.shape)
 
     ids = np.arange(len(trials))  # the trial in each row of the stack
@@ -164,7 +163,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     started = time.perf_counter()
 
     def evaluate(rows, t_done: int) -> np.ndarray:
-        acc = accuracy_on(model_spec, ParamVector(params[rows], layout), task.test)
+        acc = accuracy_on(model_spec, params[rows], task.test)
         for i, a in zip(ids[rows].tolist(), acc.tolist()):
             evals[i][0].append(t_done)
             evals[i][1].append(a)
@@ -185,7 +184,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
                 outcome=TrialOutcome(final_accuracy=accs[-1], best_accuracy=max(accs),
                                      iterations_run=t_done, iterations_to_target=to_target,
                                      diverged=diverged, wall_time_sec=wall),
-                final_params=ParamVector(data=params[r].copy(), layout=layout),
+                final_params=params[r].copy(),
                 int_lr_steps=tuple(int_lr_steps.get(i, ())))
         keep = ~done
         ids, params, group = ids[keep], params[keep], group[keep]
@@ -211,12 +210,12 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
                     int_lr_steps.setdefault(i, []).append(t)
         lr_col = np.array(lrs, dtype=float)[:, None]
 
-        loss, grad, _ = forward_loss_grad(model_spec, ParamVector(params, layout),
-                                          train.features[batch], train.labels[batch])
-        grad = grad.data
+        loss, grad, _ = forward_loss_grad(model_spec, params, train.features[batch],
+                                          train.labels[batch])
         step_lrs[ids, t] = lr_col[:, 0]
         step_losses[ids, t] = loss
-        diverged = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1))
+        diverged = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1)
+                     & np.isfinite(lr_col[:, 0]))
         if diverged.any():
             evaluate(diverged, t + 1)
             keep = stop(diverged, t + 1, True, None)
@@ -241,7 +240,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
 
 def run_trial(model_spec: ModelSpec, task: TaskData, policy,
               opt_spec: optim.OptimizerSpec, config: TrainConfig,
-              init: Optional[ParamVector] = None) -> TrialTrace:
+              init: Optional[np.ndarray] = None) -> TrialTrace:
     """Train for config.budget iterations, evaluating every eval_every.
 
     The test split is also evaluated once before any step (iteration 0)
@@ -289,9 +288,10 @@ def run_surface_trial(surface: Surface, start, policy,
     """Trace an optimizer across a 2-D surface under the given LR policy.
 
     Returns iterations + 1 points (the start plus one per step), fewer if
-    the trajectory diverges. The policy is compiled against `iterations`
-    before the first step, so a horizon-bound one must cover every step,
-    even if the path would diverge before reaching its horizon.
+    the trajectory diverges (a non-finite value, gradient or learning
+    rate). The policy is compiled against `iterations` before the first
+    step, so a horizon-bound one must cover every step, even if the path
+    would diverge before reaching its horizon.
     """
     lr_of = schedule.compile(policy, iterations)
     if iterations < 0:
@@ -305,10 +305,11 @@ def run_surface_trial(surface: Surface, start, policy,
     path = SurfacePath(iterations=[0], points=[point.copy()], values=[value],
                        diverged=False)
     for t in range(iterations):
-        if not math.isfinite(value) or not np.isfinite(grad).all():
+        lr = lr_of(t)
+        if not (math.isfinite(value) and np.isfinite(grad).all() and math.isfinite(lr)):
             path.diverged = True
             return path
-        point, opt_state = optim.step(point, grad, lr_of(t), opt_state)
+        point, opt_state = optim.step(point, grad, lr, opt_state)
         with np.errstate(over="ignore", invalid="ignore"):
             value, grad = surface_value_grad(surface, point)
         path.iterations.append(t + 1)

@@ -85,7 +85,7 @@ def _apply_lambda(template: Policy, lam: float) -> Policy:
     return Scaled(lam=lam, base=template)
 
 
-def _validate_space(space: SearchSpace, need_grid: bool):
+def _validate_space(space: SearchSpace):
     if not space.templates:
         raise PolicyError("templates must be non-empty")
     for t in space.templates:
@@ -95,13 +95,12 @@ def _validate_space(space: SearchSpace, need_grid: bool):
     if space.objective not in ("max_accuracy", "min_cost"):
         raise PolicyError(f"objective must be max_accuracy or min_cost, "
                           f"got {space.objective!r}")
-    if need_grid:
-        if not space.lambda_grid:
-            raise PolicyError("lambda_grid must be non-empty")
-        for lam in space.lambda_grid:
-            if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-                raise PolicyError(f"lambda_grid values must be positive and finite, "
-                                  f"got {lam!r}")
+    if not space.lambda_grid:
+        raise PolicyError("lambda_grid must be non-empty")
+    for lam in space.lambda_grid:
+        if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
+            raise PolicyError(f"lambda_grid values must be positive and finite, "
+                              f"got {lam!r}")
 
 
 def _run_cells(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: str,
@@ -162,7 +161,7 @@ def _rank(entries: list[CellResult], objective: str) -> list[CellResult]:
 
 def grid_search(space: SearchSpace, ctx: TrialContext) -> TuneResult:
     """Exhaustive sweep over templates x lambda_grid, ranked by the objective."""
-    _validate_space(space, need_grid=True)
+    _validate_space(space)
     ctx.config.validate()
     if space.objective == "min_cost" and ctx.config.target_accuracy is None:
         raise PolicyError("min_cost objective requires target_accuracy")
@@ -331,7 +330,7 @@ def compose_search(space: SearchSpace, ctx: TrialContext,
     ended with, so later phases are tuned against realistic late-stage
     behavior rather than a fresh init.
     """
-    _validate_space(space, need_grid=True)
+    _validate_space(space)
     bounds = [int(b) for b in boundaries]
     if len(bounds) < 2 or bounds[0] != 0 or any(b >= e for b, e in zip(bounds, bounds[1:])):
         raise PolicyError(f"boundaries must start at 0 and strictly increase, "

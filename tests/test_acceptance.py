@@ -21,7 +21,7 @@ import pytest
 from reference import SWEEP_CASES, T_MAX_SWEEP, ref_lr, rel_err
 
 from lrforge import optim, schedule, store, trainer, tuner
-from lrforge.model import MLP, Linear, ParamVector, forward_loss_grad, init_params
+from lrforge.model import MLP, Linear, forward_loss_grad, init_params
 from lrforge.optim import OptimizerSpec
 from lrforge.problems import (MultiBasin, Quadratic, Rosenbrock, Well, idx_task,
                               surface_value_grad)
@@ -109,19 +109,19 @@ def test_criterion_04_gradient_checks():
             params = init_params(spec, seed=1)
             x = rng.normal(size=(16, spec.d_in))
             y = rng.integers(0, 5, size=16)
-            _, grad, _ = forward_loss_grad(spec, params, x, y)
-            coords = rng.choice(params.data.size, size=200, replace=False)
+            _, grad, _ = forward_loss_grad(spec, params[None], x, y)
+            coords = rng.choice(params.size, size=200, replace=False)
             eps = 1e-6
             for i in coords:
-                bumped = params.data.copy()
+                bumped = params.copy()
                 bumped[i] += eps
-                up, _, _ = forward_loss_grad(spec, ParamVector(bumped, params.layout), x, y)
+                up, _, _ = forward_loss_grad(spec, bumped[None], x, y)
                 bumped[i] -= 2 * eps
-                dn, _, _ = forward_loss_grad(spec, ParamVector(bumped, params.layout), x, y)
-                fd = (up - dn) / (2 * eps)
+                dn, _, _ = forward_loss_grad(spec, bumped[None], x, y)
+                fd = (up[0] - dn[0]) / (2 * eps)
                 # 1e-9 absolute floor: central differences at h=1e-6 cannot
                 # resolve components smaller than the cancellation noise
-                assert grad.data[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+                assert grad[0, i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
         surfaces = (Quadratic(a=np.array([[2.0, 0.5], [0.5, 1.0]])),
                     Rosenbrock(),

@@ -197,6 +197,8 @@ def test_list_entries_are_checked_one_by_one(tmp_path, capsys, command, section,
     (lambda d: d["surface"]["wells"][1].update(radius=1.0),
      "surface.wells[1]: unknown key 'radius'"),
     (lambda d: d["surface"]["wells"][0].pop("depth"), "surface.wells[0].depth is required"),
+    (lambda d: d["surface"]["wells"][0].update(center=[0, 0, 1]),
+     "surface.wells[0]: center must have 2 coordinates, got 3"),
     (lambda d: d["policies"][2].update(nme="x"), "policies[2]: unknown key 'nme'"),
     (lambda d: d["surface"].update(kind="saddle"),
      "surface.kind must be one of quadratic, rosenbrock, multibasin, got 'saddle'"),
@@ -279,6 +281,21 @@ def tune_manifest(tmp_path, **extra):
               "lambda_grid": [0.01, 0.1], "trials_per_point": 2}
     search.update(extra)
     return write_manifest(tmp_path, name="tune.json", search=search)
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    ({"n_samples": 5}, "search.n_samples applies only with lambda_range"),
+    ({"seed": 9}, "search.seed applies only with lambda_range"),
+    ({"boundaries": [0, 30, 60], "objective": "min_cost"},
+     "search.objective min_cost does not apply with boundaries"),
+])
+def test_search_keys_the_mode_never_reads_are_rejected(tmp_path, capsys, extra, fragment):
+    manifest = tune_manifest(tmp_path, **extra)
+    code, err = lr(capsys, "tune", "--manifest", manifest, "--out-dir", tmp_path / "out",
+                   "--db", tmp_path / "db.jsonl")
+    assert code == 2
+    assert fragment in err
+    assert not (tmp_path / "db.jsonl").exists()
 
 
 def test_tune_outputs_and_worker_invariance(tmp_path):

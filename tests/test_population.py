@@ -1,5 +1,6 @@
 """Stacked trials equal lone trials, bit for bit, whatever stops them."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -61,7 +62,7 @@ def _same(stacked, alone):
     assert len(stacked.losses) == len(alone.losses)
     assert stacked.eval_iterations == alone.eval_iterations
     assert stacked.eval_accuracies == alone.eval_accuracies
-    assert stacked.final_params.data.tobytes() == alone.final_params.data.tobytes()
+    assert stacked.final_params.tobytes() == alone.final_params.tobytes()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -87,3 +88,19 @@ def test_warm_started_population_equals_warm_started_trials(blobs_task):
         assert stacked.eval_accuracies[0] == traces[0].eval_accuracies[0]
         _same(stacked, run_trial(spec, blobs_task, policy, opt, replace(config, seed=seed),
                                  init=init))
+
+
+def test_a_non_finite_lr_diverges_only_its_own_row(blobs_task):
+    spec, opt = MLP(2, 8, 3), OptimizerSpec("adam")
+    config = TrainConfig(batch_size=16, budget=100, eval_every=20)
+    overflow = Scaled(lam=1e6, base=Fix(1e303))  # passes validation, but its LR is inf
+    trials = [(Fix(0.05), 1), (overflow, 2), (Fix(0.1), 3),
+              (ChangeOnPlateau(policies=(Fix(1e-6), overflow), patience=1), 4)]
+    traces = run_population(spec, blobs_task, trials, opt, config)
+    first, late = traces[1], traces[3]
+    assert first.outcome.diverged and first.lrs == [math.inf]
+    assert late.outcome.diverged and 20 < late.outcome.iterations_run < 100
+    assert late.lrs[-1] == math.inf and math.isfinite(late.lrs[-2])
+    assert not traces[0].outcome.diverged and not traces[2].outcome.diverged
+    for (policy, seed), stacked in zip(trials, traces):
+        _same(stacked, run_trial(spec, blobs_task, policy, opt, replace(config, seed=seed)))

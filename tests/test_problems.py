@@ -73,6 +73,9 @@ def test_multibasin_validation():
         MultiBasin(wells=(Well(center=(0, 0), depth=-1.0, width=0.5),))
     with pytest.raises(ValueError):
         MultiBasin(wells=(Well(center=(0, 0), depth=1.0, width=0.0),))
+    for center in ((0.0, 0.0, 1.0), (1.0,)):
+        with pytest.raises(ValueError, match="center must have 2 coordinates"):
+            MultiBasin(wells=(Well(center=center, depth=1.0, width=0.5),))
     # ambiguous deepest well is rejected: the global optimum must be unique
     with pytest.raises(ValueError, match="unique"):
         MultiBasin(wells=(Well(center=(0, 0), depth=1.0, width=0.5),

@@ -42,7 +42,7 @@ def test_same_seed_same_trace(blobs_task):
     b = run_trial(spec, blobs_task, schedule.Fix(0.05), SGD, cfg)
     assert a.losses == b.losses
     assert a.eval_accuracies == b.eval_accuracies
-    assert np.array_equal(a.final_params.data, b.final_params.data)
+    assert np.array_equal(a.final_params, b.final_params)
     c = run_trial(spec, blobs_task, schedule.Fix(0.05), SGD,
                   TrainConfig(batch_size=16, budget=120, eval_every=40, seed=4))
     assert a.losses != c.losses
@@ -141,7 +141,10 @@ def test_warm_start_from_checkpoint(blobs_task):
                         init=first.final_params)
     assert resumed.eval_accuracies[0] == first.eval_accuracies[-1]
     fresh = run_trial(spec, blobs_task, schedule.Fix(0.05), SGD, cfg)
-    assert np.array_equal(fresh.final_params.data, first.final_params.data)
+    assert np.array_equal(fresh.final_params, first.final_params)
+    with pytest.raises(ValueError, match=r"init must have shape \(51,\), got \(9,\)"):
+        run_trial(MLP(2, 8, 3), blobs_task, schedule.Fix(0.05), SGD, cfg,
+                  init=first.final_params)
 
 
 def test_train_csv_golden(tmp_path, blobs_task):
@@ -179,6 +182,18 @@ def test_surface_trial_divergence_cuts_path():
     path = run_surface_trial(surface, (1.0, 1.0), schedule.Fix(1e300), SGD, 50)
     assert path.diverged
     assert len(path.points) < 51
+
+
+def test_surface_trial_stops_at_a_non_finite_lr():
+    surface = Quadratic(a=np.eye(2))
+    policy = schedule.Composite(segments=(
+        schedule.Segment(0, 3, schedule.Fix(0.1)),
+        schedule.Segment(3, 10, schedule.Scaled(lam=1e6, base=schedule.Fix(1e303)))))
+    for opt in (SGD, OptimizerSpec("adam")):
+        path = run_surface_trial(surface, (1.0, 1.0), policy, opt, 10)
+        assert path.diverged
+        assert path.iterations == [0, 1, 2, 3]
+        assert np.isfinite(path.points).all()
 
 
 def test_surface_trial_validation():
