@@ -361,10 +361,15 @@ def cmd_tune(args) -> int:
     n_samples = search.pop("n_samples", None)
     seed = search.pop("seed", ctx.config.seed)
     if "lambda_range" in search:
+        if boundaries is not None or search.get("objective") == "min_cost":
+            raise ManifestError("search.lambda_range applies only to a max_accuracy search "
+                                "without boundaries, which samples it; give lambda_grid")
         if "lambda_grid" in search:
             raise ManifestError("search: give lambda_grid or lambda_range, not both")
         if len(search["lambda_range"]) != 2:
             raise ManifestError("search.lambda_range must be [low, high]")
+        if n_samples is None:
+            raise ManifestError("search.n_samples is required")
     else:
         search.setdefault("lambda_grid", (1.0,))
     space = tuner.SearchSpace(**search)
@@ -400,8 +405,6 @@ def cmd_tune(args) -> int:
     if space.objective == "min_cost":
         result = tuner.cost_effective(space, ctx)
     elif space.lambda_range is not None:
-        if n_samples is None:
-            raise ManifestError("search.n_samples is required")
         result = tuner.random_search(space, ctx, n_samples, seed)
     else:
         result = tuner.grid_search(space, ctx)

@@ -9,7 +9,9 @@ optimizers stay model-agnostic.
 
 The loss is mean softmax cross-entropy, computed through log-sum-exp so
 large logits cannot overflow. Gradients are exact and analytic, and all C
-rows of a stack run through the same batched matmuls.
+rows of a stack run through the same batched matmuls. Activations are laid
+out batch-major and two classes skip every reduce over the class axis but
+the max, for speed; neither moves a bit (see `forward_loss_grad`).
 """
 
 from __future__ import annotations
@@ -90,13 +92,25 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return params
 
 
+def _batch_major(stack: int, n: int, width: int) -> np.ndarray:
+    """An empty (stack, n, width) array laid out as (n, stack, width) in memory.
+
+    Sums over the batch axis then run over whole contiguous rows, in the
+    same order (one batch entry after the other) as over a (stack, n, width)
+    array, and BLAS writes each matmul slice at a longer row stride.
+    """
+    return np.empty((n, stack, width)).swapaxes(0, 1)
+
+
 def _forward(spec: ModelSpec, p: dict, x: np.ndarray):
     """Logits of the (C, ...) views p on x, (B, d) or (C, B, d), plus each
-    layer's input and each hidden pre-activation."""
+    layer's input and each hidden pre-activation, all batch-major."""
     n_layers = len(spec.widths) - 1
+    stack, n = p["W1"].shape[0], x.shape[-2]
     inputs, hidden = [x], []
     for i in range(1, n_layers + 1):
-        z = inputs[-1] @ p[f"W{i}"] + p[f"b{i}"][:, None]
+        z = np.matmul(inputs[-1], p[f"W{i}"], out=_batch_major(stack, n, spec.widths[i]))
+        z += np.ascontiguousarray(p[f"b{i}"])[:, None]  # contiguous: adds whole rows at once
         if i < n_layers:
             hidden.append(z)
             inputs.append(np.maximum(z, 0.0))
@@ -112,6 +126,17 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     (C, B). Row c of a stack is bit for bit what it gives as a stack of
     one: every matmul slice is the same BLAS call and every reduction runs
     in the same order.
+
+    Per-example arrays are batch-major (see `_batch_major`), so each bias
+    sum adds whole rows, one example after another, exactly as a sum over
+    the batch axis of a row-major array does. The loss is summed over a
+    row-major copy, which numpy sums pairwise. With two classes nothing
+    else reduces over the class axis: the exp-sum adds the two shifted
+    exps, the target logit is a select, and the prediction compares the
+    two logits, each bit for bit what the reduce, the gather and argmax
+    give. The shift stays numpy's max reduce, which decides the sign bit
+    of a NaN loss. The one-hot labels are subtracted from all of delta:
+    subtracting 0.0 leaves an entry exactly as it was.
     """
     if params.ndim != 2:
         raise ValueError(f"params must be a (C, P) stack, got shape {params.shape}")
@@ -124,26 +149,40 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
         raise ValueError(f"labels out of range [0, {spec.n_classes})")
 
     p = views(spec, params)
-    rows = np.arange(params.shape[0])[:, None]
-    cols = np.arange(n)
+    stack, k = params.shape[0], spec.n_classes
+    labels = np.empty((n, stack), dtype=np.intp).T  # y as (stack, n), batch-major
+    labels[...] = y
     with np.errstate(over="ignore", invalid="ignore"):
         logits, inputs, hidden = _forward(spec, p, x)
-        zmax = logits.max(axis=-1, keepdims=True)
-        lse = zmax[..., 0] + np.log(np.exp(logits - zmax).sum(axis=-1))
-        loss = np.mean(lse - logits[rows, cols, y], axis=-1)
-        accuracy = np.mean(np.argmax(logits, axis=-1) == y, axis=-1)
+        zmax = logits.max(axis=-1)
+        if k == 2:
+            l0, l1 = logits[..., 0], logits[..., 1]
+            sumexp = np.exp(l0 - zmax) + np.exp(l1 - zmax)
+            second = labels == 1
+            target = np.where(second, l1, l0)
+            # argmax picks a NaN first, then the larger, then the first of a tie
+            correct = (~(l0 >= l1) & (l0 == l0)) == second
+        else:
+            sumexp = np.add.reduce(np.exp(logits - zmax[..., None]), axis=-1)
+            target = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
+            correct = np.argmax(logits, axis=-1) == labels
+        lse = zmax + np.log(sumexp)
+        loss = np.add.reduce(np.subtract(lse, target, out=np.empty((stack, n))), axis=-1) / n
+        accuracy = np.add.reduce(correct, axis=-1, dtype=np.float64) / n
 
         delta = np.exp(logits - lse[..., None])
-        delta[rows, cols, y] -= 1.0
+        delta -= np.eye(k).take(labels.T, axis=0).swapaxes(0, 1)  # one-hot rows
         delta /= n
 
-        grad = np.zeros_like(params)
+        grad = np.empty_like(params)
         g = views(spec, grad)
         for i in range(len(inputs), 0, -1):
-            g[f"W{i}"][:] = np.swapaxes(inputs[i - 1], -1, -2) @ delta
-            g[f"b{i}"][:] = delta.sum(axis=-2)
+            np.matmul(np.swapaxes(inputs[i - 1], -1, -2), delta, out=g[f"W{i}"])
+            np.add.reduce(delta, axis=-2, out=g[f"b{i}"])
             if i > 1:
-                delta = (delta @ np.swapaxes(p[f"W{i}"], -1, -2)) * (hidden[i - 2] > 0)
+                delta = np.matmul(delta, np.swapaxes(p[f"W{i}"], -1, -2),
+                                  out=_batch_major(stack, n, spec.widths[i - 1]))
+                delta *= hidden[i - 2] > 0
     return loss, grad, accuracy
 
 

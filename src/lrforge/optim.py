@@ -5,7 +5,8 @@ parameters. Steps are pure: they return fresh (params, state) pairs and
 never mutate their inputs, so optimizer trajectories replay exactly. Every
 update is elementwise, so a (C, P) stack of C parameter vectors steps at
 once, each row with its own learning rate (lr of shape (C, 1)), and row c
-gets the same floats it would get alone.
+gets the same floats it would get alone. Such an lr column is checked with
+numpy in one pass; only a bad one is walked to name its first bad value.
 
 Adam per step, elementwise:
     m   = b1 * m + (1 - b1) * g
@@ -68,13 +69,20 @@ def init_state(spec: OptimizerSpec, n: int | tuple[int, ...]) -> OptimizerState:
     raise ValueError(f"unknown optimizer kind {spec.kind!r}")
 
 
+def _check_lr(value):
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"lr must be finite and >= 0, got {value!r}")
+
+
 def _check(params: np.ndarray, grads: np.ndarray, lr: float, state_vec: np.ndarray):
     if params.shape != grads.shape or params.shape != state_vec.shape:
         raise ValueError(f"shape mismatch: params {params.shape}, grads {grads.shape}, "
                          f"state {state_vec.shape}")
-    for value in lr.ravel().tolist() if isinstance(lr, np.ndarray) else [lr]:
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-            raise ValueError(f"lr must be finite and >= 0, got {value!r}")
+    if not isinstance(lr, np.ndarray):
+        _check_lr(lr)
+    elif not (lr.dtype.kind in "biuf" and (np.isfinite(lr) & (lr >= 0)).all()):
+        for value in lr.ravel().tolist():  # name the first bad value
+            _check_lr(value)
     if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient")
 

@@ -355,12 +355,23 @@ def _warmup_rule(p: Warmup):
 _t_max = attrgetter("t_max")
 
 
+# A fractional w is resolved against the inner horizon once per Warmup
+# object, not on every evaluation; identity-keyed like the validation memo
+# below, and for the same reasons.
+_WARMUP_ITERS: dict[int, tuple[Warmup, int]] = {}
+
+
 def _warmup_iters(p: Warmup) -> int:
     if p.w >= 1:
         return int(p.w)
     if p.w == 0:
         return 0
-    return int(p.w * _horizon(p.inner))
+    hit = _WARMUP_ITERS.get(id(p))
+    if hit is None or hit[0] is not p:
+        if len(_WARMUP_ITERS) >= _VALIDATED_MAX:
+            _WARMUP_ITERS.clear()
+        hit = _WARMUP_ITERS[id(p)] = (p, int(p.w * _horizon(p.inner)))
+    return hit[1]
 
 
 def _warmup_horizon(p: Warmup):

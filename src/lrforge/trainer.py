@@ -12,6 +12,13 @@ one optimizer update over every trial still running. Each row gets
 exactly the floats it would get alone, so how trials are grouped never
 changes a result; `run_trial` is a population of one.
 
+A search's trials are a few templates under many lambdas, so each step
+evaluates every distinct base curve once and multiplies by a column of
+lambdas: `Scaled` is exactly lam * base(t), one multiply, which numpy
+rounds as Python does. Plateau policies, and steps where a base curve
+gives an integer, go through each row's own LR instead, keeping integer
+LRs integers.
+
 Divergence (a non-finite loss, gradient or learning rate) is a first-class
 outcome, not an exception: the trial stops and the trace is marked
 diverged. Large learning rates are expected to blow up during sweeps. A
@@ -122,17 +129,30 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     config.validate()
     policies = [policy for policy, _ in trials]
     plateau = {}  # trial index -> adaptive state
-    closed = {}   # trial index -> validated t -> lr
+    # closed-form trials: the distinct base curves, which curve each trial
+    # reads, and the lambda of those under a Scaled layer
+    curves, curve_of, lams = [], {}, {}
+    base_of = np.zeros(len(trials), dtype=np.intp)
+    lam_col = np.ones(len(trials))
     for i, policy in enumerate(policies):
         if isinstance(policy, adaptive.PlateauPolicy):
             plateau[i] = adaptive.initial_state(policy)
-        else:
-            closed[i] = schedule.compile(policy, config.budget)
+            continue
+        curve = schedule.compile(policy, config.budget)
+        base = policy.base if type(policy) is schedule.Scaled else policy
+        if id(base) not in curve_of:
+            curve_of[id(base)] = len(curves)
+            curves.append(curve if base is policy else schedule.compile(base, config.budget))
+        base_of[i] = curve_of[id(base)]
+        if base is not policy:
+            lams[i] = lam_col[i] = policy.lam
 
-    def lr_of(i: int, t: int):
+    def lr_of(i: int, t: int, values: list):
+        """Trial i's LR at step t, given every base curve's value there."""
         if i in plateau:
             return adaptive.current_lr(plateau[i], policies[i], t)
-        return closed[i](t)
+        value = values[base_of[i]]
+        return lams[i] * value if i in lams else value
 
     train, budget, bs = task.train, config.budget, config.batch_size
     n = train.features.shape[0]
@@ -195,23 +215,29 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
         return acc >= target if target is not None else np.zeros(acc.shape, dtype=bool)
 
     stop(reached(evaluate(slice(None), 0)), 0, False, 0)
-    perms = None
+    order = None  # this epoch's permutation for each seed, one row each
     for t in range(budget):
         if ids.size == 0:
             break
         if t % ep_len == 0:
-            perms = [rng.permutation(n) for rng in rngs]
+            order = np.stack([rng.permutation(n) for rng in rngs])
         lo = (t % ep_len) * bs
-        batch = np.stack([perm[lo:lo + bs] for perm in perms])[group]
-        lrs = [lr_of(i, t) for i in ids.tolist()]
-        if int in map(type, lrs):
-            for i, lr in zip(ids.tolist(), lrs):
-                if type(lr) is int:
-                    int_lr_steps.setdefault(i, []).append(t)
-        lr_col = np.array(lrs, dtype=float)[:, None]
+        batch = order[:, lo:lo + bs].take(group, axis=0)
+        values = [curve(t) for curve in curves]
+        if plateau or int in map(type, values):  # the per-row path keeps int LRs int
+            lrs = [lr_of(i, t, values) for i in ids.tolist()]
+            if int in map(type, lrs):
+                for i, lr in zip(ids.tolist(), lrs):
+                    if type(lr) is int:
+                        int_lr_steps.setdefault(i, []).append(t)
+            lr_col = np.array(lrs, dtype=float)[:, None]
+        else:
+            with np.errstate(over="ignore"):
+                lr_col = (lam_col[ids] * np.array(values)[base_of[ids]])[:, None]
 
-        loss, grad, _ = forward_loss_grad(model_spec, params, train.features[batch],
-                                          train.labels[batch])
+        loss, grad, _ = forward_loss_grad(model_spec, params,
+                                          train.features.take(batch, axis=0),
+                                          train.labels.take(batch))
         step_lrs[ids, t] = lr_col[:, 0]
         step_losses[ids, t] = loss
         diverged = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1)

@@ -1,4 +1,5 @@
-"""Independent closed-form references for the policy families.
+"""Independent references: closed forms for the policy families, and the
+plain-reduction loss and gradient of a model stack.
 
 Each evaluator here recomputes the curve with different algebra than the
 library: integer phase reduction instead of the floor/abs carrier,
@@ -16,6 +17,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from lrforge.model import views
 from lrforge.schedule import (
     Composite,
     CosineDecay,
@@ -162,3 +166,46 @@ def rel_err(a: float, b: float) -> float:
     if a == b:
         return 0.0
     return abs(a - b) / max(abs(a), abs(b))
+
+
+# --- model loss and gradient ---
+
+
+def ref_forward_loss_grad(spec, params, x, y):
+    """Loss, gradient and accuracy of a (C, P) stack through plain reductions.
+
+    Every reduction runs over a row-major (C, B, K) array: max, exp-sum and
+    argmax over the class axis, fancy indexing for the target logit, and
+    `sum` over the batch axis for the biases. `model.forward_loss_grad`
+    must give the same bytes, NaN sign bits included.
+    """
+    p = views(spec, params)
+    n = x.shape[-2]
+    rows = np.arange(params.shape[0])[:, None]
+    cols = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inputs, hidden = [x], []
+        n_layers = len(spec.widths) - 1
+        for i in range(1, n_layers + 1):
+            z = inputs[-1] @ p[f"W{i}"] + p[f"b{i}"][:, None]
+            if i < n_layers:
+                hidden.append(z)
+                inputs.append(np.maximum(z, 0.0))
+        logits = z
+        zmax = logits.max(axis=-1, keepdims=True)
+        lse = zmax[..., 0] + np.log(np.exp(logits - zmax).sum(axis=-1))
+        loss = np.mean(lse - logits[rows, cols, y], axis=-1)
+        accuracy = np.mean(np.argmax(logits, axis=-1) == y, axis=-1)
+
+        delta = np.exp(logits - lse[..., None])
+        delta[rows, cols, y] -= 1.0
+        delta /= n
+
+        grad = np.zeros_like(params)
+        g = views(spec, grad)
+        for i in range(len(inputs), 0, -1):
+            g[f"W{i}"][:] = np.swapaxes(inputs[i - 1], -1, -2) @ delta
+            g[f"b{i}"][:] = delta.sum(axis=-2)
+            if i > 1:
+                delta = (delta @ np.swapaxes(p[f"W{i}"], -1, -2)) * (hidden[i - 2] > 0)
+    return loss, grad, accuracy

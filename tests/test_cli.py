@@ -276,10 +276,12 @@ def test_plateau_field_of_the_wrong_type_is_a_validation_error(tmp_path):
 
 
 def tune_manifest(tmp_path, **extra):
+    """A blobs tune manifest; extra search keys given as None are left out."""
     search = {"templates": [{"family": "FIX", "params": {"k": 1.0}},
                             {"family": "EXP", "params": {"k": 1.0, "gamma": 0.97}}],
               "lambda_grid": [0.01, 0.1], "trials_per_point": 2}
     search.update(extra)
+    search = {key: value for key, value in search.items() if value is not None}
     return write_manifest(tmp_path, name="tune.json", search=search)
 
 
@@ -296,6 +298,22 @@ def test_search_keys_the_mode_never_reads_are_rejected(tmp_path, capsys, extra, 
     assert code == 2
     assert fragment in err
     assert not (tmp_path / "db.jsonl").exists()
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    ({"objective": "min_cost"}, "search.lambda_range applies only"),
+    ({"boundaries": [0, 30, 60]}, "search.lambda_range applies only"),
+    ({"n_samples": None}, "search.n_samples is required"),
+])
+def test_unreadable_lambda_range_fails_before_any_side_effect(tmp_path, capsys, extra,
+                                                              fragment):
+    manifest = tune_manifest(tmp_path, **{"lambda_grid": None, "lambda_range": [0.01, 0.1],
+                                          "n_samples": 3, **extra})
+    code, err = lr(capsys, "tune", "--manifest", manifest, "--out-dir", tmp_path / "out",
+                   "--db", tmp_path / "db.jsonl")
+    assert code == 2
+    assert fragment in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "db.jsonl").exists()
 
 
 def test_tune_outputs_and_worker_invariance(tmp_path):

@@ -16,6 +16,7 @@ from lrforge.model import (
     views,
 )
 from lrforge.problems import Dataset
+from reference import ref_forward_loss_grad
 
 
 def test_param_counts():
@@ -142,3 +143,36 @@ def test_batch_accuracy_and_dataset_accuracy_agree():
     ds = Dataset(features=feats, labels=labels.astype(np.int64),
                  n_classes=2, split="test")
     assert accuracy_on(spec, params, ds).tolist() == batch_acc.tolist()
+
+
+# entries that overflow the logits, or put inf and NaN of either sign in them
+SPECIAL = np.array([np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308])
+
+
+def _special_stack(spec, rng, rows=24):
+    """Seeded inits, most rows with a few entries replaced by SPECIAL values."""
+    params = np.stack([init_params(spec, int(s)) for s in rng.integers(0, 1000, rows)])
+    params *= rng.choice([1.0, 1e3, 1e150], size=(rows, 1))
+    for row in params[1:]:
+        at = rng.choice(row.size, size=rng.integers(1, 4), replace=False)
+        row[at] = rng.choice(SPECIAL, size=at.size)
+    return params
+
+
+@pytest.mark.parametrize("spec", [Linear(3, 2), MLP(3, 6, 2), Linear(3, 3), MLP(3, 6, 3)],
+                         ids=["linear-k2", "mlp-k2", "linear-k3", "mlp-k3"])
+@pytest.mark.parametrize("batch", ["shared", "per-row"])
+def test_forward_loss_grad_bytes_match_the_plain_reductions(spec, batch):
+    rng = np.random.default_rng(spec.n_classes * 10 + len(spec.widths))
+    for _ in range(20):
+        params = _special_stack(spec, rng)
+        rows, n = params.shape[0], int(rng.integers(1, 40))
+        shape = (n,) if batch == "shared" else (rows, n)
+        x = rng.normal(size=shape + (spec.d_in,)) * rng.choice([1.0, 1e200])
+        y = rng.integers(0, spec.n_classes, size=shape)
+        got = forward_loss_grad(spec, params, x, y)
+        want = ref_forward_loss_grad(spec, params, x, y)
+        for name, a, b in zip(("loss", "grad", "accuracy"), got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name  # NaN sign bits included
+    assert not np.isfinite(got[0]).all() and np.isnan(got[1]).any()

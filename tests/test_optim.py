@@ -109,6 +109,27 @@ def test_bad_lr_rejected(lr):
         step(np.zeros(1), np.ones(1), lr, init_state(SGD, 1))
 
 
+@pytest.mark.parametrize("column, named", [
+    ([0.1, float("nan"), -1.0], "nan"),
+    ([0.1, 0.2, -1.0], "-1.0"),
+    ([0.0, float("-inf"), float("inf")], "-inf"),
+    ([3, -2, 1], "-2"),
+    ([0.1, 1 + 2j, 0.2], "(0.1+0j)"),  # a complex column: its first entry
+])
+def test_a_bad_lr_column_names_its_first_bad_value(column, named):
+    lr = np.array(column)[:, None]
+    with pytest.raises(ValueError) as err:
+        step(np.zeros((3, 2)), np.ones((3, 2)), lr, init_state(SGD, (3, 2)))
+    assert str(err.value) == f"lr must be finite and >= 0, got {named}"
+
+
+def test_a_good_lr_column_of_any_real_dtype_passes():
+    for lr in (np.array([[0.1], [0.0], [2.0]]), np.array([[1], [0], [3]]),
+               np.array([[True], [False], [True]]), np.array([[0.5], [1], [0]], dtype=object)):
+        new, _ = step(np.zeros((3, 2)), np.ones((3, 2)), lr, init_state(SGD, (3, 2)))
+        assert new.tolist() == (-lr.astype(float) * np.ones((3, 2))).tolist()
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape mismatch"):
         step(np.zeros(2), np.ones(3), 0.1, init_state(SGD, 2))

@@ -104,3 +104,34 @@ def test_a_non_finite_lr_diverges_only_its_own_row(blobs_task):
     assert not traces[0].outcome.diverged and not traces[2].outcome.diverged
     for (policy, seed), stacked in zip(trials, traces):
         _same(stacked, run_trial(spec, blobs_task, policy, opt, replace(config, seed=seed)))
+
+
+def test_each_base_curve_times_its_lambda_equals_the_policy(blobs_task):
+    spec, opt = Linear(2, 3), OptimizerSpec("sgd", momentum=0.5)
+    config = TrainConfig(batch_size=16, budget=90, eval_every=30)
+    tri, one, huge = schedule.Tri2(k0=0.01, k1=0.2, l=15), Fix(1), Fix(1e303)
+    closed = [
+        (tri, 0),                                      # lambda 1.0: the template itself
+        (Scaled(lam=0.5, base=tri), 1),                # one template under several lambdas
+        (Scaled(lam=0.1, base=tri), 0),
+        (Scaled(lam=3.0, base=Scaled(lam=0.3, base=tri)), 2),  # Scaled of Scaled
+        (one, 3),                                      # integer LRs
+        (Scaled(lam=2, base=one), 3),                  # integer lambda x integer base
+        (Scaled(lam=0.05, base=one), 4),
+        (Scaled(lam=1e6, base=huge), 1),               # lambda * base overflows to inf
+        (Scaled(lam=1e-305, base=huge), 1),            # the same base, finite
+    ]
+    plateau = (ReduceOnPlateau(k=0.01, factor=0.5, patience=1), 2)
+    for trials in (closed, closed + [plateau]):
+        traces = run_population(spec, blobs_task, trials, opt, config)
+        for (policy, seed), stacked in zip(trials, traces):
+            _same(stacked, run_trial(spec, blobs_task, policy, opt, replace(config, seed=seed)))
+        for (policy, _), trace in zip(closed, traces):
+            want = [schedule.lr_at(policy, t) for t in trace.iterations]
+            assert trace.lrs == want
+            assert [type(lr) for lr in trace.lrs] == [type(lr) for lr in want]
+            assert trace.int_lr_steps == tuple(t for t, lr in enumerate(want)
+                                               if type(lr) is int)
+        assert traces[5].lrs[:3] == [2, 2, 2] and type(traces[6].lrs[0]) is float
+        assert [t.outcome.diverged for t in traces] == [i == 7 for i in range(len(trials))]
+        assert traces[7].lrs == [math.inf]

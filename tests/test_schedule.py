@@ -459,6 +459,28 @@ def test_public_validate_is_not_memoized(monkeypatch):
     assert len(seen) == 2
 
 
+def test_fractional_warmup_resolves_its_horizon_once(monkeypatch):
+    calls = []
+    horizon_of = schedule._horizon
+    monkeypatch.setattr(schedule, "_horizon", lambda q: calls.append(q) or horizon_of(q))
+    inner = CosineDecay(k=0.1, t_max=9000)
+    p = Warmup(w=0.1, inner=inner)
+    values = [lr_at(p, t) for t in range(1000)]
+    assert calls == [inner, inner]  # validating w, then resolving it to 900 iterations
+    assert values == [lr_at(Warmup(w=900, inner=inner), t) for t in range(1000)]
+    curve = schedule.compile(Scaled(lam=2.0, base=p), 9900)
+    calls.clear()
+    scaled = [curve(t) for t in range(9900)]
+    assert calls == []
+    assert scaled == [2.0 * lr_at(p, t) for t in range(9900)]
+
+
+def test_resolved_warmups_are_bounded():
+    for i in range(2 * schedule._VALIDATED_MAX + 5):
+        lr_at(Warmup(w=0.5, inner=CosineDecay(k=0.1, t_max=10 + i)), 0)
+        assert len(schedule._WARMUP_ITERS) <= schedule._VALIDATED_MAX
+
+
 def test_validation_memo_is_bounded():
     for i in range(2 * schedule._VALIDATED_MAX + 5):
         lr_at(Fix(k=float(i)), 0)
