@@ -117,6 +117,17 @@ def _forward(spec: ModelSpec, p: dict, x: np.ndarray):
     return z, inputs, hidden
 
 
+def _max_of_two(l0: np.ndarray, l1: np.ndarray) -> np.ndarray:
+    """`np.stack([l0, l1], -1).max(-1)`, bit for bit, without the reduce.
+
+    The reduce's rule: a NaN l0 gives the canonical +qNaN, a NaN l1 keeps
+    its own bits, and a tie (+0 against -0 included) gives l1.
+    """
+    zmax = np.where(l0 > l1, l0, l1)
+    np.copyto(zmax, np.nan, where=l0 != l0)
+    return zmax
+
+
 def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
                       y: np.ndarray):
     """Mean cross-entropy loss, gradient, and batch accuracy of a (C, P) stack.
@@ -134,9 +145,9 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     else reduces over the class axis: the exp-sum adds the two shifted
     exps, the target logit is a select, and the prediction compares the
     two logits, each bit for bit what the reduce, the gather and argmax
-    give. The shift stays numpy's max reduce, which decides the sign bit
-    of a NaN loss. The one-hot labels are subtracted from all of delta:
-    subtracting 0.0 leaves an entry exactly as it was.
+    give; the shift is `_max_of_two`, bit for bit numpy's max reduce, which
+    decides the sign bit of a NaN loss. The one-hot labels are subtracted
+    from all of delta: subtracting 0.0 leaves an entry exactly as it was.
     """
     if params.ndim != 2:
         raise ValueError(f"params must be a (C, P) stack, got shape {params.shape}")
@@ -154,15 +165,16 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     labels[...] = y
     with np.errstate(over="ignore", invalid="ignore"):
         logits, inputs, hidden = _forward(spec, p, x)
-        zmax = logits.max(axis=-1)
         if k == 2:
             l0, l1 = logits[..., 0], logits[..., 1]
+            zmax = _max_of_two(l0, l1)
             sumexp = np.exp(l0 - zmax) + np.exp(l1 - zmax)
             second = labels == 1
             target = np.where(second, l1, l0)
             # argmax picks a NaN first, then the larger, then the first of a tie
             correct = (~(l0 >= l1) & (l0 == l0)) == second
         else:
+            zmax = logits.max(axis=-1)
             sumexp = np.add.reduce(np.exp(logits - zmax[..., None]), axis=-1)
             target = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
             correct = np.argmax(logits, axis=-1) == labels

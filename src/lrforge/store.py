@@ -11,7 +11,15 @@ wire dict) is computed once, when the record is loaded or appended, and is
 shared by every record with an equal policy. The store keeps it in the
 identity index and in a per-task index of (record, policy string) pairs in
 line order; `records(task)` and `query_top_k` read only that task's list
-and rank by the cached string, so a query never re-serializes a policy.
+and rank by the cached string, so a query never re-serializes a policy,
+and an append splices it into the new line instead of encoding the policy
+again.
+
+A store writes through one descriptor, opened `O_APPEND` at its first new
+record and closed when the store is garbage-collected; each line, newline
+included, goes out in one `write(2)`. When the path no longer names that
+file (it was removed or replaced), the store reopens the path first, so a
+record always lands in the file that is at the path now.
 
 A partially written trailing line (interrupted writer) is skipped with a
 warning on load; corruption anywhere else is an error. A line that repeats
@@ -26,6 +34,7 @@ import json
 import logging
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,11 +94,18 @@ def make_record(task: str, template, lam: float, seed: int, outcome,
         timestamp=timestamp, artifact_version=__version__)
 
 
-def _record_to_line(record: TrialRecord) -> str:
+def _record_to_line(record: TrialRecord, policy_text: str) -> str:
+    """`canonical_json` of the record's line, given its policy's canonical text.
+
+    The line is encoded with a 0 in the policy's place, and the text is
+    spliced over it. `"policy":0,` can only be the top-level key: inside an
+    encoded string every quote is escaped, and no key sorted before it is
+    named "policy".
+    """
     obj = {
         "v": SCHEMA_VERSION,
         "task": record.task,
-        "policy": record.policy,
+        "policy": 0,
         "lambda": record.lam,
         "seed": record.seed,
         "outcome": {
@@ -103,7 +119,7 @@ def _record_to_line(record: TrialRecord) -> str:
         "timestamp": record.timestamp,
         "artifact_version": record.artifact_version,
     }
-    return canonical_json(obj)
+    return canonical_json(obj).replace('"policy":0,', f'"policy":{policy_text},', 1)
 
 
 def _record_from_obj(obj: dict) -> TrialRecord:
@@ -152,12 +168,20 @@ class PolicyStore:
     lines that first hold them. The lock makes each append's lookup,
     write and index update one step, so threads sharing a store object
     never write one identity twice or interleave partial lines. It does
-    not guard against another process appending to the same file.
+    not guard against another process appending to the same file; that
+    each line is one `O_APPEND` write only keeps two writers' lines whole.
+
+    New lines go through one descriptor per store, opened at the first
+    new record, reopened when the path stops naming the file it refers
+    to, and closed when the store is garbage-collected.
     """
 
     def __init__(self, path):
         self.path = str(path)
         self._lock = threading.Lock()
+        self._fd: Optional[int] = None
+        self._fd_id: tuple = ()           # (st_dev, st_ino) of the file _fd refers to
+        self._close_fd = None             # weakref.finalize closing _fd
         self._records: list[TrialRecord] = []
         self._by_key: dict[tuple, int] = {}
         self._by_task: dict[str, list[tuple[TrialRecord, str]]] = {}
@@ -224,10 +248,25 @@ class PolicyStore:
                     raise StoreConflict(
                         f"record for {key} already exists with a different outcome")
                 return existing_id
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(_record_to_line(record) + "\n")
-                f.flush()
+            self._write((_record_to_line(record, key[1]) + "\n").encode())
             return self._index(record, key)
+
+    def _write(self, data: bytes):
+        """Append `data` to the file now at the path, in one write if the OS allows."""
+        try:
+            current = os.stat(self.path)
+            same_file = (current.st_dev, current.st_ino) == self._fd_id
+        except FileNotFoundError:
+            same_file = False
+        if not same_file:
+            if self._close_fd is not None:
+                self._close_fd()
+            self._fd = fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            opened = os.fstat(fd)
+            self._fd_id = (opened.st_dev, opened.st_ino)
+            self._close_fd = weakref.finalize(self, os.close, fd)
+        while data:
+            data = data[os.write(self._fd, data):]
 
     def records(self, task: Optional[str] = None) -> list[TrialRecord]:
         if task is None:

@@ -123,8 +123,9 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     config.seed is replaced by each trial's seed. Returns one trace per
     trial, in order, each equal to what `run_trial` gives for that trial.
     Every policy is validated before the first step; a horizon-bound one
-    must cover the budget. See `run_trial` for the evaluation and stopping
-    rules.
+    must cover the budget, and so must each of a ChangeOnPlateau's
+    policies, since when each takes over is only known during the run. See
+    `run_trial` for the evaluation and stopping rules.
     """
     config.validate()
     policies = [policy for policy, _ in trials]
@@ -137,6 +138,11 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     for i, policy in enumerate(policies):
         if isinstance(policy, adaptive.PlateauPolicy):
             plateau[i] = adaptive.initial_state(policy)
+            for j, sub in enumerate(getattr(policy, "policies", ())):
+                try:
+                    schedule.compile(sub, config.budget)
+                except schedule.PolicyError as e:
+                    raise schedule.PolicyError(f"PLATEAU_CHANGE policies[{j}]: {e}") from None
             continue
         curve = schedule.compile(policy, config.budget)
         base = policy.base if type(policy) is schedule.Scaled else policy

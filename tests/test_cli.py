@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,12 +47,31 @@ def write_manifest(tmp_path, name="m.json", **overrides):
 
 
 def read_tree(root):
-    out = {}
-    for dirpath, _, names in os.walk(root):
-        for n in names:
-            p = os.path.join(dirpath, n)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
-    return out
+    root = Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+TIMING_NAME = re.compile(r"time|wall|elapsed|duration|stamp", re.IGNORECASE)
+
+
+def assert_no_timing(out_dir, db):
+    """Timing never lands in deterministic artifacts: no JSON key or CSV
+    column is named for it, and no wall time or timestamp the run stored
+    in the DB appears in any file."""
+    stored = [json.loads(line) for line in Path(db).read_text().splitlines()]
+    values = {repr(r["wall_time_sec"]) for r in stored} | {r["timestamp"] for r in stored}
+    assert None not in values and "None" not in values  # every record has both
+    files = read_tree(out_dir)
+    assert files
+    for name, data in files.items():
+        text = data.decode()
+        if name.endswith(".json"):
+            names = []
+            json.loads(text, object_hook=lambda obj: names.extend(obj) or obj)
+        else:
+            names = text.splitlines()[0].split(",")
+        assert not [n for n in names if TIMING_NAME.search(n)], name
+        assert not [v for v in values if v in text], name
 
 
 # --- eval ---
@@ -95,7 +115,8 @@ def test_train_artifacts_and_byte_determinism(tmp_path):
     assert set(out_a) == {"trace_train.csv", "trace_eval.csv", "outcome.json"}
     outcome = json.loads(out_a["outcome.json"])
     assert outcome["diverged"] is False
-    assert "wall_time_sec" not in outcome  # timing never lands in artifacts
+    assert "wall_time_sec" not in outcome
+    assert_no_timing(tmp_path / "out_a", tmp_path / "db.jsonl")
 
     db_before = (tmp_path / "db.jsonl").read_bytes()
     second = run_cli("train", "--manifest", manifest, "--out-dir", "out_b",
@@ -325,6 +346,7 @@ def test_tune_outputs_and_worker_invariance(tmp_path):
     assert set(out_a) == {"leaderboard.csv", "tune_result.json"}
     db_before = (tmp_path / "db.jsonl").read_bytes()
     assert len(db_before.splitlines()) == 8  # 4 cells x 2 trials
+    assert_no_timing(tmp_path / "out_a", tmp_path / "db.jsonl")
 
     second = run_cli("tune", "--manifest", manifest, "--workers", "4",
                      "--out-dir", "out_b", "--db", "db.jsonl", cwd=tmp_path)
@@ -371,6 +393,7 @@ def test_tune_with_boundaries_writes_a_composite(tmp_path):
     tasks = {json.loads(l)["task"] for l in
              (tmp_path / "db.jsonl").read_text().splitlines()}
     assert tasks == {"toy#phase0", "toy#phase1", "toy"}
+    assert_no_timing(tmp_path / "out", tmp_path / "db.jsonl")
 
 
 # --- range-test ---
@@ -391,6 +414,7 @@ def test_range_test_writes_summary(tmp_path):
     assert len(summary["bracket"]) == 2
     assert summary["k_best"] in summary["ks"]
     assert len((tmp_path / "db.jsonl").read_text().splitlines()) == 3
+    assert_no_timing(tmp_path / "out", tmp_path / "db.jsonl")
 
 
 # --- top-k ---

@@ -8,6 +8,7 @@ import pytest
 from lrforge.model import (
     MLP,
     Linear,
+    _max_of_two,
     accuracy_on,
     forward_loss_grad,
     init_params,
@@ -147,6 +148,34 @@ def test_batch_accuracy_and_dataset_accuracy_agree():
 
 # entries that overflow the logits, or put inf and NaN of either sign in them
 SPECIAL = np.array([np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308])
+
+
+# bit patterns: +-0, +-inf, +-qNaN, sNaN and qNaN payloads, +-max, +-denormal, +-1
+SPECIAL_BITS = np.array([
+    0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000123,
+    0x7FF8000000000ABC, 0xFFF8000000000007, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+    0x1, 0x8000000000000001, 0x3FF0000000000000, 0xBFF0000000000000,
+], dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "batch-major", "n-C-2"])
+def test_max_of_two_is_the_max_reduce_bit_for_bit(layout):
+    pairs = np.stack(np.meshgrid(SPECIAL_BITS, SPECIAL_BITS, indexing="ij"), -1).reshape(-1, 2)
+    n = len(pairs)
+    if layout == "contiguous":
+        logits = pairs.reshape(1, n, 2).copy()
+    elif layout == "batch-major":  # as `_forward` lays logits out
+        logits = np.empty((n, 1, 2))
+        logits[:, 0] = pairs
+        logits = logits.swapaxes(0, 1)
+    else:
+        logits = np.repeat(pairs[:, None], 3, axis=1).swapaxes(0, 1)
+    with np.errstate(invalid="ignore"):
+        got = _max_of_two(logits[..., 0], logits[..., 1])
+        want = logits.max(axis=-1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _special_stack(spec, rng, rows=24):

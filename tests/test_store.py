@@ -1,7 +1,9 @@
 """JSONL trial store: idempotent appends, recovery, top-k queries."""
 
+import gc
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from lrforge.schedule import (
     Step,
     Tri2,
     Warmup,
+    canonical_json,
     canonical_policy_key,
 )
 from lrforge.store import (
@@ -227,6 +230,79 @@ def test_record_identity_uses_the_canonical_policy_key(tmp_path, template):
     store = PolicyStore(tmp_path / "db.jsonl")
     store.append(rec)
     assert PolicyStore(store.path).records()[0].key() == rec.key()
+
+
+def _full_line(r: TrialRecord) -> str:
+    """The record's line, encoded in one piece, policy and all."""
+    return canonical_json({
+        "v": 1, "task": r.task, "policy": r.policy, "lambda": r.lam, "seed": r.seed,
+        "outcome": {"final_accuracy": r.final_accuracy, "best_accuracy": r.best_accuracy,
+                    "iterations_run": r.iterations_run,
+                    "iterations_to_target": r.iterations_to_target,
+                    "diverged": r.diverged},
+        "wall_time_sec": r.wall_time_sec, "timestamp": r.timestamp,
+        "artifact_version": r.artifact_version})
+
+
+def test_appended_lines_equal_the_whole_record_encoded_at_once(tmp_path):
+    templates = [
+        Warmup(w=0.1, inner=Warmup(w=5, inner=CosineDecay(k=0.5, t_max=100))),
+        Composite(segments=(Segment(0, 50, Fix(k=0.2)),
+                            Segment(50, 100, Scaled(lam=0.5, base=Tri2(k0=0.1, k1=1.0, l=10))))),
+        Scaled(lam=3.0, base=Scaled(lam=0.5, base=Step(k=0.1, gamma=0.5, l=3))),
+        Fix(k=1),
+    ]
+    records = [make_record(task, template, lam=1.0, seed=seed, outcome=_OUTCOME,
+                           timestamp="2026-02-03T04:05:06Z")
+               for template in templates for seed, task in enumerate(["blobs", "mōons ✓"])]
+    records += [
+        # an int and a float lambda are one identity, so they differ by seed
+        replace(records[0], lam=2, seed=10), replace(records[0], lam=2.0, seed=11),
+        replace(records[1], seed=12, wall_time_sec=None, timestamp=None,
+                artifact_version=None, iterations_to_target=None, diverged=True),
+        # the placeholder text inside strings, before and after the policy key
+        replace(records[2], task='"policy":0,', artifact_version='"policy":0,'),
+    ]
+    path = tmp_path / "db.jsonl"
+    store = PolicyStore(path)
+    for r in records:
+        store.append(r)
+    want = "".join(_full_line(r) + "\n" for r in records)
+    assert path.read_bytes() == want.encode()
+    assert '"lambda":2,' in want and '"lambda":2.0,' in want
+    assert PolicyStore(path).records() == records
+
+
+def test_an_append_after_the_file_is_removed_recreates_it(tmp_path):
+    path = tmp_path / "db.jsonl"
+    store = PolicyStore(path)
+    store.append(_rec(k=0.1))
+    path.unlink()
+    store.append(_rec(k=0.2))
+    assert path.read_text() == _full_line(_rec(k=0.2)) + "\n"
+
+
+def test_an_append_after_the_file_is_replaced_lands_in_the_new_file(tmp_path):
+    path, other = tmp_path / "db.jsonl", tmp_path / "other.jsonl"
+    store = PolicyStore(path)
+    store.append(_rec(k=0.1))
+    first = path.read_bytes()
+    PolicyStore(other).append(_rec(k=0.5))
+    os.replace(other, path)
+    store.append(_rec(k=0.2))
+    assert path.read_text() == "".join(_full_line(_rec(k=k)) + "\n" for k in (0.5, 0.2))
+    assert first == (_full_line(_rec(k=0.1)) + "\n").encode()
+
+
+def test_dropping_a_store_closes_its_descriptor(tmp_path):
+    store = PolicyStore(tmp_path / "db.jsonl")
+    store.append(_rec())
+    fd = store._fd
+    os.fstat(fd)
+    del store
+    gc.collect()
+    with pytest.raises(OSError):
+        os.fstat(fd)
 
 
 def test_top_k_ranking_and_validation(tmp_path):

@@ -237,6 +237,25 @@ def test_short_horizon_fails_before_the_first_step(policy, field, blobs_task, mo
     assert steps == []
 
 
+@pytest.mark.parametrize("policies, index", [
+    ((schedule.CosineDecay(k=0.1, t_max=50),), 0),
+    ((schedule.Fix(0.1), schedule.Warmup(w=10, inner=schedule.CosineDecay(k=0.1, t_max=40))), 1),
+])
+def test_short_horizon_inside_a_plateau_change_fails_before_the_first_step(
+        policies, index, blobs_task, monkeypatch):
+    steps = []
+    monkeypatch.setattr(trainer, "forward_loss_grad",
+                        lambda *a: steps.append(1) or forward_loss_grad(*a))
+    policy = ChangeOnPlateau(policies=policies, patience=100)
+    cfg = TrainConfig(batch_size=16, budget=200, eval_every=50, seed=0)
+    with pytest.raises(schedule.PolicyError,
+                       match=rf"PLATEAU_CHANGE policies\[{index}\]: .* t=50, shorter than a 200"):
+        run_trial(Linear(2, 3), blobs_task, policy, SGD, cfg)
+    assert steps == []
+    short = TrainConfig(batch_size=16, budget=51, eval_every=50, seed=0)
+    assert run_trial(Linear(2, 3), blobs_task, policy, SGD, short).outcome.iterations_run == 51
+
+
 def test_short_horizon_fails_before_the_first_surface_step(monkeypatch):
     calls = []
     monkeypatch.setattr(trainer, "surface_value_grad",
