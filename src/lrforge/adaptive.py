@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from .schedule import ChangeOnPlateau, PolicyError, ReduceOnPlateau, lr_at
-from .schedule import validate as validate_policy
 
 PlateauPolicy = ReduceOnPlateau | ChangeOnPlateau
 
@@ -47,7 +46,6 @@ class Switched(NamedTuple):
 def initial_state(config: PlateauPolicy) -> AdaptiveState:
     if not isinstance(config, PlateauPolicy):
         raise PolicyError(f"{type(config).__name__} is not a metric-driven policy")
-    validate_policy(config)
     lr = config.k if isinstance(config, ReduceOnPlateau) else 0.0
     return AdaptiveState(current_lr=lr)
 

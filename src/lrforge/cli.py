@@ -190,10 +190,6 @@ def _trial_context(doc: dict) -> tuner.TrialContext:
     """The dataset, model, optimizer and train sections that every trial runs on."""
     task = _read(doc, "dataset")
     cfg = _read(doc, "train")
-    try:
-        cfg.validate()
-    except ValueError as e:
-        raise ManifestError(f"train: {e}") from None
     return tuner.TrialContext(
         model=_read(doc, "model", d_in=task.train.features.shape[1],
                     n_classes=task.train.n_classes),
@@ -211,11 +207,22 @@ def _open_db(args, doc: dict) -> store.PolicyStore:
 
 
 def _out_dir(doc: dict, override) -> str:
+    """The output directory, checked writable but not created (see `_artifact`)."""
     path = override or _read(doc, "out_dir", None)
     if not path:
         raise ManifestError("out_dir is required (manifest key or --out-dir)")
-    os.makedirs(path, exist_ok=True)
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):  # the first artifact makes each missing level
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
+        raise OSError(f"cannot write to output directory {path}")
     return path
+
+
+def _artifact(out_dir: str, name: str) -> str:
+    """The path of one output file, creating the out dir at the first."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _task_name(doc: dict, ctx: tuner.TrialContext, objective: str) -> str:
@@ -298,9 +305,9 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(doc, args.out_dir)
 
     trace = trainer.run_trial(ctx.model, ctx.task, policy, ctx.optimizer, cfg)
-    trainer.write_train_csv(trace, os.path.join(out_dir, "trace_train.csv"))
-    trainer.write_eval_csv(trace, os.path.join(out_dir, "trace_eval.csv"))
-    _write_json(os.path.join(out_dir, "outcome.json"), trace.outcome.to_dict())
+    trainer.write_train_csv(trace, _artifact(out_dir, "trace_train.csv"))
+    trainer.write_eval_csv(trace, _artifact(out_dir, "trace_eval.csv"))
+    _write_json(_artifact(out_dir, "outcome.json"), trace.outcome.to_dict())
 
     task_name = _task_name(doc, ctx, "min_cost" if cfg.target_accuracy else "max_accuracy")
     template, lam = schedule.split_lambda(policy)
@@ -382,16 +389,16 @@ def cmd_tune(args) -> int:
         composite, phase_results = tuner.compose_search(space, ctx, boundaries)
         for i, result in enumerate(phase_results):
             tuner.write_leaderboard_csv(
-                result, os.path.join(out_dir, f"leaderboard_phase{i}.csv"))
+                result, _artifact(out_dir, f"leaderboard_phase{i}.csv"))
             _append_trial_records(db, f"{task_name}#phase{i}", result, stamp)
-        _write_json(os.path.join(out_dir, "composite.json"),
+        _write_json(_artifact(out_dir, "composite.json"),
                     schedule.policy_to_dict(composite))
         # confirmation run of the stitched policy over the full horizon
         full_cfg = replace(ctx.config, budget=boundaries[-1])
         trace = trainer.run_trial(ctx.model, ctx.task, composite, ctx.optimizer, full_cfg)
-        trainer.write_train_csv(trace, os.path.join(out_dir, "trace_train.csv"))
-        trainer.write_eval_csv(trace, os.path.join(out_dir, "trace_eval.csv"))
-        _write_json(os.path.join(out_dir, "outcome.json"), trace.outcome.to_dict())
+        trainer.write_train_csv(trace, _artifact(out_dir, "trace_train.csv"))
+        trainer.write_eval_csv(trace, _artifact(out_dir, "trace_eval.csv"))
+        _write_json(_artifact(out_dir, "outcome.json"), trace.outcome.to_dict())
         db.append(store.make_record(task_name, composite, 1.0, full_cfg.seed,
                                     trace.outcome, timestamp=stamp))
         for i, result in enumerate(phase_results):
@@ -409,8 +416,8 @@ def cmd_tune(args) -> int:
     else:
         result = tuner.grid_search(space, ctx)
 
-    tuner.write_leaderboard_csv(result, os.path.join(out_dir, "leaderboard.csv"))
-    _write_json(os.path.join(out_dir, "tune_result.json"),
+    tuner.write_leaderboard_csv(result, _artifact(out_dir, "leaderboard.csv"))
+    _write_json(_artifact(out_dir, "tune_result.json"),
                 tuner.tune_result_to_dict(result))
     n_records = _append_trial_records(db, task_name, result, stamp)
 
@@ -435,7 +442,7 @@ def cmd_range_test(args) -> int:
         db.append(store.make_record(task_name, schedule.Fix(k=k), 1.0, result.seed,
                                     outcome, timestamp=stamp))
 
-    _write_json(os.path.join(out_dir, "range_test.json"), {
+    _write_json(_artifact(out_dir, "range_test.json"), {
         "ks": result.ks, "accuracies": result.accuracies,
         "diverged": result.diverged, "trial_budget": result.trial_budget,
         "k_best": result.k_best, "bracket": list(result.bracket)})
@@ -494,7 +501,7 @@ def cmd_surface(args) -> int:
     print(f"{'policy':<24} {'final value':>12}  {'min value':>12}")
     for name, policy in named.items():
         path = trainer.run_surface_trial(surface, start, policy, opt, iterations)
-        trainer.write_surface_csv(path, os.path.join(out_dir, f"path_{name}.csv"))
+        trainer.write_surface_csv(path, _artifact(out_dir, f"path_{name}.csv"))
         status = " (diverged)" if path.diverged else ""
         print(f"{name:<24} {path.final_value():>12.6f}  {min(path.values):>12.6f}"
               f"{status}")

@@ -25,8 +25,16 @@ import numpy as np
 from .problems import Dataset
 
 
+class _Widths:
+    """Base of every model spec: its layer widths are checked when it is built."""
+
+    def __post_init__(self):
+        if min(self.widths) < 1 or self.widths[-1] < 2:
+            raise ValueError(f"invalid model dimensions: {self}")
+
+
 @dataclass(frozen=True)
-class Linear:
+class Linear(_Widths):
     d_in: int
     n_classes: int
 
@@ -39,7 +47,7 @@ class Linear:
 
 
 @dataclass(frozen=True)
-class MLP:
+class MLP(_Widths):
     d_in: int
     hidden: int
     n_classes: int
@@ -59,8 +67,6 @@ ModelSpec = Linear | MLP
 def layout(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...], int], ...]:
     """(name, shape, offset) of each tensor in a flat vector: W1, b1, W2, b2, ..."""
     widths = spec.widths
-    if min(widths) < 1 or widths[-1] < 2:
-        raise ValueError(f"invalid model dimensions: {spec}")
     tensors = []
     offset = 0
     for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), start=1):

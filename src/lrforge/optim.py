@@ -30,13 +30,25 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Which optimizer a trial uses; parsed straight from manifests."""
+    """Which optimizer a trial uses, checked when built; parsed straight from manifests."""
 
     kind: str = "sgd"
     momentum: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.kind == "sgd":
+            if not (0 <= self.momentum < 1):
+                raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+        elif self.kind == "adam":
+            if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+                raise ValueError(f"betas must be in [0, 1), got {self.beta1!r}, {self.beta2!r}")
+            if self.eps <= 0:
+                raise ValueError(f"eps must be > 0, got {self.eps!r}")
+        else:
+            raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
     def descriptor(self) -> str:
         if self.kind == "sgd":
@@ -57,16 +69,8 @@ class OptimizerState:
 def init_state(spec: OptimizerSpec, n: int | tuple[int, ...]) -> OptimizerState:
     """Zero state for n parameters, or for a (C, P) stack when n is that shape."""
     if spec.kind == "sgd":
-        if not (0 <= spec.momentum < 1):
-            raise ValueError(f"momentum must be in [0, 1), got {spec.momentum!r}")
         return OptimizerState(spec, (np.zeros(n),))
-    if spec.kind == "adam":
-        if not (0 <= spec.beta1 < 1 and 0 <= spec.beta2 < 1):
-            raise ValueError(f"betas must be in [0, 1), got {spec.beta1!r}, {spec.beta2!r}")
-        if spec.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {spec.eps!r}")
-        return OptimizerState(spec, (np.zeros(n), np.zeros(n)))
-    raise ValueError(f"unknown optimizer kind {spec.kind!r}")
+    return OptimizerState(spec, (np.zeros(n), np.zeros(n)))
 
 
 def _check_lr(value):

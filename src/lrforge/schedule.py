@@ -11,6 +11,9 @@ parameter check, horizon rule and closed form. `validate`, `horizon`,
 are generic code over that table. A `Scaled` policy has no wire name of its
 own: it is its base's dict plus a top-level "lambda" key.
 
+Every policy runs `validate` when it is built, so a policy object that
+exists is valid, and the queries over t only look up its row.
+
 The metric-driven families PLATEAU_REDUCE and PLATEAU_CHANGE have rows but
 no closed form: their LR depends on observed metrics, so `adaptive` steps
 them, every closed-form query rejects them, and no other policy may hold
@@ -24,7 +27,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Callable, Optional, Union
 
@@ -33,18 +36,25 @@ class PolicyError(ValueError):
     """Invalid policy parameters, malformed policy JSON, or out-of-range t."""
 
 
+class _Checked:
+    """Base of every family: a policy checks its row's rules when it is built."""
+
+    def __post_init__(self):
+        validate(self)
+
+
 # --- fixed and decaying families ---
 
 
 @dataclass(frozen=True)
-class Fix:
+class Fix(_Checked):
     """eta(t) = k."""
 
     k: float
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(_Checked):
     """eta(t) = k * gamma^floor(t / l)."""
 
     k: float
@@ -53,7 +63,7 @@ class Step:
 
 
 @dataclass(frozen=True)
-class NStep:
+class NStep(_Checked):
     """eta(t) = k * gamma^i where i = number of milestones <= t."""
 
     k: float
@@ -62,7 +72,7 @@ class NStep:
 
 
 @dataclass(frozen=True)
-class Exp:
+class Exp(_Checked):
     """eta(t) = k * gamma^(t / l), real-valued exponent."""
 
     k: float
@@ -71,7 +81,7 @@ class Exp:
 
 
 @dataclass(frozen=True)
-class Poly:
+class Poly(_Checked):
     """eta(t) = k * (1 - t / t_max)^p, defined for t <= t_max."""
 
     k: float
@@ -80,7 +90,7 @@ class Poly:
 
 
 @dataclass(frozen=True)
-class CosineDecay:
+class CosineDecay(_Checked):
     """eta(t) = k_min + 0.5 * (k - k_min) * (1 + cos(pi * t / t_max))."""
 
     k: float
@@ -89,7 +99,7 @@ class CosineDecay:
 
 
 @dataclass(frozen=True)
-class LinearDecay:
+class LinearDecay(_Checked):
     """eta(t) = k - (k - k_min) * t / t_max."""
 
     k: float
@@ -107,14 +117,14 @@ class LinearDecay:
 
 
 @dataclass(frozen=True)
-class Tri:
+class Tri(_Checked):
     k0: float
     k1: float
     l: int
 
 
 @dataclass(frozen=True)
-class Tri2:
+class Tri2(_Checked):
     """Triangular with the amplitude halved each cycle: * 1/2^(cycle-1)."""
 
     k0: float
@@ -123,7 +133,7 @@ class Tri2:
 
 
 @dataclass(frozen=True)
-class TriExp:
+class TriExp(_Checked):
     """Triangular with exponentially damped amplitude: * gamma^t."""
 
     k0: float
@@ -133,7 +143,7 @@ class TriExp:
 
 
 @dataclass(frozen=True)
-class Sin:
+class Sin(_Checked):
     """eta(t) = k0 + (k1 - k0) * |sin(pi * t / (2l))|."""
 
     k0: float
@@ -142,7 +152,7 @@ class Sin:
 
 
 @dataclass(frozen=True)
-class Sin2:
+class Sin2(_Checked):
     """Sinusoidal with the amplitude halved each cycle, as Tri2."""
 
     k0: float
@@ -151,7 +161,7 @@ class Sin2:
 
 
 @dataclass(frozen=True)
-class SinExp:
+class SinExp(_Checked):
     """Sinusoidal with exponentially damped amplitude: * gamma^t."""
 
     k0: float
@@ -164,7 +174,7 @@ class SinExp:
 
 
 @dataclass(frozen=True)
-class Warmup:
+class Warmup(_Checked):
     """Linear ramp from 0 to inner(0) over w iterations, then inner shifted.
 
     eta(t) = (t / w) * eta_inner(0)   for t < w
@@ -177,6 +187,13 @@ class Warmup:
     w: float
     inner: "Policy"
 
+    @cached_property
+    def _iters(self) -> int:
+        """w as an iteration count; a fraction is resolved once per object."""
+        if self.w >= 1 or self.w == 0:
+            return int(self.w)
+        return int(self.w * _horizon(self.inner))
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -186,14 +203,14 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Checked):
     """Contiguous segments, each evaluated at its local t (t - start)."""
 
     segments: tuple[Segment, ...]
 
 
 @dataclass(frozen=True)
-class Scaled:
+class Scaled(_Checked):
     """eta(t) = lam * eta_base(t), exactly that product."""
 
     lam: float
@@ -214,7 +231,7 @@ _MONITORS = ("train_loss", "test_accuracy")
 
 
 @dataclass(frozen=True)
-class ReduceOnPlateau:
+class ReduceOnPlateau(_Checked):
     """Hold the LR at k, multiply by factor on each plateau, floor at min_lr."""
 
     k: float
@@ -228,7 +245,7 @@ class ReduceOnPlateau:
 
 
 @dataclass(frozen=True)
-class ChangeOnPlateau:
+class ChangeOnPlateau(_Checked):
     """Walk an ordered policy list, advancing one policy per plateau.
 
     The active policy is evaluated at a local t that restarts at 0 on each
@@ -299,11 +316,10 @@ def _milestones(name: str, value):
 
 
 def _closed(name: str, policy):
-    """A policy held by another: valid, and with a closed form over t."""
+    """A policy held by another (checked when it was built): one with a closed form."""
     _need(_row(policy).closed_form is not None,
           f"{family_name(policy)} has no closed form over t; lambda scaling or nesting "
           f"in another policy does not apply to metric-driven policies")
-    validate(policy)
 
 
 def _closed_each(name: str, policies):
@@ -355,28 +371,9 @@ def _warmup_rule(p: Warmup):
 _t_max = attrgetter("t_max")
 
 
-# A fractional w is resolved against the inner horizon once per Warmup
-# object, not on every evaluation; identity-keyed like the validation memo
-# below, and for the same reasons.
-_WARMUP_ITERS: dict[int, tuple[Warmup, int]] = {}
-
-
-def _warmup_iters(p: Warmup) -> int:
-    if p.w >= 1:
-        return int(p.w)
-    if p.w == 0:
-        return 0
-    hit = _WARMUP_ITERS.get(id(p))
-    if hit is None or hit[0] is not p:
-        if len(_WARMUP_ITERS) >= _VALIDATED_MAX:
-            _WARMUP_ITERS.clear()
-        hit = _WARMUP_ITERS[id(p)] = (p, int(p.w * _horizon(p.inner)))
-    return hit[1]
-
-
 def _warmup_horizon(p: Warmup):
     inner = _horizon(p.inner)
-    return None if inner is None else _warmup_iters(p) + inner
+    return None if inner is None else p._iters + inner
 
 
 # --- pieces of the closed forms ---
@@ -404,7 +401,7 @@ def _halved(p, cycle: int, shape: float) -> float:
 
 
 def _warmup(p: Warmup, t: int) -> float:
-    w = _warmup_iters(p)
+    w = p._iters
     if t < w:
         return (t / w) * _eval(p.inner, 0)
     return _eval(p.inner, t - w)
@@ -433,7 +430,7 @@ def _row(policy) -> "Family":
 
 
 def _eval(p: Policy, t: int) -> float:
-    """eta(t) of a validated policy held by another, so it has a closed form."""
+    """eta(t) of a policy held by another, so it has a closed form."""
     return _ROWS[type(p)].closed_form(p, t)
 
 
@@ -471,9 +468,9 @@ def family_name(policy) -> str:
 def validate(policy):
     """Check parameter invariants, raising PolicyError naming the bad field.
 
-    This always checks the whole policy tree. `lr_at`, `compile`, `horizon`
-    and `sample_trace` instead go through a memo that skips the check for
-    a policy object that has already passed it (see `_validated`).
+    Every policy runs this once, when it is built. The policies it holds
+    were checked when they were built, so of them this checks only that
+    each has a closed form.
     """
     row = _row(policy)
     for name, check in row.checks.items():
@@ -482,47 +479,23 @@ def validate(policy):
         row.rule(policy)
 
 
-# --- validation memo ---
-#
-# Keyed on identity, never on equality: frozen dataclasses compare and hash
-# by their fields, so Fix(k=True) == Fix(k=1), yet only the second is valid.
-# Each entry holds the policy itself, so its id cannot be reused while it is
-# remembered. Only policies that passed are kept, and the memo is cleared
-# when it fills, so it stays small. A hit needs the stored object itself, so
-# a lost or stale entry can only cost a repeat check, never skip one.
-
-_VALIDATED: dict[int, Policy] = {}
-_VALIDATED_MAX = 1024
-
-
-def _validated(policy: Policy) -> Policy:
-    """Validate `policy` unless this very object has already passed."""
-    if _VALIDATED.get(id(policy)) is not policy:
-        validate(policy)
-        if len(_VALIDATED) >= _VALIDATED_MAX:
-            _VALIDATED.clear()
-        _VALIDATED[id(policy)] = policy
-    return policy
-
-
 # --- evaluation ---
 
 
 def horizon(policy: Policy):
-    """Largest valid t, None when unbounded; validates first (once per object)."""
-    return _horizon(_validated(policy))
+    """Largest valid t, None when unbounded."""
+    return _horizon(policy)
 
 
 def compile(policy: Policy, steps: int):
-    """Validate once and return eta(t) as a function of t, for 0 <= t < steps.
+    """eta(t) as a function of t, for 0 <= t < steps.
 
     The function is the family's closed form bound to the policy. A
     metric-driven policy has none and raises PolicyError naming its family;
     so does a horizon-bound policy that ends before t = steps - 1, naming
-    the field, so a run fails before its first step. Validation is memoized
-    on the policy object's identity, as in `lr_at`.
+    the field, so a run fails before its first step.
     """
-    form = _closed_form(_validated(policy))
+    form = _closed_form(policy)
     end = _horizon(policy)
     if end is not None and end < steps - 1:
         base = _row(split_lambda(policy)[0])
@@ -532,30 +505,23 @@ def compile(policy: Policy, steps: int):
 
 
 def lr_at(policy: Policy, t: int) -> float:
-    """Evaluate eta(t) for a policy at integer iteration t >= 0.
-
-    The policy is validated the first time this object is seen; later calls
-    with the same object skip the check. The memo is keyed on identity, so
-    an equal but distinct policy object is validated on its own, and a
-    policy that fails is checked again on every call.
-    """
+    """Evaluate eta(t) for a policy at integer iteration t >= 0."""
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise PolicyError(f"t must be an integer >= 0, got {t!r}")
-    return _closed_form(_validated(policy))(policy, t)
+    return _closed_form(policy)(policy, t)
 
 
 def sample_trace(policy: Policy, t_max: int, stride: int = 1) -> list[tuple[int, float]]:
     """Sample eta at t = 0, stride, 2*stride, ..., ending exactly at t_max.
 
     Returns ceil(t_max / stride) + 1 points; the last point is clamped to
-    t_max so horizon-bound policies stay in range. Validation is memoized on
-    the policy object's identity, as in `lr_at`.
+    t_max so horizon-bound policies stay in range.
     """
     if not isinstance(t_max, int) or t_max < 0:
         raise PolicyError(f"t_max must be an integer >= 0, got {t_max!r}")
     if not isinstance(stride, int) or stride < 1:
         raise PolicyError(f"stride must be an integer >= 1, got {stride!r}")
-    form = _closed_form(_validated(policy))
+    form = _closed_form(policy)
     n = math.ceil(t_max / stride)
     return [(min(i * stride, t_max), form(policy, min(i * stride, t_max)))
             for i in range(n + 1)]
@@ -624,7 +590,7 @@ def _warmup_shorthand(params: dict) -> dict:
 
 
 def policy_from_dict(d: dict):
-    """Parse the {"family", "params"} wire dict back into a validated policy."""
+    """Parse the {"family", "params"} wire dict back into a policy, checked as built."""
     _need(isinstance(d, dict), f"policy must be a JSON object, got {d!r}")
     _need("family" in d, "policy is missing the 'family' key")
     params = d.get("params", {})
@@ -648,7 +614,6 @@ def policy_from_dict(d: dict):
     policy = row.cls(**kwargs)
     if d.get("lambda") is not None:
         policy = Scaled(lam=d["lambda"], base=policy)
-    validate(policy)
     return policy
 
 

@@ -49,6 +49,9 @@ class TrainConfig:
     target_accuracy: Optional[float] = None
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -71,15 +74,13 @@ class TrialOutcome:
     # seconds from the start of the trial's population to this trial's stop
     wall_time_sec: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {"final_accuracy": self.final_accuracy,
-             "best_accuracy": self.best_accuracy,
-             "iterations_run": self.iterations_run,
-             "iterations_to_target": self.iterations_to_target,
-             "diverged": self.diverged}
-        if include_timing:
-            d["wall_time_sec"] = self.wall_time_sec
-        return d
+    def to_dict(self) -> dict:
+        """The outcome without its wall time, which no artifact holds."""
+        return {"final_accuracy": self.final_accuracy,
+                "best_accuracy": self.best_accuracy,
+                "iterations_run": self.iterations_run,
+                "iterations_to_target": self.iterations_to_target,
+                "diverged": self.diverged}
 
 
 @dataclass
@@ -122,12 +123,11 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
 
     config.seed is replaced by each trial's seed. Returns one trace per
     trial, in order, each equal to what `run_trial` gives for that trial.
-    Every policy is validated before the first step; a horizon-bound one
+    Every policy is compiled before the first step; a horizon-bound one
     must cover the budget, and so must each of a ChangeOnPlateau's
     policies, since when each takes over is only known during the run. See
     `run_trial` for the evaluation and stopping rules.
     """
-    config.validate()
     policies = [policy for policy, _ in trials]
     plateau = {}  # trial index -> adaptive state
     # closed-form trials: the distinct base curves, which curve each trial

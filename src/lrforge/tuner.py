@@ -20,8 +20,7 @@ from .model import ModelSpec
 from .optim import OptimizerSpec
 from .problems import TaskData
 from .schedule import (Composite, Fix, Policy, PolicyError, Scaled, Segment,
-                       canonical_policy_key, compile as compile_policy,
-                       policy_to_dict, validate)
+                       canonical_policy_key, compile as compile_policy, policy_to_dict)
 from .trainer import TrainConfig, TrialOutcome, TrialTrace, run_population
 
 
@@ -31,11 +30,30 @@ class AllDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpace:
+    """Templates under a lambda grid (or a range to draw one from), checked when built."""
+
     templates: tuple[Policy, ...]
     lambda_grid: Optional[tuple[float, ...]] = None
     lambda_range: Optional[tuple[float, float]] = None
     trials_per_point: int = 1
     objective: str = "max_accuracy"  # or "min_cost"
+
+    def __post_init__(self):
+        if not self.templates:
+            raise PolicyError("templates must be non-empty")
+        if self.trials_per_point < 1:
+            raise PolicyError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
+        if self.objective not in ("max_accuracy", "min_cost"):
+            raise PolicyError(f"objective must be max_accuracy or min_cost, "
+                              f"got {self.objective!r}")
+        if (self.lambda_grid is None) == (self.lambda_range is None):
+            raise PolicyError("give exactly one of lambda_grid and lambda_range")
+        if self.lambda_grid is not None and not self.lambda_grid:
+            raise PolicyError("lambda_grid must be non-empty")
+        for lam in self.lambda_grid or ():
+            if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
+                raise PolicyError(f"lambda_grid values must be positive and finite, "
+                                  f"got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -81,26 +99,15 @@ class TuneResult:
 def _apply_lambda(template: Policy, lam: float) -> Policy:
     if lam == 1.0:
         return template
-    # a metric-driven template is rejected when the trials compile, before any step
+    # Scaled rejects a metric-driven template when it is built, before any step
     return Scaled(lam=lam, base=template)
 
 
-def _validate_space(space: SearchSpace):
-    if not space.templates:
-        raise PolicyError("templates must be non-empty")
-    for t in space.templates:
-        validate(t)
-    if space.trials_per_point < 1:
-        raise PolicyError(f"trials_per_point must be >= 1, got {space.trials_per_point}")
-    if space.objective not in ("max_accuracy", "min_cost"):
-        raise PolicyError(f"objective must be max_accuracy or min_cost, "
-                          f"got {space.objective!r}")
-    if not space.lambda_grid:
-        raise PolicyError("lambda_grid must be non-empty")
-    for lam in space.lambda_grid:
-        if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-            raise PolicyError(f"lambda_grid values must be positive and finite, "
-                              f"got {lam!r}")
+def _grid_cells(space: SearchSpace) -> list[tuple[Policy, float]]:
+    """Every (template, lambda) of the grid, for the searches that sweep one."""
+    if space.lambda_grid is None:
+        raise PolicyError("this search needs lambda_grid")
+    return [(template, float(lam)) for template in space.templates for lam in space.lambda_grid]
 
 
 def _run_cells(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: str,
@@ -161,13 +168,10 @@ def _rank(entries: list[CellResult], objective: str) -> list[CellResult]:
 
 def grid_search(space: SearchSpace, ctx: TrialContext) -> TuneResult:
     """Exhaustive sweep over templates x lambda_grid, ranked by the objective."""
-    _validate_space(space)
-    ctx.config.validate()
     if space.objective == "min_cost" and ctx.config.target_accuracy is None:
         raise PolicyError("min_cost objective requires target_accuracy")
-    cells = [(template, float(lam))
-             for template in space.templates for lam in space.lambda_grid]
-    entries, _ = _run_cells(cells, ctx, space.objective, space.trials_per_point)
+    entries, _ = _run_cells(_grid_cells(space), ctx, space.objective,
+                            space.trials_per_point)
     entries = _rank(entries, space.objective)
     if all(e.n_diverged == len(e.outcomes) for e in entries):
         raise AllDiverged("every cell diverged in every trial")
@@ -317,9 +321,7 @@ def compose_multi(boundaries, phase_results: list[TuneResult]) -> Composite:
             raise AllDiverged(f"phase {i} winner diverged")
         segments.append(Segment(start=int(boundaries[i]), end=int(boundaries[i + 1]),
                                 policy=winner.policy()))
-    composite = Composite(segments=tuple(segments))
-    validate(composite)
-    return composite
+    return Composite(segments=tuple(segments))
 
 
 def compose_search(space: SearchSpace, ctx: TrialContext,
@@ -330,14 +332,12 @@ def compose_search(space: SearchSpace, ctx: TrialContext,
     ended with, so later phases are tuned against realistic late-stage
     behavior rather than a fresh init.
     """
-    _validate_space(space)
+    cells = _grid_cells(space)
     bounds = [int(b) for b in boundaries]
     if len(bounds) < 2 or bounds[0] != 0 or any(b >= e for b, e in zip(bounds, bounds[1:])):
         raise PolicyError(f"boundaries must start at 0 and strictly increase, "
                           f"got {boundaries!r}")
 
-    cells = [(template, float(lam))
-             for template in space.templates for lam in space.lambda_grid]
     # fail before phase 0 runs if a candidate cannot cover the longest phase
     longest = max(e - b for b, e in zip(bounds, bounds[1:]))
     for template, lam in cells:

@@ -252,6 +252,69 @@ def test_unwritable_db_fails_before_any_artifact(tmp_path, capsys, command, sect
     assert not (tmp_path / "nodir").exists()
 
 
+MOMENTUM = {"optimizer": {"kind": "sgd", "momentum": 1.5}}
+EPS = {"optimizer": {"kind": "adam", "eps": 0}}
+FIX_GRID = {"templates": [{"family": "FIX", "params": {"k": 1.0}}], "lambda_grid": [0.1]}
+SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
+           "start": [1.0, 1.0], "iterations": 5,
+           "policies": [{"family": "FIX", "params": {"k": 0.1}}]}
+
+
+@pytest.mark.parametrize("command, section, fragment", [
+    ("train", MOMENTUM, "optimizer: momentum must be in [0, 1), got 1.5"),
+    ("tune", MOMENTUM, "optimizer: momentum must be in [0, 1), got 1.5"),
+    ("range-test", MOMENTUM, "optimizer: momentum must be in [0, 1), got 1.5"),
+    ("surface", MOMENTUM, "optimizer: momentum must be in [0, 1), got 1.5"),
+    ("train", EPS, "optimizer: eps must be > 0, got 0.0"),
+    ("tune", EPS, "optimizer: eps must be > 0, got 0.0"),
+    ("surface", EPS, "optimizer: eps must be > 0, got 0.0"),
+    ("train", {"optimizer": {"kind": "adam", "beta1": 1.0}},
+     "optimizer: betas must be in [0, 1), got 1.0, 0.999"),
+    ("train", {"model": {"kind": "mlp", "hidden": 0}}, "model: invalid model dimensions"),
+    ("tune", {"model": {"kind": "mlp", "hidden": 0}}, "model: invalid model dimensions"),
+    ("range-test", {"model": {"kind": "mlp", "hidden": 0}}, "model: invalid model dimensions"),
+    ("tune", {"search": {**FIX_GRID, "lambda_grid": [-1]}},
+     "lambda_grid values must be positive and finite, got -1.0"),
+    ("tune", {"search": {**FIX_GRID, "lambda_grid": []}}, "lambda_grid must be non-empty"),
+    ("tune", {"search": {**FIX_GRID, "templates": []}}, "templates must be non-empty"),
+    ("tune", {"search": {**FIX_GRID, "trials_per_point": 0}},
+     "trials_per_point must be >= 1, got 0"),
+    ("tune", {"search": {**FIX_GRID, "objective": "median"}},
+     "objective must be max_accuracy or min_cost, got 'median'"),
+    ("tune", {"search": {**FIX_GRID, "objective": "min_cost"}},
+     "cost_effective requires target_accuracy"),
+    ("tune", {"search": {**FIX_GRID, "boundaries": [0, 50, 40]}},
+     "boundaries must start at 0 and strictly increase"),
+    ("range-test", {"range_test": {"k_grid": [0.1, 0.1]}}, "k_grid values must be distinct"),
+    ("range-test", {"range_test": {"k_grid": [-0.1]}},
+     "k_grid values must be positive and finite, got -0.1"),
+    ("range-test", {"range_test": {"k_grid": []}}, "k_grid must be non-empty"),
+    ("range-test", {"range_test": {"k_grid": [0.1], "trial_budget": -5}},
+     "budget must be >= 0, got -5"),
+    ("surface", {"iterations": -1}, "iterations must be >= 0, got -1"),
+])
+def test_bad_input_leaves_no_out_dir_and_no_db(tmp_path, capsys, command, section, fragment):
+    manifest = write_manifest(tmp_path, **{"search": FIX_GRID, "range_test": {"k_grid": [0.1]},
+                                           **SURFACE, **section})
+    db = ("--db", tmp_path / "db.jsonl") if command != "surface" else ()
+    code, err = lr(capsys, command, "--manifest", manifest, "--out-dir", tmp_path / "out", *db)
+    assert code == 2
+    assert fragment in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "db.jsonl").exists()
+
+
+def test_out_dir_is_made_at_the_first_artifact(tmp_path, capsys):
+    manifest = write_manifest(tmp_path, **SURFACE)
+    out = tmp_path / "a" / "b"
+    assert lr(capsys, "surface", "--manifest", manifest, "--out-dir", out)[0] == 0
+    assert set(os.listdir(out)) == {"path_FIX_0.csv"}
+    (tmp_path / "file").write_text("")
+    code, err = lr(capsys, "surface", "--manifest", manifest,
+                   "--out-dir", tmp_path / "file" / "out")
+    assert code == 3
+    assert "cannot write to output directory" in err
+
+
 def _table_keys(path, type_, kind=""):
     """(key path, kind, required) for each key below one `cli.MANIFEST` entry."""
     if isinstance(type_, dict):
@@ -476,7 +539,7 @@ def test_surface_checks_every_horizon_before_tracing(tmp_path):
     proc = run_cli("surface", "--manifest", str(path), "--out-dir", str(out), cwd=tmp_path)
     assert proc.returncode == 2
     assert "POLY t_max" in proc.stderr
-    assert not [f for f in os.listdir(out) if f.startswith("path_")]
+    assert not out.exists()
 
 
 def test_surface_rejects_a_metric_driven_policy_before_tracing(tmp_path):
@@ -492,4 +555,4 @@ def test_surface_rejects_a_metric_driven_policy_before_tracing(tmp_path):
     proc = run_cli("surface", "--manifest", str(path), "--out-dir", str(out), cwd=tmp_path)
     assert proc.returncode == 2
     assert "PLATEAU_REDUCE has no closed form" in proc.stderr
-    assert not [f for f in os.listdir(out) if f.startswith("path_")]
+    assert not out.exists()

@@ -53,12 +53,11 @@ def test_init_seed_determinism():
 
 
 def test_init_rejects_bad_dims():
-    with pytest.raises(ValueError, match="dimensions"):
-        init_params(Linear(0, 2), seed=0)
-    with pytest.raises(ValueError, match="dimensions"):
-        init_params(MLP(2, 0, 2), seed=0)
-    with pytest.raises(ValueError, match="dimensions"):
-        init_params(Linear(2, 1), seed=0)
+    # a spec is checked when it is built, so no parameters are made for a bad one
+    for bad in (lambda: Linear(0, 2), lambda: Linear(2, 1), lambda: MLP(2, 0, 2),
+                lambda: MLP(0, 4, 2), lambda: MLP(2, 4, 1)):
+        with pytest.raises(ValueError, match="invalid model dimensions"):
+            bad()
 
 
 def test_view_slices_share_storage():

@@ -141,16 +141,15 @@ def test_non_finite_gradient_rejected():
 
 
 def test_init_validation():
-    with pytest.raises(ValueError, match="momentum"):
-        init_state(OptimizerSpec("sgd", momentum=1.0), 1)
-    with pytest.raises(ValueError, match="betas"):
-        init_state(OptimizerSpec("adam", beta1=1.0), 1)
-    with pytest.raises(ValueError, match="betas"):
-        init_state(OptimizerSpec("adam", beta2=-0.1), 1)
-    with pytest.raises(ValueError, match="eps"):
-        init_state(OptimizerSpec("adam", eps=0.0), 1)
-    with pytest.raises(ValueError, match="unknown optimizer kind"):
-        init_state(OptimizerSpec(kind="lbfgs"), 4)
+    # a spec is checked when it is built, so no state is made from a bad one
+    for kwargs, fragment in (({"momentum": 1.0}, r"momentum must be in \[0, 1\), got 1.0"),
+                             ({"momentum": -0.1}, "momentum must be in"),
+                             ({"kind": "adam", "beta1": 1.0}, "betas must be in"),
+                             ({"kind": "adam", "beta2": -0.1}, "betas must be in"),
+                             ({"kind": "adam", "eps": 0.0}, "eps must be > 0"),
+                             ({"kind": "lbfgs"}, "unknown optimizer kind 'lbfgs'")):
+        with pytest.raises(ValueError, match=fragment):
+            OptimizerSpec(**kwargs)
 
 
 def test_step_dispatches_on_state_type():

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import typing
+from functools import partial
 
 import numpy as np
 import pytest
@@ -328,58 +329,61 @@ def test_composite_picks_owning_segment(data):
     assert lr_at(p, t) == ks[i]
 
 
-# --- validation ---
+# --- validation: every policy is checked when it is built ---
 
 
 @pytest.mark.parametrize("policy,fragment", [
-    (Fix(k=-0.1), "k must be >= 0"),
-    (Fix(k=float("nan")), "finite"),
-    (Step(k=0.1, gamma=0.0, l=1), "gamma"),
-    (Step(k=0.1, gamma=1.5, l=1), "gamma"),
-    (Step(k=0.1, gamma=0.5, l=0), "l must be an integer >= 1"),
-    (NStep(k=0.1, gamma=0.5, milestones=(5, 5)), "strictly increasing"),
-    (NStep(k=0.1, gamma=0.5, milestones=(8, 5)), "strictly increasing"),
-    (NStep(k=0.1, gamma=0.5, milestones=(-1,)), "non-negative"),
-    (Poly(k=0.1, p=0.0, t_max=10), "p must be > 0"),
-    (Poly(k=0.1, p=1.0, t_max=0), "t_max"),
-    (Tri(k0=2.0, k1=1.0, l=5), "k1 < k0"),
-    (Tri(k0=0.1, k1=1.0, l=0), "l must be an integer >= 1"),
-    (TriExp(k0=0.1, k1=1.0, l=5, gamma=2.0), "gamma"),
-    (CosineDecay(k=0.1, t_max=10, k_min=0.2), "k_min"),
-    (LinearDecay(k=0.1, t_max=10, k_min=0.2), "k_min"),
-    (Warmup(w=-1, inner=Fix(k=0.1)), "w must be >= 0"),
-    (Warmup(w=2.5, inner=Fix(k=0.1)), "integer"),
-    (Warmup(w=0.5, inner=Fix(k=0.1)), "horizon-bound"),
-    (Composite(segments=()), "non-empty"),
-    (Composite(segments=(Segment(start=1, end=5, policy=Fix(k=0.1)),)),
+    (partial(Fix, k=-0.1), "k must be >= 0"),
+    (partial(Fix, k=float("nan")), "finite"),
+    (partial(Step, k=0.1, gamma=0.0, l=1), "gamma"),
+    (partial(Step, k=0.1, gamma=1.5, l=1), "gamma"),
+    (partial(Step, k=0.1, gamma=0.5, l=0), "l must be an integer >= 1"),
+    (partial(NStep, k=0.1, gamma=0.5, milestones=(5, 5)), "strictly increasing"),
+    (partial(NStep, k=0.1, gamma=0.5, milestones=(8, 5)), "strictly increasing"),
+    (partial(NStep, k=0.1, gamma=0.5, milestones=(-1,)), "non-negative"),
+    (partial(Poly, k=0.1, p=0.0, t_max=10), "p must be > 0"),
+    (partial(Poly, k=0.1, p=1.0, t_max=0), "t_max"),
+    (partial(Tri, k0=2.0, k1=1.0, l=5), "k1 < k0"),
+    (partial(Tri, k0=0.1, k1=1.0, l=0), "l must be an integer >= 1"),
+    (partial(TriExp, k0=0.1, k1=1.0, l=5, gamma=2.0), "gamma"),
+    (partial(CosineDecay, k=0.1, t_max=10, k_min=0.2), "k_min"),
+    (partial(LinearDecay, k=0.1, t_max=10, k_min=0.2), "k_min"),
+    (partial(Warmup, w=-1, inner=Fix(k=0.1)), "w must be >= 0"),
+    (partial(Warmup, w=2.5, inner=Fix(k=0.1)), "integer"),
+    (partial(Warmup, w=0.5, inner=Fix(k=0.1)), "horizon-bound"),
+    (partial(Composite, segments=()), "non-empty"),
+    (partial(Composite, segments=(Segment(start=1, end=5, policy=Fix(k=0.1)),)),
      "start at iteration 0"),
-    (Composite(segments=(Segment(start=0, end=5, policy=Fix(k=0.1)),
-                         Segment(start=6, end=9, policy=Fix(k=0.2)))), "gap"),
-    (Composite(segments=(Segment(start=0, end=5, policy=Fix(k=0.1)),
-                         Segment(start=4, end=9, policy=Fix(k=0.2)))), "overlap"),
-    (Composite(segments=(Segment(start=0, end=0, policy=Fix(k=0.1)),)),
+    (partial(Composite, segments=(Segment(start=0, end=5, policy=Fix(k=0.1)),
+                                  Segment(start=6, end=9, policy=Fix(k=0.2)))), "gap"),
+    (partial(Composite, segments=(Segment(start=0, end=5, policy=Fix(k=0.1)),
+                                  Segment(start=4, end=9, policy=Fix(k=0.2)))), "overlap"),
+    (partial(Composite, segments=(Segment(start=0, end=0, policy=Fix(k=0.1)),)),
      "must exceed"),
-    (Scaled(lam=0.0, base=Fix(k=0.1)), "lam must be > 0"),
-    (Scaled(lam=1.0, base=Fix(k=-1.0)), "k must be >= 0"),
+    (partial(Scaled, lam=0.0, base=Fix(k=0.1)), "lam must be > 0"),
+    # the base fails as it is built, before the Scaled that would hold it
+    (partial(lambda: Scaled(lam=1.0, base=Fix(k=-1.0))), "k must be >= 0"),
     # plateau fields go through the same field checks as every other family
-    (ReduceOnPlateau(k="0.1", factor=0.5, patience=1), "k must be a number"),
-    (ReduceOnPlateau(k=True, factor=0.5, patience=1), "k must be a number"),
-    (ReduceOnPlateau(k=0.1, factor=0.5, patience=True), "patience must be an integer"),
-    (ChangeOnPlateau(policies=(Fix(k=0.1),), patience=1, min_delta="0"),
+    (partial(ReduceOnPlateau, k="0.1", factor=0.5, patience=1), "k must be a number"),
+    (partial(ReduceOnPlateau, k=True, factor=0.5, patience=1), "k must be a number"),
+    (partial(ReduceOnPlateau, k=0.1, factor=0.5, patience=True),
+     "patience must be an integer"),
+    (partial(ChangeOnPlateau, policies=(Fix(k=0.1),), patience=1, min_delta="0"),
      "min_delta must be a number"),
     # a metric-driven policy has no closed form, so no other policy may hold one
-    (Warmup(w=5, inner=ReduceOnPlateau(k=0.1, factor=0.5, patience=1)),
+    (partial(Warmup, w=5, inner=ReduceOnPlateau(k=0.1, factor=0.5, patience=1)),
      "PLATEAU_REDUCE has no closed form"),
-    (Composite(segments=(Segment(start=0, end=5, policy=ReduceOnPlateau(
+    (partial(Composite, segments=(Segment(start=0, end=5, policy=ReduceOnPlateau(
         k=0.1, factor=0.5, patience=1)),)), "PLATEAU_REDUCE has no closed form"),
-    (Scaled(lam=2.0, base=ReduceOnPlateau(k=0.1, factor=0.5, patience=1)), "does not apply"),
-    (ChangeOnPlateau(policies=(Fix(k=0.1), ChangeOnPlateau(policies=(Fix(k=0.1),),
-                                                           patience=1)), patience=1),
+    (partial(Scaled, lam=2.0, base=ReduceOnPlateau(k=0.1, factor=0.5, patience=1)),
+     "does not apply"),
+    (partial(ChangeOnPlateau, policies=(Fix(k=0.1), ChangeOnPlateau(policies=(Fix(k=0.1),),
+                                                                    patience=1)), patience=1),
      "PLATEAU_CHANGE has no closed form"),
 ])
 def test_validate_rejects(policy, fragment):
     with pytest.raises(PolicyError, match=fragment):
-        validate(policy)
+        policy()
 
 
 def test_lr_at_rejects_bad_t():
@@ -389,29 +393,25 @@ def test_lr_at_rejects_bad_t():
             lr_at(p, bad)
 
 
-# --- validation memo: keyed on the policy object, never on equality ---
+# --- equal is not valid: frozen dataclasses compare and hash by field values ---
 
 
 @pytest.mark.parametrize("valid, invalid, fragment", [
-    (Fix(k=1), Fix(k=True), "k must be a number"),
-    (Step(k=1, gamma=0.5, l=2), Step(k=1, gamma=0.5, l=2.0), "l must be an integer"),
+    (partial(Fix, k=1), partial(Fix, k=True), "k must be a number"),
+    (partial(Step, k=1, gamma=0.5, l=2), partial(Step, k=1, gamma=0.5, l=2.0),
+     "l must be an integer"),
 ])
 def test_equal_policy_does_not_ride_on_a_validated_one(valid, invalid, fragment):
-    # frozen dataclasses compare and hash by field values
-    assert valid == invalid and hash(valid) == hash(invalid)
-    assert lr_at(valid, 0) == valid.k
-    for query in (lambda p: lr_at(p, 0), lambda p: sample_trace(p, 3),
-                  lambda p: schedule.compile(p, 3), horizon):
-        with pytest.raises(PolicyError, match=fragment):
-            query(invalid)
+    # Fix(k=True) == Fix(k=1) as values, yet only the second can be built
+    assert valid.keywords == invalid.keywords
+    assert lr_at(valid(), 0) == 1
+    with pytest.raises(PolicyError, match=fragment):
+        invalid()
 
 
 def test_unhashable_policy_fields_raise_policy_error():
-    p = NStep(k=0.1, gamma=0.5, milestones=[5, 10])
-    for query in (lambda: lr_at(p, 0), lambda: sample_trace(p, 3),
-                  lambda: schedule.compile(p, 3)):
-        with pytest.raises(PolicyError, match="milestones must be a tuple"):
-            query()
+    with pytest.raises(PolicyError, match="milestones must be a tuple"):
+        NStep(k=0.1, gamma=0.5, milestones=[5, 10])
 
 
 def _count_validations(monkeypatch) -> list:
@@ -424,15 +424,6 @@ def _count_validations(monkeypatch) -> list:
 
     monkeypatch.setattr(schedule, "validate", counting)
     return seen
-
-
-def test_invalid_policy_is_checked_on_every_call(monkeypatch):
-    seen = _count_validations(monkeypatch)
-    bad = Fix(k=-0.1)
-    for _ in range(3):
-        with pytest.raises(PolicyError, match="k must be >= 0"):
-            lr_at(bad, 0)
-    assert [p is bad for p in seen] == [True] * 3
 
 
 def test_policy_is_validated_once_across_calls(monkeypatch):
@@ -473,18 +464,6 @@ def test_fractional_warmup_resolves_its_horizon_once(monkeypatch):
     scaled = [curve(t) for t in range(9900)]
     assert calls == []
     assert scaled == [2.0 * lr_at(p, t) for t in range(9900)]
-
-
-def test_resolved_warmups_are_bounded():
-    for i in range(2 * schedule._VALIDATED_MAX + 5):
-        lr_at(Warmup(w=0.5, inner=CosineDecay(k=0.1, t_max=10 + i)), 0)
-        assert len(schedule._WARMUP_ITERS) <= schedule._VALIDATED_MAX
-
-
-def test_validation_memo_is_bounded():
-    for i in range(2 * schedule._VALIDATED_MAX + 5):
-        lr_at(Fix(k=float(i)), 0)
-        assert len(schedule._VALIDATED) <= schedule._VALIDATED_MAX
 
 
 # --- traces ---
@@ -678,11 +657,14 @@ def test_unregistered_policy_type_is_rejected():
     class MyFix(Fix):
         pass
 
-    p = MyFix(k=0.1)
+    with pytest.raises(PolicyError, match="unknown policy type MyFix"):
+        MyFix(k=0.1)
+    # the queries reject any object without a row, such as a bare segment
+    seg = Segment(start=0, end=1, policy=Fix(k=0.1))
     for query in (validate, family_name, policy_to_dict, horizon,
                   lambda q: lr_at(q, 0), lambda q: schedule.compile(q, 3)):
-        with pytest.raises(PolicyError, match="unknown policy type MyFix"):
-            query(p)
+        with pytest.raises(PolicyError, match="unknown policy type Segment"):
+            query(seg)
 
 
 def test_readme_policy_table_names_every_wire_family():

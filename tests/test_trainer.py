@@ -28,11 +28,10 @@ def test_epoch_length_rounds_up():
 
 
 def test_config_validation():
-    for bad in (TrainConfig(batch_size=0), TrainConfig(budget=-1),
-                TrainConfig(eval_every=0), TrainConfig(target_accuracy=0.0),
-                TrainConfig(target_accuracy=1.5)):
-        with pytest.raises(ValueError):
-            bad.validate()
+    for bad in ({"batch_size": 0}, {"budget": -1}, {"eval_every": 0},
+                {"target_accuracy": 0.0}, {"target_accuracy": 1.5}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
 
 
 def test_same_seed_same_trace(blobs_task):

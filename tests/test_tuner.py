@@ -110,6 +110,16 @@ def test_space_validation(blobs_ctx):
                                 objective="median"), blobs_ctx)
 
 
+def test_space_takes_exactly_one_of_grid_and_range(blobs_ctx):
+    for lams in ({}, {"lambda_grid": (1.0,), "lambda_range": (0.1, 1.0)}):
+        with pytest.raises(PolicyError, match="exactly one of lambda_grid and lambda_range"):
+            SearchSpace(templates=(Fix(0.1),), **lams)
+    ranged = SearchSpace(templates=(Fix(0.1),), lambda_range=(0.1, 1.0))
+    for search in (grid_search, lambda s, c: compose_search(s, c, [0, 50])):
+        with pytest.raises(PolicyError, match="needs lambda_grid"):
+            search(ranged, blobs_ctx)
+
+
 def test_lambda_scaling_rejects_metric_driven_policies(blobs_ctx):
     space = SearchSpace(templates=(ReduceOnPlateau(k=0.1, factor=0.5, patience=2),),
                         lambda_grid=(0.5,))
