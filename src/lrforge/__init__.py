@@ -27,7 +27,6 @@ from .trainer import (  # noqa: F401
 )
 from .tuner import (  # noqa: F401
     AllDiverged, RangeTestResult, SearchSpace, TrialContext, TuneResult,
-    compose_multi, compose_search, cost_effective, grid_search, random_search,
-    range_test,
+    compose_multi, compose_search, grid_search, range_test,
 )
 from .store import PolicyStore, StoreConflict, TrialRecord, make_record  # noqa: F401

@@ -100,7 +100,8 @@ MANIFEST = {
     "policy": _policy,
     "search": Kind({"templates": Req([_policy]), "lambda_grid": [float],
                     "lambda_range": [float], "trials_per_point": int, "objective": str,
-                    "boundaries": [int], "n_samples": int, "seed": int}),
+                    "boundaries": [int], "n_samples": int, "seed": int},
+                   tuner.SearchSpace),
     "range_test": Kind({"k_grid": Req([float]), "trial_budget": int, "tolerance": float}),
     "surface": {
         "quadratic": Kind({"a": Req([[float]])}, problems.Quadratic),
@@ -196,12 +197,19 @@ def _trial_context(doc: dict) -> tuner.TrialContext:
         task=task, optimizer=_read(doc, "optimizer", OptimizerSpec()), config=cfg)
 
 
+def _creatable(path: str) -> bool:
+    """Whether the nearest existing ancestor of path (or path itself) is a writable dir."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):  # the first write makes each missing level
+        existing = os.path.dirname(existing)
+    return os.path.isdir(existing) and os.access(existing, os.W_OK)
+
+
 def _open_db(args, doc: dict) -> store.PolicyStore:
     """The record store of --db or the manifest, checked appendable but not created."""
     path = store.resolve_db_path(args.db or _read(doc, "db", None))
-    parent = os.path.dirname(path) or "."
     if not (os.access(path, os.W_OK) if os.path.exists(path)
-            else os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            else _creatable(os.path.dirname(os.path.abspath(path)))):
         raise OSError(f"cannot append to record database {path}")
     return store.PolicyStore(path)
 
@@ -211,10 +219,7 @@ def _out_dir(doc: dict, override) -> str:
     path = override or _read(doc, "out_dir", None)
     if not path:
         raise ManifestError("out_dir is required (manifest key or --out-dir)")
-    existing = os.path.abspath(path)
-    while not os.path.exists(existing):  # the first artifact makes each missing level
-        existing = os.path.dirname(existing)
-    if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
+    if not _creatable(path):
         raise OSError(f"cannot write to output directory {path}")
     return path
 
@@ -264,6 +269,13 @@ def _write_json(path, obj):
         f.write("\n")
 
 
+def _write_trial(out_dir: str, trace: trainer.TrialTrace):
+    """One training run's artifacts: trace_train.csv, trace_eval.csv and outcome.json."""
+    trainer.write_train_csv(trace, _artifact(out_dir, "trace_train.csv"))
+    trainer.write_eval_csv(trace, _artifact(out_dir, "trace_eval.csv"))
+    _write_json(_artifact(out_dir, "outcome.json"), trace.outcome.to_dict())
+
+
 def _append_trial_records(db: store.PolicyStore, task_name: str,
                           result: tuner.TuneResult, stamp: str) -> int:
     count = 0
@@ -305,9 +317,7 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(doc, args.out_dir)
 
     trace = trainer.run_trial(ctx.model, ctx.task, policy, ctx.optimizer, cfg)
-    trainer.write_train_csv(trace, _artifact(out_dir, "trace_train.csv"))
-    trainer.write_eval_csv(trace, _artifact(out_dir, "trace_eval.csv"))
-    _write_json(_artifact(out_dir, "outcome.json"), trace.outcome.to_dict())
+    _write_trial(out_dir, trace)
 
     task_name = _task_name(doc, ctx, "min_cost" if cfg.target_accuracy else "max_accuracy")
     template, lam = schedule.split_lambda(policy)
@@ -357,36 +367,14 @@ def _print_leaderboard(result: tuner.TuneResult, limit: int = 10):
 def cmd_tune(args) -> int:
     doc = _load_manifest(args.manifest)
     ctx = _trial_context(doc)
-    search = _read(doc, "search")
-    for key in ("n_samples", "seed"):
-        if key in search and "lambda_range" not in search:
-            raise ManifestError(f"search.{key} applies only with lambda_range")
-    if "boundaries" in search and search.get("objective") == "min_cost":
-        raise ManifestError("search.objective min_cost does not apply with boundaries: "
-                            "each phase ranks by accuracy")
-    boundaries = search.pop("boundaries", None)
-    n_samples = search.pop("n_samples", None)
-    seed = search.pop("seed", ctx.config.seed)
-    if "lambda_range" in search:
-        if boundaries is not None or search.get("objective") == "min_cost":
-            raise ManifestError("search.lambda_range applies only to a max_accuracy search "
-                                "without boundaries, which samples it; give lambda_grid")
-        if "lambda_grid" in search:
-            raise ManifestError("search: give lambda_grid or lambda_range, not both")
-        if len(search["lambda_range"]) != 2:
-            raise ManifestError("search.lambda_range must be [low, high]")
-        if n_samples is None:
-            raise ManifestError("search.n_samples is required")
-    else:
-        search.setdefault("lambda_grid", (1.0,))
-    space = tuner.SearchSpace(**search)
+    space = _read(doc, "search")
     db = _open_db(args, doc)
     out_dir = _out_dir(doc, args.out_dir)
     task_name = _task_name(doc, ctx, space.objective)
     stamp = _now()
 
-    if boundaries is not None:
-        composite, phase_results = tuner.compose_search(space, ctx, boundaries)
+    if space.boundaries is not None:
+        composite, phase_results = tuner.compose_search(space, ctx)
         for i, result in enumerate(phase_results):
             tuner.write_leaderboard_csv(
                 result, _artifact(out_dir, f"leaderboard_phase{i}.csv"))
@@ -394,27 +382,20 @@ def cmd_tune(args) -> int:
         _write_json(_artifact(out_dir, "composite.json"),
                     schedule.policy_to_dict(composite))
         # confirmation run of the stitched policy over the full horizon
-        full_cfg = replace(ctx.config, budget=boundaries[-1])
+        full_cfg = replace(ctx.config, budget=space.boundaries[-1])
         trace = trainer.run_trial(ctx.model, ctx.task, composite, ctx.optimizer, full_cfg)
-        trainer.write_train_csv(trace, _artifact(out_dir, "trace_train.csv"))
-        trainer.write_eval_csv(trace, _artifact(out_dir, "trace_eval.csv"))
-        _write_json(_artifact(out_dir, "outcome.json"), trace.outcome.to_dict())
+        _write_trial(out_dir, trace)
         db.append(store.make_record(task_name, composite, 1.0, full_cfg.seed,
                                     trace.outcome, timestamp=stamp))
         for i, result in enumerate(phase_results):
-            start, end = boundaries[i], boundaries[i + 1]
+            start, end = space.boundaries[i], space.boundaries[i + 1]
             print(f"phase {i} [{start}:{end}) winner: "
                   f"{_short_policy(result.winner.policy())}")
         print(f"composite final accuracy {trace.outcome.final_accuracy:.4f}")
         print(f"outputs {out_dir}")
         return EXIT_OK
 
-    if space.objective == "min_cost":
-        result = tuner.cost_effective(space, ctx)
-    elif space.lambda_range is not None:
-        result = tuner.random_search(space, ctx, n_samples, seed)
-    else:
-        result = tuner.grid_search(space, ctx)
+    result = tuner.grid_search(space, ctx)
 
     tuner.write_leaderboard_csv(result, _artifact(out_dir, "leaderboard.csv"))
     _write_json(_artifact(out_dir, "tune_result.json"),

@@ -343,6 +343,8 @@ def _segments(name: str, segments):
         _need(seg.end > seg.start,
               f"segments[{i}] end ({seg.end}) must exceed start ({seg.start})")
         _closed(name, seg.policy)
+        require_horizon(seg.policy, seg.end - seg.start,
+                        f"segments[{i}] [{seg.start}, {seg.end}): ")
         prev_end = seg.end
 
 
@@ -438,6 +440,15 @@ def _horizon(policy: Policy):
     return _row(policy).horizon(policy)
 
 
+def require_horizon(policy, steps: int, where: str = ""):
+    """Raise PolicyError, prefixed by where, unless policy covers t = 0 .. steps - 1."""
+    end = _horizon(policy)
+    if end is not None and end < steps - 1:
+        base = _row(split_lambda(policy)[0])
+        raise PolicyError(f"{where}{base.name} {base.horizon_by} ends at t={end}, shorter "
+                          f"than a {steps}-step run (last step t={steps - 1})")
+
+
 def _closed_form(policy):
     form = _row(policy).closed_form
     if form is None:
@@ -496,11 +507,7 @@ def compile(policy: Policy, steps: int):
     the field, so a run fails before its first step.
     """
     form = _closed_form(policy)
-    end = _horizon(policy)
-    if end is not None and end < steps - 1:
-        base = _row(split_lambda(policy)[0])
-        raise PolicyError(f"{base.name} {base.horizon_by} ends at t={end}, shorter than "
-                          f"a {steps}-step run (last step t={steps - 1})")
+    require_horizon(policy, steps)
     return partial(form, policy)
 
 

@@ -15,11 +15,11 @@ and rank by the cached string, so a query never re-serializes a policy,
 and an append splices it into the new line instead of encoding the policy
 again.
 
-A store writes through one descriptor, opened `O_APPEND` at its first new
-record and closed when the store is garbage-collected; each line, newline
-included, goes out in one `write(2)`. When the path no longer names that
-file (it was removed or replaced), the store reopens the path first, so a
-record always lands in the file that is at the path now.
+A store writes through one descriptor, opened `O_APPEND` (making missing
+parent directories) at its first new record and closed when the store is
+garbage-collected; each line, newline included, goes out in one `write(2)`.
+When the path no longer names that file (it was removed or replaced), the
+store reopens the path first, so a record lands in the file at the path now.
 
 A partially written trailing line (interrupted writer) is skipped with a
 warning on load; corruption anywhere else is an error. A line that repeats
@@ -261,6 +261,7 @@ class PolicyStore:
         if not same_file:
             if self._close_fd is not None:
                 self._close_fd()
+            os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
             self._fd = fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             opened = os.fstat(fd)
             self._fd_id = (opened.st_dev, opened.st_ino)

@@ -139,10 +139,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
         if isinstance(policy, adaptive.PlateauPolicy):
             plateau[i] = adaptive.initial_state(policy)
             for j, sub in enumerate(getattr(policy, "policies", ())):
-                try:
-                    schedule.compile(sub, config.budget)
-                except schedule.PolicyError as e:
-                    raise schedule.PolicyError(f"PLATEAU_CHANGE policies[{j}]: {e}") from None
+                schedule.require_horizon(sub, config.budget, f"PLATEAU_CHANGE policies[{j}]: ")
             continue
         curve = schedule.compile(policy, config.budget)
         base = policy.base if type(policy) is schedule.Scaled else policy

@@ -1,10 +1,11 @@
-"""LR policy search: grid, random, LR range test, cost ranking, composition.
+"""LR policy search: grid, random, cost-to-target and phased search; LR range test.
 
-Every search is deterministic for a given (space, context): trial seeds
-derive from the context seed and cells are ranked by value with fixed tie
-breaks. All the trials of a search (or of one compose phase) train as one
-stacked population (`trainer.run_population`), whose rows are bit for bit
-the trials run alone.
+A `SearchSpace` holds a search and checks it when built; `grid_search` runs
+it over its lambda grid or drawn lambdas, `compose_search` phase by phase.
+Each is deterministic for a given (space, context): trial seeds derive from
+the context seed, cells rank by value with fixed tie breaks, and all the
+trials of a search (or of one compose phase) train as one stacked population
+(`trainer.run_population`), whose rows are bit for bit the trials run alone.
 """
 
 from __future__ import annotations
@@ -28,17 +29,50 @@ class AllDiverged(RuntimeError):
     """Every candidate trial diverged; there is nothing to rank."""
 
 
+def _check_draws(lambda_range, n):
+    """The rule for drawing n lambdas from lambda_range, for SearchSpace and draw_lambdas."""
+    if len(lambda_range) != 2:
+        raise PolicyError("lambda_range must be [low, high]")
+    if n is None:
+        raise PolicyError("n_samples is required")
+    low, high = lambda_range
+    if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
+        raise PolicyError(f"lambda_range must satisfy 0 < low <= high, "
+                          f"got {lambda_range!r}")
+    if n < 1:
+        raise PolicyError(f"n_samples must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class SearchSpace:
-    """Templates under a lambda grid (or a range to draw one from), checked when built."""
+    """Templates under lambdas, and how to search them; checked when built."""
 
     templates: tuple[Policy, ...]
-    lambda_grid: Optional[tuple[float, ...]] = None
-    lambda_range: Optional[tuple[float, float]] = None
+    lambda_grid: Optional[tuple[float, ...]] = None    # (1.0,) without lambda_range
+    lambda_range: Optional[tuple[float, float]] = None  # log-uniform, for n_samples draws
     trials_per_point: int = 1
     objective: str = "max_accuracy"  # or "min_cost"
+    n_samples: Optional[int] = None
+    seed: Optional[int] = None       # of the draws; None: the train seed
+    boundaries: Optional[tuple[int, ...]] = None  # [0, b1, ..., total]: phase by phase
 
     def __post_init__(self):
+        ranged = self.lambda_range is not None
+        for name in ("n_samples", "seed"):
+            if not ranged and getattr(self, name) is not None:
+                raise PolicyError(f"{name} applies only with lambda_range")
+        if self.boundaries is not None and self.objective == "min_cost":
+            raise PolicyError("objective min_cost does not apply with boundaries: "
+                              "each phase ranks by accuracy")
+        if ranged:
+            if self.boundaries is not None or self.objective == "min_cost":
+                raise PolicyError("lambda_range applies only to a max_accuracy search "
+                                  "without boundaries, which samples it; give lambda_grid")
+            if self.lambda_grid is not None:
+                raise PolicyError("give lambda_grid or lambda_range, not both")
+            _check_draws(self.lambda_range, self.n_samples)
+        elif self.lambda_grid is None:
+            object.__setattr__(self, "lambda_grid", (1.0,))
         if not self.templates:
             raise PolicyError("templates must be non-empty")
         if self.trials_per_point < 1:
@@ -46,14 +80,16 @@ class SearchSpace:
         if self.objective not in ("max_accuracy", "min_cost"):
             raise PolicyError(f"objective must be max_accuracy or min_cost, "
                               f"got {self.objective!r}")
-        if (self.lambda_grid is None) == (self.lambda_range is None):
-            raise PolicyError("give exactly one of lambda_grid and lambda_range")
-        if self.lambda_grid is not None and not self.lambda_grid:
+        if not ranged and not self.lambda_grid:
             raise PolicyError("lambda_grid must be non-empty")
         for lam in self.lambda_grid or ():
             if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
                 raise PolicyError(f"lambda_grid values must be positive and finite, "
                                   f"got {lam!r}")
+        b = self.boundaries
+        if b is not None and (len(b) < 2 or b[0] != 0
+                              or any(s >= e for s, e in zip(b, b[1:]))):
+            raise PolicyError(f"boundaries must start at 0 and strictly increase, got {b!r}")
 
 
 @dataclass(frozen=True)
@@ -103,11 +139,11 @@ def _apply_lambda(template: Policy, lam: float) -> Policy:
     return Scaled(lam=lam, base=template)
 
 
-def _grid_cells(space: SearchSpace) -> list[tuple[Policy, float]]:
-    """Every (template, lambda) of the grid, for the searches that sweep one."""
-    if space.lambda_grid is None:
-        raise PolicyError("this search needs lambda_grid")
-    return [(template, float(lam)) for template in space.templates for lam in space.lambda_grid]
+def _cells(space: SearchSpace, ctx: TrialContext) -> list[tuple[Policy, float]]:
+    """Every (template, lambda) of the space: its grid, or its draws under its seed."""
+    seed = ctx.config.seed if space.seed is None else space.seed
+    lams = space.lambda_grid or draw_lambdas(space.lambda_range, space.n_samples, seed)
+    return [(template, float(lam)) for template in space.templates for lam in lams]
 
 
 def _run_cells(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: str,
@@ -167,10 +203,10 @@ def _rank(entries: list[CellResult], objective: str) -> list[CellResult]:
 
 
 def grid_search(space: SearchSpace, ctx: TrialContext) -> TuneResult:
-    """Exhaustive sweep over templates x lambda_grid, ranked by the objective."""
+    """Sweep templates x the space's lambdas (grid or draws), ranked by the objective."""
     if space.objective == "min_cost" and ctx.config.target_accuracy is None:
         raise PolicyError("min_cost objective requires target_accuracy")
-    entries, _ = _run_cells(_grid_cells(space), ctx, space.objective,
+    entries, _ = _run_cells(_cells(space, ctx), ctx, space.objective,
                             space.trials_per_point)
     entries = _rank(entries, space.objective)
     if all(e.n_diverged == len(e.outcomes) for e in entries):
@@ -181,30 +217,10 @@ def grid_search(space: SearchSpace, ctx: TrialContext) -> TuneResult:
 
 def draw_lambdas(lambda_range: tuple[float, float], n: int, seed: int) -> list[float]:
     """n log-uniform draws from [low, high], deterministic in the seed."""
+    _check_draws(lambda_range, n)
     low, high = lambda_range
-    if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
-        raise PolicyError(f"lambda_range must satisfy 0 < low <= high, "
-                          f"got {lambda_range!r}")
-    if n < 1:
-        raise PolicyError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     return [float(v) for v in np.exp(rng.uniform(np.log(low), np.log(high), n))]
-
-
-def random_search(space: SearchSpace, ctx: TrialContext, n: int, seed: int) -> TuneResult:
-    """Grid search over n lambdas drawn log-uniformly from space.lambda_range."""
-    if space.lambda_range is None:
-        raise PolicyError("random_search needs lambda_range")
-    lams = draw_lambdas(space.lambda_range, n, seed)
-    drawn = replace(space, lambda_grid=tuple(lams), lambda_range=None)
-    return grid_search(drawn, ctx)
-
-
-def cost_effective(space: SearchSpace, ctx: TrialContext) -> TuneResult:
-    """Rank candidates by iterations needed to hit the context's target accuracy."""
-    if ctx.config.target_accuracy is None:
-        raise PolicyError("cost_effective requires target_accuracy in the config")
-    return grid_search(replace(space, objective="min_cost"), ctx)
 
 
 @dataclass
@@ -324,20 +340,17 @@ def compose_multi(boundaries, phase_results: list[TuneResult]) -> Composite:
     return Composite(segments=tuple(segments))
 
 
-def compose_search(space: SearchSpace, ctx: TrialContext,
-                   boundaries) -> tuple[Composite, list[TuneResult]]:
-    """Search each phase in turn, warm-starting from the previous winner.
+def compose_search(space: SearchSpace, ctx: TrialContext) -> tuple[Composite, list[TuneResult]]:
+    """Search each phase of space.boundaries in turn, warm-starting from the last winner.
 
     Phase i candidates all start from the parameters the phase i-1 winner
     ended with, so later phases are tuned against realistic late-stage
     behavior rather than a fresh init.
     """
-    cells = _grid_cells(space)
-    bounds = [int(b) for b in boundaries]
-    if len(bounds) < 2 or bounds[0] != 0 or any(b >= e for b, e in zip(bounds, bounds[1:])):
-        raise PolicyError(f"boundaries must start at 0 and strictly increase, "
-                          f"got {boundaries!r}")
-
+    bounds = space.boundaries
+    if bounds is None:
+        raise PolicyError("compose_search needs boundaries")
+    cells = _cells(space, ctx)
     # fail before phase 0 runs if a candidate cannot cover the longest phase
     longest = max(e - b for b, e in zip(bounds, bounds[1:]))
     for template, lam in cells:

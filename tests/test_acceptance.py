@@ -169,13 +169,13 @@ def test_criterion_06_cyclic_beats_fixed_to_target(moons_task):
     with criterion(6, "cyclic policy reaches 95% on moons with speedup > 1.2x "
                       "over the best fixed LR, under 2 min"):
         started = time.perf_counter()
-        fixed = tuner.cost_effective(
+        fixed = tuner.grid_search(
             SearchSpace(templates=(Fix(1e-4), Fix(1e-3), Fix(1e-2), Fix(0.1)),
-                        lambda_grid=(1.0,)), ctx)
-        cyclic = tuner.cost_effective(
+                        lambda_grid=(1.0,), objective="min_cost"), ctx)
+        cyclic = tuner.grid_search(
             SearchSpace(templates=(Tri2(k0=0.01, k1=0.6, l=250),
                                    Sin2(k0=0.01, k1=0.6, l=250)),
-                        lambda_grid=(1.0,)), ctx)
+                        lambda_grid=(1.0,), objective="min_cost"), ctx)
         cyc_best = cyclic.winner
         assert cyc_best.reached_target, "no cyclic policy reached the target"
         fix_best = fixed.winner
@@ -205,9 +205,9 @@ def test_criterion_07_curated_grid_matches_random_search(moons_task):
                 SearchSpace(templates=(template,), lambda_grid=curated),
                 ctx)
             grid_scores.append(grid.winner.metric_mean)
-            rand = tuner.random_search(
-                SearchSpace(templates=(template,), lambda_range=(0.001, 0.1)),
-                ctx, n=5, seed=100 + i)
+            rand = tuner.grid_search(
+                SearchSpace(templates=(template,), lambda_range=(0.001, 0.1),
+                            n_samples=5, seed=100 + i), ctx)
             random_scores.append(rand.winner.metric_mean)
         grid_mean = float(np.mean(grid_scores))
         random_mean = float(np.mean(random_scores))

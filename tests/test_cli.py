@@ -1,8 +1,10 @@
-"""End-to-end CLI runs through `python -m lrforge`, or `cli.main` where no trial runs."""
+"""End-to-end CLI runs, through `python -m lrforge` or `cli.main` in this process."""
 
 import json
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +74,34 @@ def assert_no_timing(out_dir, db):
             names = text.splitlines()[0].split(",")
         assert not [n for n in names if TIMING_NAME.search(n)], name
         assert not [v for v in values if v in text], name
+
+
+def readme_commands() -> list:
+    """Every `lr ...` command of README.md's sh blocks, in order, without the `lr`."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+        blocks = re.findall(r"```sh\n(.*?)```", f.read(), re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv[:1] == ["lr"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_tour_runs_in_a_fresh_checkout(tmp_path, monkeypatch, capsys):
+    shutil.copytree(os.path.join(REPO, "manifests"), tmp_path / "manifests")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LRFORGE_DB", raising=False)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["eval", "train", "tune", "tune", "range-test",
+                                              "top-k", "surface"]
+    for argv in commands:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0, (argv, err)
+        if argv[0] == "top-k":  # the tour queries a task that train and tune recorded
+            assert out.startswith("top 3 of "), out
 
 
 # --- eval ---
@@ -244,12 +274,13 @@ def test_nested_manifest_entries_are_checked(tmp_path, capsys, change, fragment)
 def test_unwritable_db_fails_before_any_artifact(tmp_path, capsys, command, section):
     manifest = write_manifest(tmp_path, **section)
     out = tmp_path / "out"
+    (tmp_path / "file").write_text("")
     code, err = lr(capsys, command, "--manifest", manifest, "--out-dir", out,
-                   "--db", tmp_path / "nodir" / "db.jsonl")
+                   "--db", tmp_path / "file" / "db.jsonl")
     assert code == 3
     assert "cannot append to record database" in err
     assert read_tree(out) == {}
-    assert not (tmp_path / "nodir").exists()
+    assert (tmp_path / "file").read_text() == ""
 
 
 MOMENTUM = {"optimizer": {"kind": "sgd", "momentum": 1.5}}
@@ -282,7 +313,7 @@ SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
     ("tune", {"search": {**FIX_GRID, "objective": "median"}},
      "objective must be max_accuracy or min_cost, got 'median'"),
     ("tune", {"search": {**FIX_GRID, "objective": "min_cost"}},
-     "cost_effective requires target_accuracy"),
+     "min_cost objective requires target_accuracy"),
     ("tune", {"search": {**FIX_GRID, "boundaries": [0, 50, 40]}},
      "boundaries must start at 0 and strictly increase"),
     ("range-test", {"range_test": {"k_grid": [0.1, 0.1]}}, "k_grid values must be distinct"),
@@ -313,6 +344,18 @@ def test_out_dir_is_made_at_the_first_artifact(tmp_path, capsys):
                    "--out-dir", tmp_path / "file" / "out")
     assert code == 3
     assert "cannot write to output directory" in err
+
+
+def test_db_parents_are_made_at_the_first_append(tmp_path, capsys):
+    db = tmp_path / "a" / "b" / "db.jsonl"
+    bad = write_manifest(tmp_path, name="bad.json", **MOMENTUM)
+    assert lr(capsys, "train", "--manifest", bad, "--out-dir", tmp_path / "out",
+              "--db", db)[0] == 2
+    assert not (tmp_path / "a").exists()
+    manifest = write_manifest(tmp_path)
+    assert lr(capsys, "train", "--manifest", manifest, "--out-dir", tmp_path / "out",
+              "--db", db)[0] == 0
+    assert len(db.read_text().splitlines()) == 1
 
 
 def _table_keys(path, type_, kind=""):
@@ -347,6 +390,21 @@ def test_readme_manifest_table_names_every_key():
     assert documented == table
 
 
+def test_multi_segment_that_outlives_its_policy_fails_before_training(tmp_path, capsys):
+    with open(os.path.join(REPO, "manifests", "train_moons.json"), encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["policy"] = {"family": "MULTI", "params": {"segments": [
+        {"start": 0, "end": 2000,
+         "policy": {"family": "COSINE", "params": {"k": 0.1, "t_max": 50}}}]}}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    code, err = lr(capsys, "train", "--manifest", manifest, "--out-dir", tmp_path / "out",
+                   "--db", tmp_path / "db.jsonl")
+    assert code == 2
+    assert "policy: segments[0] [0, 2000): COSINE t_max ends at t=50" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "db.jsonl").exists()
+
+
 def test_plateau_field_of_the_wrong_type_is_a_validation_error(tmp_path):
     manifest = write_manifest(tmp_path, policy={
         "family": "PLATEAU_REDUCE", "params": {"k": "0.1", "factor": 0.5, "patience": 1}})
@@ -370,10 +428,10 @@ def tune_manifest(tmp_path, **extra):
 
 
 @pytest.mark.parametrize("extra, fragment", [
-    ({"n_samples": 5}, "search.n_samples applies only with lambda_range"),
-    ({"seed": 9}, "search.seed applies only with lambda_range"),
+    ({"n_samples": 5}, "search: n_samples applies only with lambda_range"),
+    ({"seed": 9}, "search: seed applies only with lambda_range"),
     ({"boundaries": [0, 30, 60], "objective": "min_cost"},
-     "search.objective min_cost does not apply with boundaries"),
+     "search: objective min_cost does not apply with boundaries"),
 ])
 def test_search_keys_the_mode_never_reads_are_rejected(tmp_path, capsys, extra, fragment):
     manifest = tune_manifest(tmp_path, **extra)
@@ -385,9 +443,9 @@ def test_search_keys_the_mode_never_reads_are_rejected(tmp_path, capsys, extra, 
 
 
 @pytest.mark.parametrize("extra, fragment", [
-    ({"objective": "min_cost"}, "search.lambda_range applies only"),
-    ({"boundaries": [0, 30, 60]}, "search.lambda_range applies only"),
-    ({"n_samples": None}, "search.n_samples is required"),
+    ({"objective": "min_cost"}, "search: lambda_range applies only"),
+    ({"boundaries": [0, 30, 60]}, "search: lambda_range applies only"),
+    ({"n_samples": None}, "search: n_samples is required"),
 ])
 def test_unreadable_lambda_range_fails_before_any_side_effect(tmp_path, capsys, extra,
                                                               fragment):

@@ -194,6 +194,22 @@ def test_composite_past_horizon_is_an_error():
         lr_at(p, 10)
 
 
+def test_segment_that_outlives_its_policy_is_rejected_when_built():
+    # local t runs 0 .. 69 in [10, 80), past POLY's t_max of 50
+    with pytest.raises(PolicyError, match=r"segments\[1\] \[10, 80\): POLY t_max ends at "
+                                          r"t=50, shorter than a 70-step run"):
+        Composite(segments=(Segment(0, 10, Fix(k=0.1)),
+                            Segment(10, 80, Poly(k=0.1, p=1.0, t_max=50))))
+    with pytest.raises(PolicyError, match=r"segments\[0\] \[0, 2000\): COSINE t_max"):
+        schedule.policy_from_dict({"family": "MULTI", "params": {"segments": [
+            {"start": 0, "end": 2000,
+             "policy": {"family": "COSINE", "params": {"k": 0.1, "t_max": 50}}}]}})
+    # a horizon that reaches the segment's last local step is enough
+    p = Composite(segments=(Segment(0, 10, Fix(k=0.1)),
+                            Segment(10, 61, Poly(k=0.1, p=1.0, t_max=50))))
+    assert lr_at(p, 60) == 0.0
+
+
 def test_scaled_is_exact_product():
     base = Tri(k0=0.01, k1=0.11, l=7)
     for t in (0, 3, 11, 500):

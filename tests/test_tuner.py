@@ -19,10 +19,8 @@ from lrforge.tuner import (
     TuneResult,
     compose_multi,
     compose_search,
-    cost_effective,
     draw_lambdas,
     grid_search,
-    random_search,
     range_test,
     tune_result_to_dict,
     write_leaderboard_csv,
@@ -78,12 +76,12 @@ def test_speedup_is_none_for_accuracy_objective(blobs_ctx):
 
 
 def test_cost_effective_requires_a_target(blobs_ctx):
-    space = SearchSpace(templates=(Fix(0.1),), lambda_grid=(1.0,))
+    space = SearchSpace(templates=(Fix(0.1),), lambda_grid=(1.0,), objective="min_cost")
     with pytest.raises(PolicyError, match="target_accuracy"):
-        cost_effective(space, blobs_ctx)
+        grid_search(space, blobs_ctx)
     ctx = TrialContext(blobs_ctx.model, blobs_ctx.task, blobs_ctx.optimizer,
                        replace(blobs_ctx.config, target_accuracy=0.8))
-    result = cost_effective(space, ctx)
+    result = grid_search(space, ctx)
     assert result.objective == "min_cost"
 
 
@@ -110,14 +108,33 @@ def test_space_validation(blobs_ctx):
                                 objective="median"), blobs_ctx)
 
 
-def test_space_takes_exactly_one_of_grid_and_range(blobs_ctx):
-    for lams in ({}, {"lambda_grid": (1.0,), "lambda_range": (0.1, 1.0)}):
-        with pytest.raises(PolicyError, match="exactly one of lambda_grid and lambda_range"):
-            SearchSpace(templates=(Fix(0.1),), **lams)
-    ranged = SearchSpace(templates=(Fix(0.1),), lambda_range=(0.1, 1.0))
-    for search in (grid_search, lambda s, c: compose_search(s, c, [0, 50])):
-        with pytest.raises(PolicyError, match="needs lambda_grid"):
-            search(ranged, blobs_ctx)
+def test_space_takes_exactly_one_of_grid_and_range():
+    with pytest.raises(PolicyError, match="give lambda_grid or lambda_range, not both"):
+        SearchSpace(templates=(Fix(0.1),), lambda_grid=(1.0,), lambda_range=(0.1, 1.0),
+                    n_samples=2)
+    default = SearchSpace(templates=(Fix(0.1),))
+    assert default.lambda_grid == (1.0,) and default.lambda_range is None
+    ranged = SearchSpace(templates=(Fix(0.1),), lambda_range=(0.1, 1.0), n_samples=2)
+    assert ranged.lambda_grid is None
+
+
+@pytest.mark.parametrize("fields, fragment", [
+    ({"lambda_range": (0.1, 1.0), "n_samples": 2, "boundaries": (0, 50)},
+     "lambda_range applies only"),
+    ({"lambda_range": (0.1, 1.0), "n_samples": 2, "objective": "min_cost"},
+     "lambda_range applies only"),
+    ({"lambda_range": (0.1, 1.0)}, "n_samples is required"),
+    ({"lambda_range": (0.1, 1.0), "n_samples": 0}, "n_samples must be >= 1"),
+    ({"lambda_range": (0.1, 1.0, 2.0), "n_samples": 2}, r"lambda_range must be \[low, high\]"),
+    ({"lambda_range": (1.0, 0.1), "n_samples": 2}, "0 < low <= high"),
+    ({"n_samples": 2}, "n_samples applies only with lambda_range"),
+    ({"seed": 3}, "seed applies only with lambda_range"),
+    ({"boundaries": (0, 50), "objective": "min_cost"},
+     "objective min_cost does not apply with boundaries"),
+])
+def test_space_checks_every_search_rule_when_built(fields, fragment):
+    with pytest.raises(PolicyError, match=fragment):
+        SearchSpace(templates=(Fix(0.1),), **fields)
 
 
 def test_lambda_scaling_rejects_metric_driven_policies(blobs_ctx):
@@ -142,19 +159,22 @@ def test_draw_lambdas_validation():
     for bad in ((0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, float("inf"))):
         with pytest.raises(PolicyError, match="lambda_range"):
             draw_lambdas(bad, n=3, seed=0)
-    with pytest.raises(PolicyError, match="n must be"):
+    with pytest.raises(PolicyError, match="n_samples must be"):
         draw_lambdas((0.1, 1.0), n=0, seed=0)
 
 
 def test_random_search_is_grid_search_on_the_draws(blobs_ctx):
-    space = SearchSpace(templates=(Fix(0.1),), lambda_range=(0.01, 1.0))
-    result = random_search(space, blobs_ctx, n=3, seed=11)
+    space = SearchSpace(templates=(Fix(0.1),), lambda_range=(0.01, 1.0), n_samples=3,
+                        seed=11)
+    result = grid_search(space, blobs_ctx)
     lams = draw_lambdas((0.01, 1.0), n=3, seed=11)
-    manual = grid_search(replace(space, lambda_grid=tuple(lams), lambda_range=None),
+    manual = grid_search(SearchSpace(templates=(Fix(0.1),), lambda_grid=tuple(lams)),
                          blobs_ctx)
     assert tune_result_to_dict(result) == tune_result_to_dict(manual)
-    with pytest.raises(PolicyError, match="lambda_range"):
-        random_search(SearchSpace(templates=(Fix(0.1),)), blobs_ctx, n=3, seed=0)
+    # without a seed of its own, the space draws under the train seed
+    unseeded = grid_search(replace(space, seed=None), blobs_ctx)
+    drawn = draw_lambdas((0.01, 1.0), n=3, seed=blobs_ctx.config.seed)
+    assert sorted(cell.lam for cell in unseeded.entries) == sorted(drawn)
 
 
 # --- range test ---
@@ -263,8 +283,9 @@ def test_compose_multi_applies_the_winning_lambda():
 def test_compose_search_runs_phases_and_warm_starts(blobs_ctx):
     # lambda 1e-6 freezes learning; in phase 2 it still scores high only
     # because every phase-2 candidate starts from the phase-1 winner.
-    space = SearchSpace(templates=(Fix(0.05),), lambda_grid=(1.0, 1e-6))
-    composite, results = compose_search(space, blobs_ctx, [0, 100, 200])
+    space = SearchSpace(templates=(Fix(0.05),), lambda_grid=(1.0, 1e-6),
+                        boundaries=(0, 100, 200))
+    composite, results = compose_search(space, blobs_ctx)
     assert len(results) == 2
     assert all(r.budget == 100 for r in results)
     assert [(s.start, s.end) for s in composite.segments] == [(0, 100), (100, 200)]
@@ -279,10 +300,11 @@ def test_compose_search_runs_phases_and_warm_starts(blobs_ctx):
 
 
 def test_compose_search_boundary_validation(blobs_ctx):
-    space = SearchSpace(templates=(Fix(0.05),), lambda_grid=(1.0,))
     for bad in ([0], [1, 2], [0, 50, 50], [0, 60, 30]):
         with pytest.raises(PolicyError, match="boundaries"):
-            compose_search(space, blobs_ctx, bad)
+            SearchSpace(templates=(Fix(0.05),), lambda_grid=(1.0,), boundaries=bad)
+    with pytest.raises(PolicyError, match="needs boundaries"):
+        compose_search(SearchSpace(templates=(Fix(0.05),)), blobs_ctx)
 
 
 def test_compose_search_rejects_a_short_horizon_before_phase_0(blobs_ctx, monkeypatch):
@@ -291,9 +313,9 @@ def test_compose_search_rejects_a_short_horizon_before_phase_0(blobs_ctx, monkey
     monkeypatch.setattr(trainer, "forward_loss_grad",
                         lambda *a: steps.append(1) or forward_loss_grad(*a))
     space = SearchSpace(templates=(Fix(0.05), Poly(k=0.1, p=1.0, t_max=150)),
-                        lambda_grid=(1.0,))
+                        lambda_grid=(1.0,), boundaries=(0, 100, 400))
     with pytest.raises(PolicyError, match="POLY t_max"):
-        compose_search(space, blobs_ctx, [0, 100, 400])
+        compose_search(space, blobs_ctx)
     assert steps == []
 
 
