@@ -50,7 +50,8 @@ class Kind(NamedTuple):
     """A JSON object that takes only these keys, built from the ones it gives.
 
     `keys` maps each key to its type: a Python type (a float key takes an
-    int, a bool is never a number), `[t]` for a list of t, a `Kind`, a dict
+    int, a bool is never a number, no number is NaN, infinite or past the
+    float range), `[t]` for a list of t, a `Kind`, a dict
     of kind name -> `Kind` for an object picked by its "kind" key, or a
     function (value, where) -> value. `Req(t)` marks a required key. Only
     the keys present reach `build`, so every default is the constructor's own.
@@ -67,11 +68,19 @@ def _policy(value, where: str):
         raise ManifestError(f"{where}: {e}") from None
 
 
+def _file_name(value, where: str) -> str:
+    """A name that becomes part of a file name: no path separator, no NUL."""
+    value = _check(value, str, where)
+    if any(c in value for c in ("\0", os.sep, os.altsep or os.sep)):
+        raise ManifestError(f"{where} must be a plain file name, got {value!r}")
+    return value
+
+
 def _named_policy(value, where: str) -> dict:
     """A `policies` entry: {"name", "policy"}, or a bare policy named by its family."""
     if not (isinstance(value, dict) and "policy" in value):
         value = {"policy": value}
-    return _check(value, Kind({"name": str, "policy": Req(_policy)}), where)
+    return _check(value, Kind({"name": _file_name, "policy": Req(_policy)}), where)
 
 
 #: Every top-level manifest key. A command reads the keys it needs and
@@ -155,8 +164,13 @@ def _check(value, type_, where: str, **context):
         return tuple(_check(v, type_[0], f"{where}[{i}]") for i, v in enumerate(value))
     if not isinstance(type_, type):
         return type_(value, where)
-    if type_ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if type_ in (int, float) and type(value) in (int, float):
+        # the one gate for a manifest number: json reads NaN, Infinity and 1e400
+        # (as inf), none of them JSON, and an int past the float range is no float
+        if not abs(value) <= sys.float_info.max:
+            raise ManifestError(f"{where} must be a finite number, got {value!r}")
+        if type_ is float:
+            value = float(value)
     if not isinstance(value, type_) or isinstance(value, bool) and type_ is not bool:
         raise ManifestError(f"{where} has the wrong type: {value!r}")
     return value
@@ -375,6 +389,9 @@ def cmd_tune(args) -> int:
 
     if space.boundaries is not None:
         composite, phase_results = tuner.compose_search(space, ctx)
+        # composite.json flattens each winner's nested lambdas to one product,
+        # which rounds differently: train and record the policy the file holds
+        composite = schedule.policy_from_dict(schedule.policy_to_dict(composite))
         for i, result in enumerate(phase_results):
             tuner.write_leaderboard_csv(
                 result, _artifact(out_dir, f"leaderboard_phase{i}.csv"))

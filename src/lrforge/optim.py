@@ -45,8 +45,10 @@ class OptimizerSpec:
         elif self.kind == "adam":
             if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
                 raise ValueError(f"betas must be in [0, 1), got {self.beta1!r}, {self.beta2!r}")
-            if self.eps <= 0:
+            if not self.eps > 0:
                 raise ValueError(f"eps must be > 0, got {self.eps!r}")
+            if self.eps == math.inf:
+                raise ValueError("eps must be finite, got inf")
         else:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
 

@@ -7,6 +7,7 @@ seed: two calls with the same arguments produce identical arrays.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class Well:
     def __post_init__(self):
         if len(self.center) != 2:
             raise ValueError(f"center must have 2 coordinates, got {len(self.center)}")
-        if self.depth <= 0 or self.width <= 0:
-            raise ValueError(f"well depth and width must be > 0, got {self}")
+        if not (0 < self.depth < math.inf and 0 < self.width < math.inf):
+            raise ValueError(f"well depth and width must be finite and > 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,8 @@ def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
     """Two interleaving half-circle arcs with Gaussian coordinate noise."""
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise!r}")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     n_outer = n // 2
     n_inner = n - n_outer

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, partial
@@ -271,7 +272,8 @@ def _need(cond: bool, msg: str):
 def _finite(name: str, value) -> float:
     _need(isinstance(value, (int, float)) and not isinstance(value, bool),
           f"{name} must be a number, got {value!r}")
-    _need(math.isfinite(value), f"{name} must be finite, got {value!r}")
+    # false for nan and inf, and for an int past the float range
+    _need(abs(value) <= sys.float_info.max, f"{name} must be finite, got {value!r}")
     return float(value)
 
 

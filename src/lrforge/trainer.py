@@ -12,12 +12,14 @@ one optimizer update over every trial still running. Each row gets
 exactly the floats it would get alone, so how trials are grouped never
 changes a result; `run_trial` is a population of one.
 
-A search's trials are a few templates under many lambdas, so each step
-evaluates every distinct base curve once and multiplies by a column of
-lambdas: `Scaled` is exactly lam * base(t), one multiply, which numpy
-rounds as Python does. Plateau policies, and steps where a base curve
-gives an integer, go through each row's own LR instead, keeping integer
-LRs integers.
+Every row reads its LR from one source: a search's trials are a few
+templates under many lambdas, so each distinct base curve is one source,
+shared by the trials under it, and each plateau trial is its own. A step
+evaluates every source once, and a row's LR is its lambda (1 when
+unscaled) times its source's value: `Scaled` is exactly lam * base(t), one
+multiply, which numpy rounds as Python does. An integer value under an
+integer lambda, or none, is an integer LR, as in Python; the product is
+taken in floats, exact for integers below 2**53.
 
 Divergence (a non-finite loss, gradient or learning rate) is a first-class
 outcome, not an exception: the trial stops and the trace is marked
@@ -113,7 +115,7 @@ class TrialTrace:
 
 
 def epoch_length(n_train: int, batch_size: int) -> int:
-    return math.ceil(n_train / batch_size)
+    return -(-n_train // batch_size)
 
 
 def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple],
@@ -130,32 +132,29 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     """
     policies = [policy for policy, _ in trials]
     plateau = {}  # trial index -> adaptive state
-    # closed-form trials: the distinct base curves, which curve each trial
-    # reads, and the lambda of those under a Scaled layer
-    curves, curve_of, lams = [], {}, {}
-    base_of = np.zeros(len(trials), dtype=np.intp)
+    # the LR sources (t -> value), which source each trial reads, its lambda,
+    # and whether an integer value stays an integer under that lambda
+    sources, source_of = [], {}
+    src = np.zeros(len(trials), dtype=np.intp)
     lam_col = np.ones(len(trials))
+    int_lam = np.ones(len(trials), dtype=bool)
     for i, policy in enumerate(policies):
         if isinstance(policy, adaptive.PlateauPolicy):
             plateau[i] = adaptive.initial_state(policy)
             for j, sub in enumerate(getattr(policy, "policies", ())):
                 schedule.require_horizon(sub, config.budget, f"PLATEAU_CHANGE policies[{j}]: ")
+            src[i] = len(sources)
+            sources.append(lambda t, i=i: adaptive.current_lr(plateau[i], policies[i], t))
             continue
         curve = schedule.compile(policy, config.budget)
         base = policy.base if type(policy) is schedule.Scaled else policy
-        if id(base) not in curve_of:
-            curve_of[id(base)] = len(curves)
-            curves.append(curve if base is policy else schedule.compile(base, config.budget))
-        base_of[i] = curve_of[id(base)]
+        if id(base) not in source_of:
+            source_of[id(base)] = len(sources)
+            sources.append(curve if base is policy else schedule.compile(base, config.budget))
+        src[i] = source_of[id(base)]
         if base is not policy:
-            lams[i] = lam_col[i] = policy.lam
-
-    def lr_of(i: int, t: int, values: list):
-        """Trial i's LR at step t, given every base curve's value there."""
-        if i in plateau:
-            return adaptive.current_lr(plateau[i], policies[i], t)
-        value = values[base_of[i]]
-        return lams[i] * value if i in lams else value
+            lam_col[i] = policy.lam
+            int_lam[i] = type(policy.lam) is int
 
     train, budget, bs = task.train, config.budget, config.batch_size
     n = train.features.shape[0]
@@ -226,17 +225,13 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
             order = np.stack([rng.permutation(n) for rng in rngs])
         lo = (t % ep_len) * bs
         batch = order[:, lo:lo + bs].take(group, axis=0)
-        values = [curve(t) for curve in curves]
-        if plateau or int in map(type, values):  # the per-row path keeps int LRs int
-            lrs = [lr_of(i, t, values) for i in ids.tolist()]
-            if int in map(type, lrs):
-                for i, lr in zip(ids.tolist(), lrs):
-                    if type(lr) is int:
-                        int_lr_steps.setdefault(i, []).append(t)
-            lr_col = np.array(lrs, dtype=float)[:, None]
-        else:
-            with np.errstate(over="ignore"):
-                lr_col = (lam_col[ids] * np.array(values)[base_of[ids]])[:, None]
+        values = [source(t) for source in sources]
+        with np.errstate(over="ignore"):
+            lr_col = (lam_col[ids] * np.array(values, dtype=float)[src[ids]])[:, None]
+        if int in map(type, values):
+            int_src = np.array([type(value) is int for value in values])
+            for i in ids[int_lam[ids] & int_src[src[ids]]].tolist():
+                int_lr_steps.setdefault(i, []).append(t)
 
         loss, grad, _ = forward_loss_grad(model_spec, params,
                                           train.features.take(batch, axis=0),
@@ -322,7 +317,7 @@ def run_surface_trial(surface: Surface, start, policy,
     step, so a horizon-bound one must cover every step, even if the path
     would diverge before reaching its horizon.
     """
-    lr_of = schedule.compile(policy, iterations)
+    curve = schedule.compile(policy, iterations)
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     point = np.asarray(start, dtype=float)
@@ -334,7 +329,7 @@ def run_surface_trial(surface: Surface, start, policy,
     path = SurfacePath(iterations=[0], points=[point.copy()], values=[value],
                        diverged=False)
     for t in range(iterations):
-        lr = lr_of(t)
+        lr = curve(t)
         if not (math.isfinite(value) and np.isfinite(grad).all() and math.isfinite(lr)):
             path.diverged = True
             return path

@@ -1,5 +1,6 @@
-"""Independent references: closed forms for the policy families, and the
-plain-reduction loss and gradient of a model stack.
+"""Independent references: closed forms for the policy families, the
+plain-reduction loss and gradient of a model stack, and a plain training
+loop over one trial.
 
 Each evaluator here recomputes the curve with different algebra than the
 library: integer phase reduction instead of the floor/abs carrier,
@@ -19,7 +20,8 @@ import math
 
 import numpy as np
 
-from lrforge.model import views
+from lrforge import adaptive, schedule
+from lrforge.model import init_params, views
 from lrforge.schedule import (
     Composite,
     CosineDecay,
@@ -209,3 +211,89 @@ def ref_forward_loss_grad(spec, params, x, y):
             if i > 1:
                 delta = (delta @ np.swapaxes(p[f"W{i}"], -1, -2)) * (hidden[i - 2] > 0)
     return loss, grad, accuracy
+
+
+# --- one trial, one step at a time ---
+
+
+def _ref_update(opt_spec, params, grad, lr, moments: list, t: int):
+    """One update of one parameter vector by the formulas in `optim`'s
+    docstring; moments are updated in place, t counts from 1."""
+    if opt_spec.kind == "sgd":
+        moments[0] = opt_spec.momentum * moments[0] + grad
+        return params - lr * moments[0]
+    b1, b2 = opt_spec.beta1, opt_spec.beta2
+    moments[0] = b1 * moments[0] + (1 - b1) * grad
+    moments[1] = b2 * moments[1] + (1 - b2) * grad * grad
+    m_hat = moments[0] / (1 - b1 ** t)
+    v_hat = moments[1] / (1 - b2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + opt_spec.eps)
+
+
+def ref_run_trial(spec, task, policy, opt_spec, config, init=None) -> dict:
+    """One trial by the rules `trainer.run_trial` documents, in a plain loop.
+
+    The test split is evaluated at iteration 0, every eval_every steps (once
+    per epoch when None) and at the budget. A step whose loss, gradient or
+    LR is not finite ends the trial as diverged, after an evaluation of the
+    params it started from, at t + 1; an evaluation that meets the target
+    ends it too. Each epoch draws one permutation of the train split from
+    the seed's stream. LRs come from `schedule.lr_at` or, for a plateau
+    policy, `adaptive`, and keep their Python type.
+
+    Returns the step LRs (a list) and losses (an array), the evaluations as
+    (iteration, accuracy) pairs, the outcome as `TrialOutcome.to_dict` gives
+    it, and the final params.
+    """
+    train, test, budget, bs = task.train, task.test, config.budget, config.batch_size
+    n = train.features.shape[0]
+    epoch = -(-n // bs)
+    eval_every = config.eval_every or epoch
+    target = config.target_accuracy
+    rng = np.random.default_rng(config.seed)
+    params = (init_params(spec, config.seed) if init is None else init).copy()
+    moments = [np.zeros_like(params) for _ in range(1 if opt_spec.kind == "sgd" else 2)]
+    state = (adaptive.initial_state(policy)
+             if isinstance(policy, adaptive.PlateauPolicy) else None)
+    lrs, losses, evals = [], [], []
+
+    def evaluate(t: int) -> float:
+        acc = float(ref_forward_loss_grad(spec, params[None], test.features,
+                                          test.labels)[2][0])
+        evals.append((t, acc))
+        return acc
+
+    def finish(t: int, diverged: bool, to_target):
+        accs = [acc for _, acc in evals]
+        return {"lrs": lrs, "losses": np.array(losses, dtype=float), "evals": evals,
+                "outcome": {"final_accuracy": accs[-1], "best_accuracy": max(accs),
+                            "iterations_run": t, "iterations_to_target": to_target,
+                            "diverged": diverged},
+                "final_params": params}
+
+    acc = evaluate(0)
+    if target is not None and acc >= target:
+        return finish(0, False, 0)
+    for t in range(budget):
+        if t % epoch == 0:
+            order = rng.permutation(n)
+        batch = order[(t % epoch) * bs:(t % epoch + 1) * bs]
+        lr = (schedule.lr_at(policy, t) if state is None
+              else adaptive.current_lr(state, policy, t))
+        loss, grad, _ = ref_forward_loss_grad(spec, params[None], train.features[batch][None],
+                                              train.labels[batch][None])
+        loss, grad = loss[0], grad[0]
+        lrs.append(lr)
+        losses.append(loss)
+        if not (np.isfinite(loss) and np.isfinite(grad).all() and math.isfinite(lr)):
+            evaluate(t + 1)
+            return finish(t + 1, True, None)
+        params = _ref_update(opt_spec, params, grad, lr, moments, t + 1)
+        if (t + 1) % eval_every == 0 or t + 1 == budget:
+            acc = evaluate(t + 1)
+            if state is not None:
+                metric = loss if policy.monitor == "train_loss" else acc
+                state, _ = adaptive.observe(state, policy, float(metric), t=t + 1)
+            if target is not None and acc >= target:
+                return finish(t + 1, False, t + 1)
+    return finish(budget, False, None)

@@ -334,6 +334,41 @@ def test_bad_input_leaves_no_out_dir_and_no_db(tmp_path, capsys, command, sectio
     assert not (tmp_path / "out").exists() and not (tmp_path / "db.jsonl").exists()
 
 
+TRAIN_MOONS = os.path.join(REPO, "manifests", "train_moons.json")
+HUGE = "9" * 400  # an integer past the float range
+
+
+@pytest.mark.parametrize("old, new, fragment", [
+    ('{"kind": "sgd"}', '{"kind": "adam", "eps": NaN}',
+     "optimizer.eps must be a finite number, got nan"),
+    ('{"kind": "sgd"}', '{"kind": "adam", "eps": Infinity}',
+     "optimizer.eps must be a finite number, got inf"),
+    ('"noise": 0.2', '"noise": 1e400', "dataset.noise must be a finite number, got inf"),
+    ('"noise": 0.2', f'"noise": {HUGE}', "dataset.noise must be a finite number, got 999"),
+    ('"batch_size": 32', f'"batch_size": {HUGE}', "train.batch_size must be a finite number"),
+], ids=["nan-eps", "infinite-eps", "1e400-noise", "huge-int-noise", "huge-int-batch-size"])
+def test_a_number_that_is_no_finite_float_fails_before_any_side_effect(tmp_path, capsys,
+                                                                       old, new, fragment):
+    with open(TRAIN_MOONS, encoding="utf-8") as f:
+        text = f.read()
+    assert old in text
+    manifest = tmp_path / "m.json"
+    manifest.write_text(text.replace(old, new))
+    code, err = lr(capsys, "train", "--manifest", manifest, "--out-dir", tmp_path / "out",
+                   "--db", tmp_path / "db.jsonl")
+    assert code == 2
+    assert fragment in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "db.jsonl").exists()
+
+
+def test_eval_rejects_a_policy_number_past_the_float_range(tmp_path, capsys):
+    code, err = lr(capsys, "eval", "--policy", f'{{"family": "FIX", "params": {{"k": {HUGE}}}}}',
+                   "--t-max", "4", "--out", tmp_path / "curve.csv")
+    assert code == 2
+    assert "k must be finite, got 999" in err
+    assert not (tmp_path / "curve.csv").exists()
+
+
 def test_out_dir_is_made_at_the_first_artifact(tmp_path, capsys):
     manifest = write_manifest(tmp_path, **SURFACE)
     out = tmp_path / "a" / "b"
@@ -517,6 +552,32 @@ def test_tune_with_boundaries_writes_a_composite(tmp_path):
     assert_no_timing(tmp_path / "out", tmp_path / "db.jsonl")
 
 
+def test_composite_json_is_the_policy_the_confirmation_run_trained(tmp_path, capsys):
+    # templates with their own lambda make nested Scaled winners, which
+    # composite.json writes with one lambda, their product
+    with open(os.path.join(REPO, "manifests", "compose_moons.json"), encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["search"].update(lambda_grid=[0.7, 3.0], templates=[
+        {"family": "FIX", "params": {"k": 0.3}, "lambda": 0.1},
+        {"family": "TRI", "params": {"k0": 0.1, "k1": 0.7, "l": 100}, "lambda": 0.3}])
+    compose = tmp_path / "compose.json"
+    compose.write_text(json.dumps(doc))
+    assert lr(capsys, "tune", "--manifest", compose, "--out-dir", tmp_path / "tune",
+              "--db", tmp_path / "db.jsonl")[0] == 0
+    tuned = read_tree(tmp_path / "tune")
+
+    train = {key: doc[key] for key in ("dataset", "model", "optimizer")}
+    train["train"] = {**doc["train"], "budget": doc["search"]["boundaries"][-1]}
+    train["policy"] = json.loads(tuned["composite.json"])
+    manifest = tmp_path / "train.json"
+    manifest.write_text(json.dumps(train))
+    assert lr(capsys, "train", "--manifest", manifest, "--out-dir", tmp_path / "train",
+              "--db", tmp_path / "db.jsonl")[0] == 0
+    trained = read_tree(tmp_path / "train")
+    for name in ("trace_train.csv", "trace_eval.csv", "outcome.json"):
+        assert trained[name] == tuned[name], name
+
+
 # --- range-test ---
 
 
@@ -614,3 +675,16 @@ def test_surface_rejects_a_metric_driven_policy_before_tracing(tmp_path):
     assert proc.returncode == 2
     assert "PLATEAU_REDUCE has no closed form" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sub/nstep", "nst\0ep"])
+def test_surface_policy_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    with open(ESCAPE_MANIFEST, encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["policies"][1]["name"] = name
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, err = lr(capsys, "surface", "--manifest", path, "--out-dir", tmp_path / "out")
+    assert code == 2
+    assert f"policies[1].name must be a plain file name, got {name!r}" in err
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 """Optimizer update rules against hand-computed steps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,8 @@ def test_init_validation():
                              ({"kind": "adam", "beta1": 1.0}, "betas must be in"),
                              ({"kind": "adam", "beta2": -0.1}, "betas must be in"),
                              ({"kind": "adam", "eps": 0.0}, "eps must be > 0"),
+                             ({"kind": "adam", "eps": math.nan}, "eps must be > 0, got nan"),
+                             ({"kind": "adam", "eps": math.inf}, "eps must be finite"),
                              ({"kind": "lbfgs"}, "unknown optimizer kind 'lbfgs'")):
         with pytest.raises(ValueError, match=fragment):
             OptimizerSpec(**kwargs)

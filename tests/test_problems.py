@@ -165,6 +165,15 @@ def test_moons_validation():
         gen_moons(seed=0, n=10, noise=-0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constructors_reject_non_finite_values(bad):
+    for depth, width in ((bad, 0.5), (1.0, bad)):
+        with pytest.raises(ValueError, match="depth and width must be finite and > 0"):
+            Well(center=(0, 0), depth=depth, width=width)
+    with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+        gen_moons(seed=0, n=10, noise=bad)
+
+
 # --- IDX files ---
 
 

@@ -25,6 +25,7 @@ def test_epoch_length_rounds_up():
     assert epoch_length(100, 32) == 4
     assert epoch_length(96, 32) == 3
     assert epoch_length(1, 32) == 1
+    assert epoch_length(1, 10**400) == 1
 
 
 def test_config_validation():
