@@ -290,16 +290,23 @@ def _write_trial(out_dir: str, trace: trainer.TrialTrace):
     _write_json(_artifact(out_dir, "outcome.json"), trace.outcome.to_dict())
 
 
-def _append_trial_records(db: store.PolicyStore, task_name: str,
-                          result: tuner.TuneResult, stamp: str) -> int:
-    count = 0
-    for cell in result.entries:
-        for seed, outcome in zip(cell.seeds, cell.outcomes):
-            record = store.make_record(task_name, cell.template, cell.lam, seed,
-                                       outcome, timestamp=stamp)
-            db.append(record)
-            count += 1
-    return count
+def _record_trials(db: store.PolicyStore, task_name: str, rows, stamp: str) -> int:
+    """Append one record per (template, lambda, seed, outcome) row; returns the count.
+
+    A row is recorded as given: a tune template that carries its own
+    lambda keeps it in the policy dict, apart from the grid lambda.
+    """
+    rows = list(rows)
+    for template, lam, seed, outcome in rows:
+        db.append(store.make_record(task_name, template, lam, seed, outcome,
+                                    timestamp=stamp))
+    return len(rows)
+
+
+def _tune_rows(result: tuner.TuneResult):
+    """Each trial of a search as a (template, lambda, seed, outcome) row."""
+    return ((cell.template, cell.lam, seed, outcome) for cell in result.entries
+            for seed, outcome in zip(cell.seeds, cell.outcomes))
 
 
 # --- commands ---
@@ -335,8 +342,7 @@ def cmd_train(args) -> int:
 
     task_name = _task_name(doc, ctx, "min_cost" if cfg.target_accuracy else "max_accuracy")
     template, lam = schedule.split_lambda(policy)
-    db.append(store.make_record(task_name, template, lam, cfg.seed, trace.outcome,
-                                timestamp=_now()))
+    _record_trials(db, task_name, [(template, lam, cfg.seed, trace.outcome)], _now())
 
     o = trace.outcome
     print(f"task            {task_name}")
@@ -395,15 +401,15 @@ def cmd_tune(args) -> int:
         for i, result in enumerate(phase_results):
             tuner.write_leaderboard_csv(
                 result, _artifact(out_dir, f"leaderboard_phase{i}.csv"))
-            _append_trial_records(db, f"{task_name}#phase{i}", result, stamp)
+            _record_trials(db, f"{task_name}#phase{i}", _tune_rows(result), stamp)
         _write_json(_artifact(out_dir, "composite.json"),
                     schedule.policy_to_dict(composite))
         # confirmation run of the stitched policy over the full horizon
         full_cfg = replace(ctx.config, budget=space.boundaries[-1])
         trace = trainer.run_trial(ctx.model, ctx.task, composite, ctx.optimizer, full_cfg)
         _write_trial(out_dir, trace)
-        db.append(store.make_record(task_name, composite, 1.0, full_cfg.seed,
-                                    trace.outcome, timestamp=stamp))
+        _record_trials(db, task_name, [(composite, 1.0, full_cfg.seed, trace.outcome)],
+                       stamp)
         for i, result in enumerate(phase_results):
             start, end = space.boundaries[i], space.boundaries[i + 1]
             print(f"phase {i} [{start}:{end}) winner: "
@@ -417,7 +423,7 @@ def cmd_tune(args) -> int:
     tuner.write_leaderboard_csv(result, _artifact(out_dir, "leaderboard.csv"))
     _write_json(_artifact(out_dir, "tune_result.json"),
                 tuner.tune_result_to_dict(result))
-    n_records = _append_trial_records(db, task_name, result, stamp)
+    n_records = _record_trials(db, task_name, _tune_rows(result), stamp)
 
     print(f"task {task_name}")
     print(f"{len(result.entries)} cells, {n_records} trials, db {db.path}")
@@ -435,10 +441,9 @@ def cmd_range_test(args) -> int:
 
     result = tuner.range_test(ctx, **probes)
     task_name = _task_name(doc, ctx, "range_test")
-    stamp = _now()
-    for k, outcome in zip(result.ks, result.outcomes):
-        db.append(store.make_record(task_name, schedule.Fix(k=k), 1.0, result.seed,
-                                    outcome, timestamp=stamp))
+    _record_trials(db, task_name, [(schedule.Fix(k=k), 1.0, result.seed, outcome)
+                                   for k, outcome in zip(result.ks, result.outcomes)],
+                   _now())
 
     _write_json(_artifact(out_dir, "range_test.json"), {
         "ks": result.ks, "accuracies": result.accuracies,

@@ -23,6 +23,7 @@ SGD with momentum mu:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,7 +77,9 @@ def init_state(spec: OptimizerSpec, n: int | tuple[int, ...]) -> OptimizerState:
 
 
 def _check_lr(value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+    # false for nan and inf, and for an int past the float range
+    if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            and value >= 0):
         raise ValueError(f"lr must be finite and >= 0, got {value!r}")
 
 

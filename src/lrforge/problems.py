@@ -125,6 +125,14 @@ class TaskData:
     test: Dataset
 
 
+def _size(name: str, value: int, low: int):
+    """Reject a size below low, or past the largest that numpy can index."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > np.iinfo(np.intp).max:
+        raise ValueError(f"{name} must be <= {np.iinfo(np.intp).max}, got {value}")
+
+
 def _split_80_20(name: str, features: np.ndarray, labels: np.ndarray,
                  n_classes: int, rng: np.random.Generator) -> TaskData:
     # fixed head/tail split after a seeded shuffle
@@ -144,8 +152,9 @@ def gen_blobs(seed: int, n_per_class: int, n_classes: int = 2, d: int = 2,
     Centers sit on a circle in the first two feature dimensions (on a line
     for d=1), so their spacing is deterministic and independent of the seed.
     """
-    if n_per_class < 1 or n_classes < 2 or d < 1:
-        raise ValueError("need n_per_class >= 1, n_classes >= 2, d >= 1")
+    _size("n_per_class", n_per_class, 1)
+    _size("n_classes", n_classes, 2)
+    _size("d", d, 1)
     rng = np.random.default_rng(seed)
     centers = np.zeros((n_classes, d))
     if d == 1:
@@ -162,8 +171,7 @@ def gen_blobs(seed: int, n_per_class: int, n_classes: int = 2, d: int = 2,
 
 def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
     """Two interleaving half-circle arcs with Gaussian coordinate noise."""
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
+    _size("n", n, 4)
     if not 0 <= noise < math.inf:
         raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)

@@ -3,8 +3,11 @@
 One line per record. A record's identity is (task, policy, lambda, seed);
 appending the same identity with the same outcome is a no-op that returns
 the existing id, while the same identity with a different outcome is
-rejected. Wall time and timestamp are informational and excluded from
-that comparison, so deterministic reruns leave the file untouched.
+rejected. The outcome compared is the record's `OUTCOME_FIELDS`, the one
+list of them that the record, its line's "outcome" object and the
+trainer's `outcome.json` all read; wall time and timestamp are
+informational and excluded, so deterministic reruns leave the file
+untouched.
 
 Each record's canonical policy string (`schedule.canonical_json` of its
 wire dict) is computed once, when the record is loaded or appended, and is
@@ -22,9 +25,12 @@ When the path no longer names that file (it was removed or replaced), the
 store reopens the path first, so a record lands in the file at the path now.
 
 A partially written trailing line (interrupted writer) is skipped with a
-warning on load; corruption anywhere else is an error. A line that repeats
-an earlier identity (two stores appending to one file) is skipped when its
-outcome is the same and rejected when it differs.
+warning on load. Any other line that is not a record, whether it fails to
+parse or parses to something else (a list, an object missing a field, a
+list where the identity needs a scalar), raises ValueError("corrupt record
+at PATH:N"). A line that repeats an earlier identity (two stores appending
+to one file) is skipped when its outcome is the same and rejected when it
+differs.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .schedule import canonical_json, policy_to_dict
@@ -45,6 +52,18 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 ENV_DB = "LRFORGE_DB"
 DEFAULT_DB = "lr_trials.jsonl"
+
+#: The outcome fields of a record, in its constructor's order: what a
+#: repeated identity must match, and the keys of its line's "outcome" object.
+OUTCOME_FIELDS = ("final_accuracy", "best_accuracy", "iterations_run",
+                  "iterations_to_target", "diverged")
+_outcome_of = attrgetter(*OUTCOME_FIELDS)
+_outcome_from_obj = itemgetter(*OUTCOME_FIELDS)
+
+
+def outcome_dict(outcome) -> dict:
+    """The OUTCOME_FIELDS of a TrialOutcome or TrialRecord, by name."""
+    return dict(zip(OUTCOME_FIELDS, _outcome_of(outcome)))
 
 
 def resolve_db_path(explicit: Optional[str] = None) -> str:
@@ -57,7 +76,9 @@ def resolve_db_path(explicit: Optional[str] = None) -> str:
 @dataclass(frozen=True)
 class TrialRecord:
     task: str
-    policy: dict          # serialized template, without lambda
+    # wire dict of the policy that lam scales: a tune's template as given, its
+    # own "lambda" included; `lr train`'s policy with its lambda moved to lam
+    policy: dict
     lam: float
     seed: int
     final_accuracy: float
@@ -73,8 +94,7 @@ class TrialRecord:
         return (self.task, canonical_json(self.policy), self.lam, self.seed)
 
     def stable_outcome(self) -> tuple:
-        return (self.final_accuracy, self.best_accuracy, self.iterations_run,
-                self.iterations_to_target, self.diverged)
+        return _outcome_of(self)
 
     def cost(self) -> int:
         return (self.iterations_to_target
@@ -85,13 +105,9 @@ def make_record(task: str, template, lam: float, seed: int, outcome,
                 timestamp: Optional[str] = None) -> TrialRecord:
     from . import __version__
 
-    return TrialRecord(
-        task=task, policy=policy_to_dict(template), lam=float(lam), seed=int(seed),
-        final_accuracy=outcome.final_accuracy, best_accuracy=outcome.best_accuracy,
-        iterations_run=outcome.iterations_run,
-        iterations_to_target=outcome.iterations_to_target,
-        diverged=outcome.diverged, wall_time_sec=outcome.wall_time_sec,
-        timestamp=timestamp, artifact_version=__version__)
+    return TrialRecord(task, policy_to_dict(template), float(lam), int(seed),
+                       *_outcome_of(outcome), wall_time_sec=outcome.wall_time_sec,
+                       timestamp=timestamp, artifact_version=__version__)
 
 
 def _record_to_line(record: TrialRecord, policy_text: str) -> str:
@@ -108,13 +124,7 @@ def _record_to_line(record: TrialRecord, policy_text: str) -> str:
         "policy": 0,
         "lambda": record.lam,
         "seed": record.seed,
-        "outcome": {
-            "final_accuracy": record.final_accuracy,
-            "best_accuracy": record.best_accuracy,
-            "iterations_run": record.iterations_run,
-            "iterations_to_target": record.iterations_to_target,
-            "diverged": record.diverged,
-        },
+        "outcome": outcome_dict(record),
         "wall_time_sec": record.wall_time_sec,
         "timestamp": record.timestamp,
         "artifact_version": record.artifact_version,
@@ -123,20 +133,14 @@ def _record_to_line(record: TrialRecord, policy_text: str) -> str:
 
 
 def _record_from_obj(obj: dict) -> TrialRecord:
+    """The record a decoded line holds; a line that is no record raises
+    AttributeError, KeyError or TypeError."""
     v = obj.get("v")
     if v != SCHEMA_VERSION:
         raise ValueError(f"unsupported record schema version {v!r}")
-    outcome = obj["outcome"]
-    return TrialRecord(
-        task=obj["task"], policy=obj["policy"], lam=obj["lambda"], seed=obj["seed"],
-        final_accuracy=outcome["final_accuracy"],
-        best_accuracy=outcome["best_accuracy"],
-        iterations_run=outcome["iterations_run"],
-        iterations_to_target=outcome["iterations_to_target"],
-        diverged=outcome["diverged"],
-        wall_time_sec=obj.get("wall_time_sec"),
-        timestamp=obj.get("timestamp"),
-        artifact_version=obj.get("artifact_version"))
+    return TrialRecord(obj["task"], obj["policy"], obj["lambda"], obj["seed"],
+                       *_outcome_from_obj(obj["outcome"]), obj.get("wall_time_sec"),
+                       obj.get("timestamp"), obj.get("artifact_version"))
 
 
 class StoreConflict(ValueError):
@@ -212,22 +216,22 @@ class PolicyStore:
         for i, line in enumerate(lines):
             last = i == len(lines) - 1
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                if last and not ends_with_newline:
+                record = _record_from_obj(json.loads(line))
+                key = self._identity(record)
+                existing_id = self._by_key.get(key)  # a TypeError if a field is a list
+            except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as e:
+                if (last and not ends_with_newline
+                        and isinstance(e, json.JSONDecodeError)):
                     # interrupted writer; drop the unfinished bytes so the
                     # next append starts on a fresh line
                     log.warning("dropping partial trailing line in %s", self.path)
                     with open(self.path, "r+b") as f:
                         f.truncate(len(raw) - len(line))
                     break
-                raise ValueError(f"corrupt record at {self.path}:{i + 1}")
+                raise ValueError(f"corrupt record at {self.path}:{i + 1}") from None
             if last and not ends_with_newline:
                 with open(self.path, "ab") as f:
                     f.write(b"\n")
-            record = _record_from_obj(obj)
-            key = self._identity(record)
-            existing_id = self._by_key.get(key)
             if existing_id is None:
                 self._index(record, key)
             elif self._records[existing_id].stable_outcome() != record.stable_outcome():

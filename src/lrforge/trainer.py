@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -41,6 +42,7 @@ import numpy as np
 from . import adaptive, optim, schedule
 from .model import ModelSpec, accuracy_on, forward_loss_grad, init_params, param_count
 from .problems import Surface, TaskData, surface_value_grad
+from .store import outcome_dict
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,7 @@ class TrialOutcome:
 
     def to_dict(self) -> dict:
         """The outcome without its wall time, which no artifact holds."""
-        return {"final_accuracy": self.final_accuracy,
-                "best_accuracy": self.best_accuracy,
-                "iterations_run": self.iterations_run,
-                "iterations_to_target": self.iterations_to_target,
-                "diverged": self.diverged}
+        return outcome_dict(self)
 
 
 @dataclass
@@ -330,7 +328,9 @@ def run_surface_trial(surface: Surface, start, policy,
                        diverged=False)
     for t in range(iterations):
         lr = curve(t)
-        if not (math.isfinite(value) and np.isfinite(grad).all() and math.isfinite(lr)):
+        # abs, not math.isfinite, which raises on an int past the float range
+        if not (math.isfinite(value) and np.isfinite(grad).all()
+                and abs(lr) <= sys.float_info.max):
             path.diverged = True
             return path
         point, opt_state = optim.step(point, grad, lr, opt_state)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lrforge import cli
@@ -286,6 +287,7 @@ def test_unwritable_db_fails_before_any_artifact(tmp_path, capsys, command, sect
 MOMENTUM = {"optimizer": {"kind": "sgd", "momentum": 1.5}}
 EPS = {"optimizer": {"kind": "adam", "eps": 0}}
 FIX_GRID = {"templates": [{"family": "FIX", "params": {"k": 1.0}}], "lambda_grid": [0.1]}
+INTP_MAX = np.iinfo(np.intp).max  # the largest size numpy can index
 SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
            "start": [1.0, 1.0], "iterations": 5,
            "policies": [{"family": "FIX", "params": {"k": 0.1}}]}
@@ -323,6 +325,15 @@ SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
     ("range-test", {"range_test": {"k_grid": [0.1], "trial_budget": -5}},
      "budget must be >= 0, got -5"),
     ("surface", {"iterations": -1}, "iterations must be >= 0, got -1"),
+    # sizes past what numpy can index, named before any array is made
+    ("train", {"dataset": {"kind": "blobs", "seed": 1, "n_per_class": 10**21}},
+     f"dataset: n_per_class must be <= {INTP_MAX}, got {10**21}"),
+    ("train", {"dataset": {"kind": "blobs", "seed": 1, "n_per_class": 2, "n_classes": 10**21}},
+     f"dataset: n_classes must be <= {INTP_MAX}, got {10**21}"),
+    ("tune", {"dataset": {"kind": "blobs", "seed": 1, "n_per_class": 2, "d": 10**21}},
+     f"dataset: d must be <= {INTP_MAX}, got {10**21}"),
+    ("range-test", {"dataset": {"kind": "moons", "seed": 1, "n": 10**21}},
+     f"dataset: n must be <= {INTP_MAX}, got {10**21}"),
 ])
 def test_bad_input_leaves_no_out_dir_and_no_db(tmp_path, capsys, command, section, fragment):
     manifest = write_manifest(tmp_path, **{"search": FIX_GRID, "range_test": {"k_grid": [0.1]},
@@ -578,6 +589,51 @@ def test_composite_json_is_the_policy_the_confirmation_run_trained(tmp_path, cap
         assert trained[name] == tuned[name], name
 
 
+def db_identities(db) -> list:
+    """Each line's (task, policy dict, lambda, seed), sorted by their JSON text."""
+    rows = [json.loads(line) for line in Path(db).read_text().splitlines()]
+    return sorted(((r["task"], r["policy"], r["lambda"], r["seed"]) for r in rows),
+                  key=json.dumps)
+
+
+def test_each_command_records_the_policy_and_lambda_it_ran(tmp_path, capsys):
+    # a tune template's own lambda stays in its policy dict, beside the grid lambda
+    own = [{"family": "FIX", "params": {"k": 0.3}, "lambda": 0.1},
+           {"family": "TRI", "params": {"k0": 0.1, "k1": 0.7, "l": 100}, "lambda": 0.3}]
+    with open(os.path.join(REPO, "manifests", "compose_moons.json"), encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["task"] = "c"
+    doc["search"].update(lambda_grid=[0.7, 3.0], templates=own)
+    compose = tmp_path / "compose.json"
+    compose.write_text(json.dumps(doc))
+    assert lr(capsys, "tune", "--manifest", compose, "--out-dir", tmp_path / "compose",
+              "--db", tmp_path / "compose.jsonl")[0] == 0
+    composite = json.loads((tmp_path / "compose" / "composite.json").read_text())
+    assert db_identities(tmp_path / "compose.jsonl") == sorted(
+        [(f"c#phase{i}", t, lam, 0) for i in (0, 1) for t in own for lam in (0.7, 3.0)]
+        + [("c", composite, 1.0, 0)], key=json.dumps)
+
+    grid = write_manifest(tmp_path, name="grid.json", search={
+        "templates": own[:1], "lambda_grid": [0.5], "trials_per_point": 2})
+    assert lr(capsys, "tune", "--manifest", grid, "--out-dir", tmp_path / "grid",
+              "--db", tmp_path / "grid.jsonl")[0] == 0
+    assert db_identities(tmp_path / "grid.jsonl") == [("toy", own[0], 0.5, 0),
+                                                      ("toy", own[0], 0.5, 1)]
+
+    # lr train records a scaled policy as its base and its lambda
+    tri2 = {"family": "TRI2", "params": {"k0": 0.01, "k1": 0.2, "l": 10}}
+    train = write_manifest(tmp_path, name="train.json", policy={**tri2, "lambda": 0.5})
+    assert lr(capsys, "train", "--manifest", train, "--out-dir", tmp_path / "train",
+              "--db", tmp_path / "train.jsonl")[0] == 0
+    assert db_identities(tmp_path / "train.jsonl") == [("toy", tri2, 0.5, 0)]
+
+    probe = write_manifest(tmp_path, name="rt.json", range_test={"k_grid": [0.1, 0.01]})
+    assert lr(capsys, "range-test", "--manifest", probe, "--out-dir", tmp_path / "rt",
+              "--db", tmp_path / "rt.jsonl")[0] == 0
+    assert db_identities(tmp_path / "rt.jsonl") == [
+        ("toy", {"family": "FIX", "params": {"k": k}}, 1.0, 0) for k in (0.01, 0.1)]
+
+
 # --- range-test ---
 
 
@@ -614,6 +670,20 @@ def test_top_k_lists_stored_records(tmp_path):
     empty = run_cli("top-k", "--task", "missing", "--db", "db.jsonl", cwd=tmp_path)
     assert empty.returncode == 0
     assert "no records" in empty.stdout
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    '{"v": 1, "task": "t", "policy": {}, "lambda": 1.0, "seed": 0}',
+    '{"v": 1, "task": "t", "policy": {}, "lambda": 1.0, "seed": 0, "outcome": '
+    '{"final_accuracy": 0.5, "iterations_run": 1, "iterations_to_target": null, '
+    '"diverged": false}}',
+])
+def test_top_k_on_a_line_that_is_no_record_is_a_validation_error(tmp_path, capsys, line):
+    (tmp_path / "bad.jsonl").write_text(line + "\n")
+    code, err = lr(capsys, "top-k", "--task", "t", "--db", tmp_path / "bad.jsonl")
+    assert code == 2
+    assert f"corrupt record at {tmp_path / 'bad.jsonl'}:1" in err
 
 
 # --- surface ---
@@ -688,3 +758,16 @@ def test_surface_policy_name_must_be_a_plain_file_name(tmp_path, capsys, name):
     assert code == 2
     assert f"policies[1].name must be a plain file name, got {name!r}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_surface_diverges_a_path_whose_lr_is_past_the_float_range(tmp_path, capsys):
+    # each number passes the manifest's float gate; their exact product does not
+    huge = 10**200
+    doc = {**SURFACE, "policies": [{"family": "FIX", "params": {"k": huge}, "lambda": huge}]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["surface", "--manifest", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert "(diverged)" in capsys.readouterr().out
+    trace = (tmp_path / "out" / "path_FIX_0.csv").read_text().splitlines()
+    assert trace == ["iteration,x,y,value", "0,1.0,1.0,1.0"]  # the start point only

@@ -105,9 +105,11 @@ def test_lr_zero_is_a_no_op_for_sgd():
     assert np.array_equal(new, params)
 
 
-@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf"),
+                                # rejected like inf, not raised on as an OverflowError
+                                pytest.param(10**400, id="int-past-the-float-range")])
 def test_bad_lr_rejected(lr):
-    with pytest.raises(ValueError, match="lr"):
+    with pytest.raises(ValueError, match="lr must be finite and >= 0"):
         step(np.zeros(1), np.ones(1), lr, init_state(SGD, 1))
 
 

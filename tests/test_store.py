@@ -3,7 +3,7 @@
 import gc
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from lrforge.schedule import (
 )
 from lrforge.store import (
     DEFAULT_DB,
+    OUTCOME_FIELDS,
     PolicyStore,
     StoreConflict,
     TrialRecord,
@@ -176,16 +177,34 @@ def test_missing_final_newline_is_repaired(tmp_path):
     assert len(PolicyStore(path)) == 3
 
 
+def _line(record: TrialRecord, **changes) -> bytes:
+    """The record's line with top-level keys replaced, a value of None dropping its key."""
+    obj = json.loads(_full_line(record))
+    obj.update(changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not None}).encode()
+
+
 def test_mid_file_corruption_is_an_error(tmp_path):
     path = tmp_path / "db.jsonl"
     store = PolicyStore(path)
     store.append(_rec(k=0.1))
     store.append(_rec(k=0.2, acc=0.95))
-    lines = path.read_bytes().split(b"\n")
-    lines[0] = b"not json"
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(ValueError, match="corrupt record at .*:1"):
-        PolicyStore(path)
+    good = path.read_bytes().split(b"\n")
+    outcome = json.loads(good[0])["outcome"]
+    del outcome["best_accuracy"]
+    # lines that do not parse, and lines that parse to something not a record
+    for bad in [b"not json", b"[1, 2]", _line(_rec(), outcome=None),
+                _line(_rec(), outcome=outcome), _line(_rec(), outcome=[1, 2]),
+                _line(_rec(), **{"lambda": [1.0]})]:
+        path.write_bytes(b"\n".join([bad] + good[1:]))
+        with pytest.raises(ValueError, match="corrupt record at .*:1$"):
+            PolicyStore(path)
+
+
+def test_a_line_decodes_into_the_record_fields_the_outcome_fields_name():
+    # a line's outcome values are passed positionally, after the identity
+    assert tuple(f.name for f in fields(TrialRecord))[4:9] == OUTCOME_FIELDS
+    assert set(OUTCOME_FIELDS) < {f.name for f in fields(TrialOutcome)}
 
 
 def test_unknown_schema_version_is_an_error(tmp_path):

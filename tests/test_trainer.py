@@ -196,6 +196,16 @@ def test_surface_trial_stops_at_a_non_finite_lr():
         assert np.isfinite(path.points).all()
 
 
+def test_surface_trial_diverges_at_an_int_lr_past_the_float_range():
+    # JSON ints within the float range, whose exact product is not
+    huge = 10**200
+    policy = schedule.policy_from_dict({"family": "FIX", "params": {"k": huge}, "lambda": huge})
+    assert schedule.lr_at(policy, 0) == 10**400
+    path = run_surface_trial(Quadratic(a=np.eye(2)), (1.0, 1.0), policy, SGD, 5)
+    assert path.diverged
+    assert path.iterations == [0]
+
+
 def test_surface_trial_validation():
     surface = Quadratic(a=np.eye(2))
     with pytest.raises(ValueError, match="iterations"):
