@@ -16,11 +16,10 @@ nor trigger actions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from .schedule import ChangeOnPlateau, PolicyError, ReduceOnPlateau, lr_at
+from .schedule import ChangeOnPlateau, PolicyError, ReduceOnPlateau, finite, lr_at
 
 PlateauPolicy = ReduceOnPlateau | ChangeOnPlateau
 
@@ -65,7 +64,7 @@ def observe(state: AdaptiveState, config: PlateauPolicy, metric: float,
     t is the iteration index at which a switched-to policy would start;
     only the change variant uses it (as the new local t origin).
     """
-    if not isinstance(metric, (int, float)) or not math.isfinite(metric):
+    if not finite(metric):
         raise PolicyError(f"observed metric must be finite, got {metric!r}")
     metric = float(metric)
 

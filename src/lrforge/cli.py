@@ -164,13 +164,12 @@ def _check(value, type_, where: str, **context):
         return tuple(_check(v, type_[0], f"{where}[{i}]") for i, v in enumerate(value))
     if not isinstance(type_, type):
         return type_(value, where)
-    if type_ in (int, float) and type(value) in (int, float):
-        # the one gate for a manifest number: json reads NaN, Infinity and 1e400
-        # (as inf), none of them JSON, and an int past the float range is no float
-        if not abs(value) <= sys.float_info.max:
-            raise ManifestError(f"{where} must be a finite number, got {value!r}")
-        if type_ is float:
-            value = float(value)
+    # the one gate for a manifest number: json reads NaN, Infinity and 1e400
+    # (as inf), none of them JSON, and an int past the float range is no float
+    if type_ in (int, float) and type(value) in (int, float) and not schedule.finite(value):
+        raise ManifestError(f"{where} must be a finite number, got {value!r}")
+    if type_ is float and type(value) is int:
+        value = float(value)
     if not isinstance(value, type_) or isinstance(value, bool) and type_ is not bool:
         raise ManifestError(f"{where} has the wrong type: {value!r}")
     return value
@@ -258,9 +257,8 @@ def _short_policy(policy) -> str:
     d = schedule.policy_to_dict(template)
     params = d.get("params", {})
     if d["family"] == "MULTI":
-        inner = ",".join(
+        body = ",".join(
             f"[{s['start']}:{s['end']}){s['policy']['family']}" for s in params["segments"])
-        body = inner
     else:
         body = ",".join(f"{k}={_compact(v)}" for k, v in params.items())
     suffix = f" x{lam:g}" if lam != 1.0 else ""
@@ -571,9 +569,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, schedule.PolicyError, store.StoreConflict) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except tuner.AllDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ALL_DIVERGED

@@ -23,13 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from .problems import Dataset
+from .schedule import count
 
 
 class _Widths:
     """Base of every model spec: its layer widths are checked when it is built."""
 
     def __post_init__(self):
-        if min(self.widths) < 1 or self.widths[-1] < 2:
+        if not (all(count(w, 1) for w in self.widths) and self.widths[-1] >= 2):
             raise ValueError(f"invalid model dimensions: {self}")
 
 

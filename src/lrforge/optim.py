@@ -22,11 +22,11 @@ SGD with momentum mu:
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .schedule import finite
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,15 @@ class OptimizerSpec:
 
     def __post_init__(self):
         if self.kind == "sgd":
-            if not (0 <= self.momentum < 1):
+            if not (finite(self.momentum) and 0 <= self.momentum < 1):
                 raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
         elif self.kind == "adam":
-            if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            if not all(finite(beta) and 0 <= beta < 1 for beta in (self.beta1, self.beta2)):
                 raise ValueError(f"betas must be in [0, 1), got {self.beta1!r}, {self.beta2!r}")
             if not self.eps > 0:
                 raise ValueError(f"eps must be > 0, got {self.eps!r}")
-            if self.eps == math.inf:
-                raise ValueError("eps must be finite, got inf")
+            if not finite(self.eps):
+                raise ValueError(f"eps must be finite, got {self.eps!r}")
         else:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
@@ -77,9 +77,7 @@ def init_state(spec: OptimizerSpec, n: int | tuple[int, ...]) -> OptimizerState:
 
 
 def _check_lr(value):
-    # false for nan and inf, and for an int past the float range
-    if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            and value >= 0):
+    if not (finite(value) and value >= 0):
         raise ValueError(f"lr must be finite and >= 0, got {value!r}")
 
 

@@ -7,11 +7,12 @@ seed: two calls with the same arguments produce identical arrays.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schedule import count, finite
 
 # IDX file layout (big-endian):
 #   images: magic 2051, count, rows, cols, then count*rows*cols unsigned bytes
@@ -35,7 +36,7 @@ class Quadratic:
             raise ValueError(f"a must be 2x2, got shape {self.a.shape}")
         if not np.allclose(self.a, self.a.T):
             raise ValueError("a must be symmetric")
-        if np.linalg.eigvalsh(self.a).min() <= 0:
+        if not np.linalg.eigvalsh(self.a).min() > 0:  # NaN eigenvalues of an infinite a too
             raise ValueError("a must be positive definite")
 
 
@@ -45,6 +46,10 @@ class Rosenbrock:
 
     a: float = 1.0
     b: float = 100.0
+
+    def __post_init__(self):
+        if not (finite(self.a) and finite(self.b)):
+            raise ValueError(f"rosenbrock a and b must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class Well:
     def __post_init__(self):
         if len(self.center) != 2:
             raise ValueError(f"center must have 2 coordinates, got {len(self.center)}")
-        if not (0 < self.depth < math.inf and 0 < self.width < math.inf):
+        if not all(finite(v) and v > 0 for v in (self.depth, self.width)):
             raise ValueError(f"well depth and width must be finite and > 0, got {self}")
 
 
@@ -126,8 +131,8 @@ class TaskData:
 
 
 def _size(name: str, value: int, low: int):
-    """Reject a size below low, or past the largest that numpy can index."""
-    if value < low:
+    """Reject a size that is no integer >= low, or past the largest that numpy can index."""
+    if not count(value, low):
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if value > np.iinfo(np.intp).max:
         raise ValueError(f"{name} must be <= {np.iinfo(np.intp).max}, got {value}")
@@ -172,7 +177,7 @@ def gen_blobs(seed: int, n_per_class: int, n_classes: int = 2, d: int = 2,
 def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
     """Two interleaving half-circle arcs with Gaussian coordinate noise."""
     _size("n", n, 4)
-    if not 0 <= noise < math.inf:
+    if not (finite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     n_outer = n // 2

@@ -261,7 +261,24 @@ class ChangeOnPlateau(_Checked):
     cooldown: int = 0
 
 
-# --- field checks: check(name, value) raises PolicyError naming the field ---
+# --- the two scalar rules, and the field checks built on them ---
+#
+# Every scalar check in lrforge asks one of two questions. `finite`: is it a
+# real number, an int or float (never a bool) that a float holds, so not NaN,
+# not infinite and no int past the float range? `count`: is it an int (never
+# a bool) >= low? A field check check(name, value) raises PolicyError naming
+# the field; a real-valued check returns the value as a float.
+
+
+def finite(value) -> bool:
+    """An int or float, never a bool, that a float holds."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def count(value, low: int = 0) -> bool:
+    """An int, never a bool, that is >= low."""
+    return type(value) is int and value >= low
 
 
 def _need(cond: bool, msg: str):
@@ -269,33 +286,31 @@ def _need(cond: bool, msg: str):
         raise PolicyError(msg)
 
 
-def _finite(name: str, value) -> float:
+def _real(name: str, value) -> float:
     _need(isinstance(value, (int, float)) and not isinstance(value, bool),
           f"{name} must be a number, got {value!r}")
-    # false for nan and inf, and for an int past the float range
-    _need(abs(value) <= sys.float_info.max, f"{name} must be finite, got {value!r}")
+    _need(finite(value), f"{name} must be finite, got {value!r}")
     return float(value)
 
 
 def _nonneg(name: str, value):
-    _need(_finite(name, value) >= 0, f"{name} must be >= 0, got {value!r}")
+    _need(_real(name, value) >= 0, f"{name} must be >= 0, got {value!r}")
 
 
 def _positive(name: str, value):
-    _need(_finite(name, value) > 0, f"{name} must be > 0, got {value!r}")
+    _need(_real(name, value) > 0, f"{name} must be > 0, got {value!r}")
 
 
 def _gamma(name: str, value):
-    _need(0 < _finite(name, value) <= 1, f"{name} must be in (0, 1], got {value!r}")
+    _need(0 < _real(name, value) <= 1, f"{name} must be in (0, 1], got {value!r}")
 
 
 def _fraction(name: str, value):
-    _need(0 < _finite(name, value) < 1, f"{name} must be in (0, 1), got {value!r}")
+    _need(0 < _real(name, value) < 1, f"{name} must be in (0, 1), got {value!r}")
 
 
 def _posint(name: str, value, low: int = 1):
-    _need(isinstance(value, int) and not isinstance(value, bool) and value >= low,
-          f"{name} must be an integer >= {low}, got {value!r}")
+    _need(count(value, low), f"{name} must be an integer >= {low}, got {value!r}")
 
 
 _count = partial(_posint, low=0)
@@ -311,8 +326,7 @@ def _milestones(name: str, value):
     _need(isinstance(value, tuple), f"{name} must be a tuple")
     prev = -1
     for m in value:
-        _need(isinstance(m, int) and not isinstance(m, bool) and m >= 0,
-              f"{name} must be non-negative integers, got {m!r}")
+        _need(count(m), f"{name} must be non-negative integers, got {m!r}")
         _need(m > prev, f"{name} must be strictly increasing, got {m!r}")
         prev = m
 
@@ -515,7 +529,7 @@ def compile(policy: Policy, steps: int):
 
 def lr_at(policy: Policy, t: int) -> float:
     """Evaluate eta(t) for a policy at integer iteration t >= 0."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+    if not count(t):
         raise PolicyError(f"t must be an integer >= 0, got {t!r}")
     return _closed_form(policy)(policy, t)
 
@@ -526,10 +540,8 @@ def sample_trace(policy: Policy, t_max: int, stride: int = 1) -> list[tuple[int,
     Returns ceil(t_max / stride) + 1 points; the last point is clamped to
     t_max so horizon-bound policies stay in range.
     """
-    if not isinstance(t_max, int) or t_max < 0:
-        raise PolicyError(f"t_max must be an integer >= 0, got {t_max!r}")
-    if not isinstance(stride, int) or stride < 1:
-        raise PolicyError(f"stride must be an integer >= 1, got {stride!r}")
+    _need(count(t_max), f"t_max must be an integer >= 0, got {t_max!r}")
+    _need(count(stride, 1), f"stride must be an integer >= 1, got {stride!r}")
     form = _closed_form(policy)
     n = math.ceil(t_max / stride)
     return [(min(i * stride, t_max), form(policy, min(i * stride, t_max)))

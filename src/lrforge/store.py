@@ -27,8 +27,10 @@ store reopens the path first, so a record lands in the file at the path now.
 A partially written trailing line (interrupted writer) is skipped with a
 warning on load. Any other line that is not a record, whether it fails to
 parse or parses to something else (a list, an object missing a field, a
-list where the identity needs a scalar), raises ValueError("corrupt record
-at PATH:N"). A line that repeats an earlier identity (two stores appending
+list where the identity needs a scalar, a field of the wrong type), raises
+ValueError("corrupt record at PATH:N"). The accuracies and lambda must be
+`schedule.finite`, the iteration counts `schedule.count`s (iterations to
+target may be null), the seed an int and `diverged` a bool. A line that repeats an earlier identity (two stores appending
 to one file) is skipped when its outcome is the same and rejected when it
 differs.
 """
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .schedule import canonical_json, policy_to_dict
+from .schedule import canonical_json, count, finite, policy_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -138,9 +140,14 @@ def _record_from_obj(obj: dict) -> TrialRecord:
     v = obj.get("v")
     if v != SCHEMA_VERSION:
         raise ValueError(f"unsupported record schema version {v!r}")
-    return TrialRecord(obj["task"], obj["policy"], obj["lambda"], obj["seed"],
-                       *_outcome_from_obj(obj["outcome"]), obj.get("wall_time_sec"),
-                       obj.get("timestamp"), obj.get("artifact_version"))
+    r = TrialRecord(obj["task"], obj["policy"], obj["lambda"], obj["seed"],
+                    *_outcome_from_obj(obj["outcome"]), obj.get("wall_time_sec"),
+                    obj.get("timestamp"), obj.get("artifact_version"))
+    if not (finite(r.lam) and type(r.seed) is int and finite(r.final_accuracy)
+            and finite(r.best_accuracy) and count(r.iterations_run) and type(r.diverged) is bool
+            and (r.iterations_to_target is None or count(r.iterations_to_target))):
+        raise TypeError("an identity or outcome field has the wrong type")
+    return r
 
 
 class StoreConflict(ValueError):
@@ -281,7 +288,7 @@ class PolicyStore:
     def query_top_k(self, task: str, k: int, objective: str = "max_accuracy"
                     ) -> list[TrialRecord]:
         """Best k records for a task; top-(k-1) is always a prefix of top-k."""
-        if k < 0:
+        if not count(k):
             raise ValueError(f"k must be >= 0, got {k}")
         rank = _RANK.get(objective)
         if rank is None:

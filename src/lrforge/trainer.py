@@ -31,8 +31,6 @@ go on.
 from __future__ import annotations
 
 import csv
-import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,6 +40,7 @@ import numpy as np
 from . import adaptive, optim, schedule
 from .model import ModelSpec, accuracy_on, forward_loss_grad, init_params, param_count
 from .problems import Surface, TaskData, surface_value_grad
+from .schedule import count, finite
 from .store import outcome_dict
 
 
@@ -54,18 +53,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        if self.batch_size < 1:
+        if not count(self.batch_size, 1):
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.budget < 0:
+        if not count(self.budget):
             raise ValueError(f"budget must be >= 0, got {self.budget}")
-        if self.eval_every is not None and self.eval_every < 1:
+        if not (self.eval_every is None or count(self.eval_every, 1)):
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.target_accuracy is not None and not (0 < self.target_accuracy <= 1):
-            raise ValueError(f"target_accuracy must be in (0, 1], "
-                             f"got {self.target_accuracy}")
+        if not (self.target_accuracy is None
+                or finite(self.target_accuracy) and 0 < self.target_accuracy <= 1):
+            raise ValueError(f"target_accuracy must be in (0, 1], got {self.target_accuracy}")
 
 
 @dataclass
@@ -315,9 +311,9 @@ def run_surface_trial(surface: Surface, start, policy,
     step, so a horizon-bound one must cover every step, even if the path
     would diverge before reaching its horizon.
     """
-    curve = schedule.compile(policy, iterations)
-    if iterations < 0:
+    if not count(iterations):
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    curve = schedule.compile(policy, iterations)
     point = np.asarray(start, dtype=float)
     if point.shape != (2,):
         raise ValueError(f"start must be a 2-D point, got shape {point.shape}")
@@ -328,9 +324,7 @@ def run_surface_trial(surface: Surface, start, policy,
                        diverged=False)
     for t in range(iterations):
         lr = curve(t)
-        # abs, not math.isfinite, which raises on an int past the float range
-        if not (math.isfinite(value) and np.isfinite(grad).all()
-                and abs(lr) <= sys.float_info.max):
+        if not (finite(value) and np.isfinite(grad).all() and finite(lr)):
             path.diverged = True
             return path
         point, opt_state = optim.step(point, grad, lr, opt_state)
@@ -339,7 +333,7 @@ def run_surface_trial(surface: Surface, start, policy,
         path.iterations.append(t + 1)
         path.points.append(point.copy())
         path.values.append(value)
-    if not math.isfinite(value):
+    if not finite(value):
         path.diverged = True
     return path
 

@@ -11,7 +11,6 @@ trials of a search (or of one compose phase) train as one stacked population
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 from .model import ModelSpec
 from .optim import OptimizerSpec
 from .problems import TaskData
-from .schedule import (Composite, Fix, Policy, PolicyError, Scaled, Segment,
+from .schedule import (Composite, Fix, Policy, PolicyError, Scaled, Segment, count, finite,
                        canonical_policy_key, compile as compile_policy, policy_to_dict)
 from .trainer import TrainConfig, TrialOutcome, TrialTrace, run_population
 
@@ -36,10 +35,9 @@ def _check_draws(lambda_range, n):
     if n is None:
         raise PolicyError("n_samples is required")
     low, high = lambda_range
-    if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
-        raise PolicyError(f"lambda_range must satisfy 0 < low <= high, "
-                          f"got {lambda_range!r}")
-    if n < 1:
+    if not (finite(low) and finite(high) and 0 < low <= high):
+        raise PolicyError(f"lambda_range must satisfy 0 < low <= high, got {lambda_range!r}")
+    if not count(n, 1):
         raise PolicyError(f"n_samples must be >= 1, got {n}")
 
 
@@ -75,7 +73,7 @@ class SearchSpace:
             object.__setattr__(self, "lambda_grid", (1.0,))
         if not self.templates:
             raise PolicyError("templates must be non-empty")
-        if self.trials_per_point < 1:
+        if not count(self.trials_per_point, 1):
             raise PolicyError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
         if self.objective not in ("max_accuracy", "min_cost"):
             raise PolicyError(f"objective must be max_accuracy or min_cost, "
@@ -83,11 +81,11 @@ class SearchSpace:
         if not ranged and not self.lambda_grid:
             raise PolicyError("lambda_grid must be non-empty")
         for lam in self.lambda_grid or ():
-            if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
+            if not (finite(lam) and lam > 0):
                 raise PolicyError(f"lambda_grid values must be positive and finite, "
                                   f"got {lam!r}")
         b = self.boundaries
-        if b is not None and (len(b) < 2 or b[0] != 0
+        if b is not None and (len(b) < 2 or b[0] != 0 or not all(map(count, b))
                               or any(s >= e for s, e in zip(b, b[1:]))):
             raise PolicyError(f"boundaries must start at 0 and strictly increase, got {b!r}")
 
@@ -244,27 +242,31 @@ def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
     accuracy is within `tolerance` of the best, up to the best k, extended
     one grid step above when that step did not diverge.
     """
-    ks = sorted(float(k) for k in k_grid)
+    ks = list(k_grid)
     if not ks:
         raise PolicyError("k_grid must be non-empty")
     for k in ks:
-        if not (math.isfinite(k) and k > 0):
+        if not (finite(k) and k > 0):
             raise PolicyError(f"k_grid values must be positive and finite, got {k!r}")
+    ks = sorted(map(float, ks))
     if len(set(ks)) != len(ks):
         raise PolicyError("k_grid values must be distinct")
+    if not (finite(tolerance) and tolerance >= 0):
+        raise PolicyError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     budget = trial_budget if trial_budget is not None else max(1, ctx.config.budget // 10)
-    probe_cfg = replace(ctx.config, budget=budget, target_accuracy=None)
+    try:
+        probe_cfg = replace(ctx.config, budget=budget, target_accuracy=None)
+    except ValueError as e:  # the probe budget's own rule, under the key the caller gave
+        raise PolicyError(f"trial_budget: {e}") from None
+    if not count(budget, 1):
+        raise PolicyError(f"trial_budget must be >= 1, got {budget!r}")
     probe_ctx = TrialContext(ctx.model, ctx.task, ctx.optimizer, probe_cfg)
 
     cells = [(Fix(k=k), 1.0) for k in ks]
     results, _ = _run_cells(cells, probe_ctx, "max_accuracy", 1)
 
-    accs, div, outcomes = [], [], []
-    for cell in results:
-        diverged = cell.n_diverged > 0
-        div.append(diverged)
-        accs.append(0.0 if diverged else cell.metric_mean)
-        outcomes.append(cell.outcomes[0])
+    div = [cell.n_diverged > 0 for cell in results]
+    accs = [0.0 if d else cell.metric_mean for d, cell in zip(div, results)]
     if all(div):
         raise AllDiverged("every range-test probe diverged")
 
@@ -277,9 +279,9 @@ def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
     hi = ks[best]
     if best + 1 < len(ks) and not div[best + 1]:
         hi = ks[best + 1]
-    return RangeTestResult(ks=ks, accuracies=accs, diverged=div, outcomes=outcomes,
-                           trial_budget=budget, seed=probe_cfg.seed,
-                           k_best=ks[best], bracket=(lo, hi))
+    return RangeTestResult(ks=ks, accuracies=accs, diverged=div, trial_budget=budget,
+                           outcomes=[cell.outcomes[0] for cell in results],
+                           seed=probe_cfg.seed, k_best=ks[best], bracket=(lo, hi))
 
 
 def tune_result_to_dict(result: TuneResult) -> dict:

@@ -334,6 +334,13 @@ SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
      f"dataset: d must be <= {INTP_MAX}, got {10**21}"),
     ("range-test", {"dataset": {"kind": "moons", "seed": 1, "n": 10**21}},
      f"dataset: n must be <= {INTP_MAX}, got {10**21}"),
+    # a probe budget and a tolerance that a range test cannot use, named by their keys
+    ("range-test", {"range_test": {"k_grid": [0.1], "trial_budget": 0}},
+     "trial_budget must be >= 1, got 0"),
+    ("range-test", {"range_test": {"k_grid": [0.1], "trial_budget": -5}},
+     "trial_budget: budget must be >= 0, got -5"),
+    ("range-test", {"range_test": {"k_grid": [0.1], "tolerance": -0.5}},
+     "tolerance must be finite and >= 0, got -0.5"),
 ])
 def test_bad_input_leaves_no_out_dir_and_no_db(tmp_path, capsys, command, section, fragment):
     manifest = write_manifest(tmp_path, **{"search": FIX_GRID, "range_test": {"k_grid": [0.1]},
@@ -678,6 +685,15 @@ def test_top_k_lists_stored_records(tmp_path):
     '{"v": 1, "task": "t", "policy": {}, "lambda": 1.0, "seed": 0, "outcome": '
     '{"final_accuracy": 0.5, "iterations_run": 1, "iterations_to_target": null, '
     '"diverged": false}}',
+    # every field present, one of the wrong type
+    *(json.dumps({"v": 1, "task": "t", "policy": {"family": "FIX", "params": {"k": 0.1}},
+                  "lambda": 1.0, "seed": 0,
+                  "outcome": {"final_accuracy": 0.5, "best_accuracy": 0.5,
+                              "iterations_run": 1, "iterations_to_target": None,
+                              "diverged": False, **outcome}, **top})
+      for outcome, top in [({"final_accuracy": "x"}, {}), ({}, {"lambda": "x"}),
+                           ({"diverged": "no"}, {}), ({"iterations_run": 1.5}, {}),
+                           ({}, {"seed": True})]),
 ])
 def test_top_k_on_a_line_that_is_no_record_is_a_validation_error(tmp_path, capsys, line):
     (tmp_path / "bad.jsonl").write_text(line + "\n")

@@ -165,13 +165,28 @@ def test_moons_validation():
         gen_moons(seed=0, n=10, noise=-0.1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf, True, False,
+    pytest.param(10**400, id="int-past-the-float-range"),
+    pytest.param(-(10**400), id="-int-past-the-float-range"),
+])
 def test_constructors_reject_non_finite_values(bad):
+    # no real number (see tests/test_scalar_rules.py), so no OverflowError either
     for depth, width in ((bad, 0.5), (1.0, bad)):
         with pytest.raises(ValueError, match="depth and width must be finite and > 0"):
             Well(center=(0, 0), depth=depth, width=width)
     with pytest.raises(ValueError, match="noise must be finite and >= 0"):
         gen_moons(seed=0, n=10, noise=bad)
+    for a, b in ((bad, 100.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="rosenbrock a and b must be finite"):
+            Rosenbrock(a=a, b=b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_quadratic_rejects_a_non_finite_matrix(bad):
+    for a in ([[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, bad]]):
+        with pytest.raises(ValueError, match="symmetric|positive definite"):
+            Quadratic(a=a)
 
 
 # --- IDX files ---

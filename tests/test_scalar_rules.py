@@ -1,0 +1,151 @@
+"""The two scalar rules, `schedule.finite` and `schedule.count`, at every entry point.
+
+Every scalar a user hands lrforge is a real number (a lambda, a k, an
+observed metric, an optimizer setting) or a count (a budget, a width, an
+iteration index). A real must pass `finite`: an int or float, never a bool,
+that a float holds. A count must pass `count`: an int, never a bool, at or
+above the field's lower bound. A value outside its rule raises
+`PolicyError` or `ValueError` naming the field, from the constructor or the
+call that takes it, before anything runs; never `OverflowError` or
+`TypeError`, and never halfway through a run.
+"""
+
+import ast
+import math
+import os
+import re
+
+import numpy as np
+import pytest
+
+from lrforge import adaptive, model, optim, problems, schedule, store, trainer, tuner
+from lrforge.schedule import Fix, ReduceOnPlateau, count, finite
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "lrforge")
+
+FIX = Fix(k=0.1)
+PLATEAU = ReduceOnPlateau(k=0.1, factor=0.5, patience=1)
+CTX = tuner.TrialContext(model=model.Linear(2, 2), task=problems.gen_moons(seed=0, n=40),
+                         optimizer=optim.OptimizerSpec(),
+                         config=trainer.TrainConfig(batch_size=8, budget=10))
+# never created: a store that is only queried writes nothing
+NO_DB = os.path.join(os.path.dirname(os.path.abspath(__file__)), "no-such-db.jsonl")
+
+# no real number: past the float range either way, NaN, infinite, a bool
+NOT_REAL = [("int-past-the-float-range", 10**400), ("-int-past-the-float-range", -(10**400)),
+            ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+            ("True", True), ("False", False)]
+# no count: 10**400 is one, and 10.5 passes every lower bound the fields have
+NOT_COUNT = [(label, v) for label, v in NOT_REAL if v != 10**400] + [("2.5", 2.5),
+                                                                      ("10.5", 10.5)]
+
+# (entry point, the field its error names, a call that takes the value)
+REALS = [
+    ("SearchSpace.lambda_grid", "lambda_grid",
+     lambda v: tuner.SearchSpace(templates=(FIX,), lambda_grid=(v,))),
+    ("SearchSpace.lambda_range-low", "lambda_range",
+     lambda v: tuner.SearchSpace(templates=(FIX,), lambda_range=(v, 1.0), n_samples=2)),
+    ("SearchSpace.lambda_range-high", "lambda_range",
+     lambda v: tuner.SearchSpace(templates=(FIX,), lambda_range=(1e-3, v), n_samples=2)),
+    ("draw_lambdas", "lambda_range", lambda v: tuner.draw_lambdas((1e-3, v), 2, 0)),
+    ("range_test.k_grid", "k_grid", lambda v: tuner.range_test(CTX, [v])),
+    ("range_test.tolerance", "tolerance", lambda v: tuner.range_test(CTX, [0.1], tolerance=v)),
+    ("observe", "metric",
+     lambda v: adaptive.observe(adaptive.initial_state(PLATEAU), PLATEAU, v)),
+    ("OptimizerSpec.eps", "eps", lambda v: optim.OptimizerSpec("adam", eps=v)),
+    ("OptimizerSpec.beta1", "betas", lambda v: optim.OptimizerSpec("adam", beta1=v)),
+    ("OptimizerSpec.momentum", "momentum", lambda v: optim.OptimizerSpec("sgd", momentum=v)),
+    ("optim.step", "lr", lambda v: optim.step(np.zeros(2), np.zeros(2), v,
+                                              optim.init_state(optim.OptimizerSpec(), 2))),
+    ("TrainConfig.target_accuracy", "target_accuracy",
+     lambda v: trainer.TrainConfig(target_accuracy=v)),
+    ("Fix.k", "k", lambda v: Fix(k=v)),
+    ("Scaled.lam", "lam", lambda v: schedule.Scaled(lam=v, base=FIX)),
+]
+COUNTS = [
+    ("TrainConfig.budget", "budget", lambda v: trainer.TrainConfig(budget=v)),
+    ("TrainConfig.batch_size", "batch_size", lambda v: trainer.TrainConfig(batch_size=v)),
+    ("TrainConfig.eval_every", "eval_every", lambda v: trainer.TrainConfig(eval_every=v)),
+    ("SearchSpace.trials_per_point", "trials_per_point",
+     lambda v: tuner.SearchSpace(templates=(FIX,), trials_per_point=v)),
+    ("SearchSpace.n_samples", "n_samples",
+     lambda v: tuner.SearchSpace(templates=(FIX,), lambda_range=(0.1, 1.0), n_samples=v)),
+    ("draw_lambdas.n", "n_samples", lambda v: tuner.draw_lambdas((0.1, 1.0), v, 0)),
+    ("SearchSpace.boundaries", "boundaries",
+     lambda v: tuner.SearchSpace(templates=(FIX,), boundaries=(0, v, 20))),
+    ("range_test.trial_budget", "trial_budget",
+     lambda v: tuner.range_test(CTX, [0.1], trial_budget=v)),
+    ("MLP.hidden", "hidden", lambda v: model.MLP(2, v, 2)),
+    ("Linear.d_in", "d_in", lambda v: model.Linear(v, 2)),
+    ("gen_moons.n", "n", lambda v: problems.gen_moons(seed=0, n=v)),
+    ("gen_blobs.n_per_class", "n_per_class", lambda v: problems.gen_blobs(seed=0, n_per_class=v)),
+    ("gen_blobs.n_classes", "n_classes",
+     lambda v: problems.gen_blobs(seed=0, n_per_class=2, n_classes=v)),
+    ("gen_blobs.d", "d", lambda v: problems.gen_blobs(seed=0, n_per_class=2, d=v)),
+    ("run_surface_trial.iterations", "iterations",
+     lambda v: trainer.run_surface_trial(problems.Rosenbrock(), (0.0, 0.0), FIX,
+                                         optim.OptimizerSpec(), v)),
+    ("lr_at", "t", lambda v: schedule.lr_at(FIX, v)),
+    ("sample_trace.t_max", "t_max", lambda v: schedule.sample_trace(FIX, v)),
+    ("sample_trace.stride", "stride", lambda v: schedule.sample_trace(FIX, 10, v)),
+    ("Step.l", "l", lambda v: schedule.Step(k=0.1, gamma=0.5, l=v)),
+    ("NStep.milestones", "milestones",
+     lambda v: schedule.NStep(k=0.1, gamma=0.5, milestones=(v,))),
+    ("ReduceOnPlateau.cooldown", "cooldown",
+     lambda v: ReduceOnPlateau(k=0.1, factor=0.5, patience=1, cooldown=v)),
+    ("query_top_k", "k", lambda v: store.PolicyStore(NO_DB).query_top_k("t", v)),
+]
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    """Fail the test if a training or surface run starts."""
+    def run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(tuner, "run_population", run)
+    monkeypatch.setattr(trainer, "surface_value_grad", run)
+
+
+@pytest.mark.parametrize("field, call, value", [
+    pytest.param(field, call, value, id=f"{name}-{label}")
+    for entries, values in ((REALS, NOT_REAL), (COUNTS, NOT_COUNT))
+    for name, field, call in entries for label, value in values])
+def test_a_value_outside_its_rule_is_rejected_naming_the_field(nothing_runs, field, call,
+                                                                value):
+    # PolicyError is a ValueError; an OverflowError or a TypeError fails the test
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        call(value)
+    assert not os.path.exists(NO_DB)
+
+
+def test_the_rules():
+    for value in (0, -3, 2.5, 0.0, -1e308, 10**300, np.float64(1.5)):
+        assert finite(value)
+    for value in (10**400, -(10**400), math.nan, math.inf, -math.inf, True, False, "1", None):
+        assert not finite(value)
+    assert count(0) and count(5, 5) and count(10**400, 1)
+    for value, low in ((-1, 0), (4, 5), (True, 0), (False, 0), (2.0, 0), (None, 0)):
+        assert not count(value, low)
+
+
+def test_no_module_checks_finiteness_but_through_the_rule():
+    # a fifth idiom of "is this a usable number" fails here: only the body of
+    # schedule.finite may name math.isfinite, math.inf or float_info
+    found, rule = [], None
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as f:
+            text = f.read()
+        allowed = set()
+        if name == "schedule.py":
+            rule = next(node for node in ast.walk(ast.parse(text))
+                        if isinstance(node, ast.FunctionDef) and node.name == "finite")
+            allowed = set(range(rule.lineno, rule.end_lineno + 1))
+        found += [f"{name}:{i}: {line.strip()}"
+                  for i, line in enumerate(text.splitlines(), start=1)
+                  if re.search(r"math\.isfinite|math\.inf|float_info", line)
+                  and i not in allowed]
+    assert rule is not None
+    assert found == []

@@ -190,12 +190,22 @@ def test_mid_file_corruption_is_an_error(tmp_path):
     store.append(_rec(k=0.1))
     store.append(_rec(k=0.2, acc=0.95))
     good = path.read_bytes().split(b"\n")
-    outcome = json.loads(good[0])["outcome"]
+    full = json.loads(good[0])["outcome"]
+    outcome = dict(full)
     del outcome["best_accuracy"]
+    # a field of the wrong type: an accuracy or lambda that is no finite number,
+    # an iteration count that is no count, a seed that is no int, a diverged
+    # flag that is no bool
+    wrong = [_line(_rec(), outcome={**full, key: value}) for key, value in [
+        ("final_accuracy", "x"), ("best_accuracy", float("nan")), ("final_accuracy", True),
+        ("iterations_run", 2.5), ("iterations_run", -1), ("iterations_to_target", "x"),
+        ("iterations_to_target", False), ("diverged", "no"), ("diverged", 0)]]
+    wrong += [_line(_rec(), **{"lambda": "x"}), _line(_rec(), **{"lambda": float("inf")}),
+              _line(_rec(), seed=1.5), _line(_rec(), seed=True)]
     # lines that do not parse, and lines that parse to something not a record
     for bad in [b"not json", b"[1, 2]", _line(_rec(), outcome=None),
                 _line(_rec(), outcome=outcome), _line(_rec(), outcome=[1, 2]),
-                _line(_rec(), **{"lambda": [1.0]})]:
+                _line(_rec(), **{"lambda": [1.0]}), *wrong]:
         path.write_bytes(b"\n".join([bad] + good[1:]))
         with pytest.raises(ValueError, match="corrupt record at .*:1$"):
             PolicyStore(path)
