@@ -265,6 +265,12 @@ def _short_policy(policy) -> str:
     return f"{d['family']}({body}){suffix}"
 
 
+def _short_name(policy) -> str:
+    """`_short_policy` cut to a 44-column table cell."""
+    name = _short_policy(policy)
+    return name if len(name) <= 44 else name[:41] + "..."
+
+
 def _compact(value) -> str:
     if isinstance(value, float):
         return f"{value:g}"
@@ -281,13 +287,6 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def _write_trial(out_dir: str, trace: trainer.TrialTrace):
-    """One training run's artifacts: trace_train.csv, trace_eval.csv and outcome.json."""
-    trainer.write_train_csv(trace, _artifact(out_dir, "trace_train.csv"))
-    trainer.write_eval_csv(trace, _artifact(out_dir, "trace_eval.csv"))
-    _write_json(_artifact(out_dir, "outcome.json"), trace.outcome.to_dict())
-
-
 def _record_trials(db: store.PolicyStore, task_name: str, rows, stamp: str) -> int:
     """Append one record per (template, lambda, seed, outcome) row; returns the count.
 
@@ -299,6 +298,18 @@ def _record_trials(db: store.PolicyStore, task_name: str, rows, stamp: str) -> i
         db.append(store.make_record(task_name, template, lam, seed, outcome,
                                     timestamp=stamp))
     return len(rows)
+
+
+def _train(ctx: tuner.TrialContext, cfg: trainer.TrainConfig, policy, out_dir: str,
+           db: store.PolicyStore, task_name: str, stamp: str) -> trainer.TrialTrace:
+    """One training run: trace_train.csv, trace_eval.csv, outcome.json and its record."""
+    trace = trainer.run_trial(ctx.model, ctx.task, policy, ctx.optimizer, cfg)
+    trainer.write_train_csv(trace, _artifact(out_dir, "trace_train.csv"))
+    trainer.write_eval_csv(trace, _artifact(out_dir, "trace_eval.csv"))
+    _write_json(_artifact(out_dir, "outcome.json"), trace.outcome.to_dict())
+    template, lam = schedule.split_lambda(policy)
+    _record_trials(db, task_name, [(template, lam, cfg.seed, trace.outcome)], stamp)
+    return trace
 
 
 def _tune_rows(result: tuner.TuneResult):
@@ -334,15 +345,9 @@ def cmd_train(args) -> int:
     policy = _read(doc, "policy")
     db = _open_db(args, doc)
     out_dir = _out_dir(doc, args.out_dir)
-
-    trace = trainer.run_trial(ctx.model, ctx.task, policy, ctx.optimizer, cfg)
-    _write_trial(out_dir, trace)
-
     task_name = _task_name(doc, ctx, "min_cost" if cfg.target_accuracy else "max_accuracy")
-    template, lam = schedule.split_lambda(policy)
-    _record_trials(db, task_name, [(template, lam, cfg.seed, trace.outcome)], _now())
 
-    o = trace.outcome
+    o = _train(ctx, cfg, policy, out_dir, db, task_name, _now()).outcome
     print(f"task            {task_name}")
     print(f"policy          {_short_policy(policy)}")
     print(f"final accuracy  {o.final_accuracy:.4f}")
@@ -363,9 +368,7 @@ def _print_leaderboard(result: tuner.TuneResult, limit: int = 10):
     print(f"{'rank':>4}  {'policy':<44} {'lambda':>10}  {metric_col:>20}"
           + ("  speedup" if min_cost else "") + "  cost")
     for rank, cell in enumerate(result.entries[:limit], start=1):
-        name = _short_policy(cell.template)
-        if len(name) > 44:
-            name = name[:41] + "..."
+        name = _short_name(cell.template)
         if cell.metric_mean is None:
             metric = "diverged" if cell.n_diverged else "no target hit"
             line = f"{rank:>4}  {name:<44} {cell.lam:>10g}  {metric:>20}"
@@ -403,11 +406,8 @@ def cmd_tune(args) -> int:
         _write_json(_artifact(out_dir, "composite.json"),
                     schedule.policy_to_dict(composite))
         # confirmation run of the stitched policy over the full horizon
-        full_cfg = replace(ctx.config, budget=space.boundaries[-1])
-        trace = trainer.run_trial(ctx.model, ctx.task, composite, ctx.optimizer, full_cfg)
-        _write_trial(out_dir, trace)
-        _record_trials(db, task_name, [(composite, 1.0, full_cfg.seed, trace.outcome)],
-                       stamp)
+        trace = _train(ctx, replace(ctx.config, budget=space.boundaries[-1]), composite,
+                       out_dir, db, task_name, stamp)
         for i, result in enumerate(phase_results):
             start, end = space.boundaries[i], space.boundaries[i + 1]
             print(f"phase {i} [{start}:{end}) winner: "
@@ -437,8 +437,8 @@ def cmd_range_test(args) -> int:
     db = _open_db(args, doc)
     out_dir = _out_dir(doc, args.out_dir)
 
-    result = tuner.range_test(ctx, **probes)
     task_name = _task_name(doc, ctx, "range_test")
+    result = tuner.range_test(ctx, **probes)
     _record_trials(db, task_name, [(schedule.Fix(k=k), 1.0, result.seed, outcome)
                                    for k, outcome in zip(result.ks, result.outcomes)],
                    _now())
@@ -468,9 +468,7 @@ def cmd_top_k(args) -> int:
     print(f"{'rank':>4}  {'policy':<44} {'lambda':>10} {'seed':>5}  "
           f"{'final_acc':>9}  {'cost':>8}")
     for rank, r in enumerate(records, start=1):
-        name = _short_policy(schedule.policy_from_dict(r.policy))
-        if len(name) > 44:
-            name = name[:41] + "..."
+        name = _short_name(schedule.policy_from_dict(r.policy))
         acc = "diverged" if r.diverged else f"{r.final_accuracy:.4f}"
         print(f"{rank:>4}  {name:<44} {r.lam:>10g} {r.seed:>5}  {acc:>9}  "
               f"{r.cost():>8}")

@@ -33,6 +33,9 @@ class _Widths:
         if not (all(count(w, 1) for w in self.widths) and self.widths[-1] >= 2):
             raise ValueError(f"invalid model dimensions: {self}")
 
+    def descriptor(self) -> str:
+        return f"{type(self).__name__.lower()}({'->'.join(map(str, self.widths))})"
+
 
 @dataclass(frozen=True)
 class Linear(_Widths):
@@ -42,9 +45,6 @@ class Linear(_Widths):
     @property
     def widths(self) -> tuple[int, ...]:
         return (self.d_in, self.n_classes)
-
-    def descriptor(self) -> str:
-        return f"linear({self.d_in}->{self.n_classes})"
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,6 @@ class MLP(_Widths):
     @property
     def widths(self) -> tuple[int, ...]:
         return (self.d_in, self.hidden, self.n_classes)
-
-    def descriptor(self) -> str:
-        return f"mlp({self.d_in}->{self.hidden}->{self.n_classes})"
 
 
 ModelSpec = Linear | MLP

@@ -31,7 +31,11 @@ class Quadratic:
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        entries = np.asarray(self.a, dtype=object)  # numpy numbers as Python ones
+        # a NaN or infinite float fails the matrix checks below
+        if not all(finite(v) or isinstance(v, float) for v in entries.flat):
+            raise ValueError(f"a must hold finite numbers, got {self.a!r}")
+        object.__setattr__(self, "a", entries.astype(float))
         if self.a.shape != (2, 2):
             raise ValueError(f"a must be 2x2, got shape {self.a.shape}")
         if not np.allclose(self.a, self.a.T):
@@ -61,6 +65,8 @@ class Well:
     def __post_init__(self):
         if len(self.center) != 2:
             raise ValueError(f"center must have 2 coordinates, got {len(self.center)}")
+        if not all(map(finite, self.center)):
+            raise ValueError(f"center coordinates must be finite, got {self.center!r}")
         if not all(finite(v) and v > 0 for v in (self.depth, self.width)):
             raise ValueError(f"well depth and width must be finite and > 0, got {self}")
 
@@ -138,6 +144,11 @@ def _size(name: str, value: int, low: int):
         raise ValueError(f"{name} must be <= {np.iinfo(np.intp).max}, got {value}")
 
 
+def _seed(seed: int):
+    if not count(seed):
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _split_80_20(name: str, features: np.ndarray, labels: np.ndarray,
                  n_classes: int, rng: np.random.Generator) -> TaskData:
     # fixed head/tail split after a seeded shuffle
@@ -160,6 +171,9 @@ def gen_blobs(seed: int, n_per_class: int, n_classes: int = 2, d: int = 2,
     _size("n_per_class", n_per_class, 1)
     _size("n_classes", n_classes, 2)
     _size("d", d, 1)
+    _seed(seed)
+    if not finite(separation):
+        raise ValueError(f"separation must be finite, got {separation!r}")
     rng = np.random.default_rng(seed)
     centers = np.zeros((n_classes, d))
     if d == 1:
@@ -179,6 +193,7 @@ def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
     _size("n", n, 4)
     if not (finite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
+    _seed(seed)
     rng = np.random.default_rng(seed)
     n_outer = n // 2
     n_inner = n - n_outer

@@ -316,6 +316,17 @@ def _posint(name: str, value, low: int = 1):
 _count = partial(_posint, low=0)
 
 
+#: The largest t a policy is evaluated at: the largest integer a float holds
+#: exactly. Past it a closed form can overflow (gamma ** t) or leave math's
+#: domain (sin of a float that rounds to infinity).
+_MAX_T = 2**53
+
+
+def _iteration(name: str, value):
+    _need(count(value), f"{name} must be an integer >= 0, got {value!r}")
+    _need(value <= _MAX_T, f"{name} must be <= 2**53, got {value!r}")
+
+
 def _one_of(choices: tuple):
     def check(name: str, value):
         _need(value in choices, f"{name} must be one of {choices}, got {value!r}")
@@ -528,9 +539,9 @@ def compile(policy: Policy, steps: int):
 
 
 def lr_at(policy: Policy, t: int) -> float:
-    """Evaluate eta(t) for a policy at integer iteration t >= 0."""
-    if not count(t):
-        raise PolicyError(f"t must be an integer >= 0, got {t!r}")
+    """Evaluate eta(t) for a policy at integer iteration 0 <= t <= 2**53."""
+    if not (count(t) and t <= _MAX_T):
+        _iteration("t", t)
     return _closed_form(policy)(policy, t)
 
 
@@ -540,7 +551,7 @@ def sample_trace(policy: Policy, t_max: int, stride: int = 1) -> list[tuple[int,
     Returns ceil(t_max / stride) + 1 points; the last point is clamped to
     t_max so horizon-bound policies stay in range.
     """
-    _need(count(t_max), f"t_max must be an integer >= 0, got {t_max!r}")
+    _iteration("t_max", t_max)
     _need(count(stride, 1), f"stride must be an integer >= 1, got {stride!r}")
     form = _closed_form(policy)
     n = math.ceil(t_max / stride)

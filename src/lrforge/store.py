@@ -30,9 +30,12 @@ parse or parses to something else (a list, an object missing a field, a
 list where the identity needs a scalar, a field of the wrong type), raises
 ValueError("corrupt record at PATH:N"). The accuracies and lambda must be
 `schedule.finite`, the iteration counts `schedule.count`s (iterations to
-target may be null), the seed an int and `diverged` a bool. A line that repeats an earlier identity (two stores appending
-to one file) is skipped when its outcome is the same and rejected when it
-differs.
+target may be null), the seed an int and `diverged` a bool.
+
+A loaded line and an appended record pass one admission rule,
+`PolicyStore._known`: a repeated identity (on load, two stores appending to
+one file) is skipped when its outcome is the same and raises StoreConflict
+when it differs, naming a loaded line `record at PATH:N`.
 """
 
 from __future__ import annotations
@@ -199,10 +202,22 @@ class PolicyStore:
         self._policy_keys: dict[str, str] = {}
         self._load()
 
-    def _identity(self, record: TrialRecord) -> tuple:
-        """`record.key()`, its policy string shared with equal earlier ones."""
+    def _known(self, record: TrialRecord, line: int = 0) -> tuple[tuple, Optional[int]]:
+        """The record's identity and the id stored under it, or None if new.
+
+        The identity is `record.key()`, its policy string shared with equal
+        earlier ones. An identity stored with a different outcome raises
+        StoreConflict; `line`, when not 0, is the record's line in the file
+        being loaded.
+        """
         task, policy_key, lam, seed = record.key()
-        return task, self._policy_keys.setdefault(policy_key, policy_key), lam, seed
+        key = task, self._policy_keys.setdefault(policy_key, policy_key), lam, seed
+        existing_id = self._by_key.get(key)  # a TypeError if a field is a list
+        if (existing_id is not None
+                and self._records[existing_id].stable_outcome() != record.stable_outcome()):
+            where = f" at {self.path}:{line}" if line else ""
+            raise StoreConflict(f"record{where} for {key} already exists with a different outcome")
+        return key, existing_id
 
     def _index(self, record: TrialRecord, key: tuple) -> int:
         new_id = len(self._records)
@@ -224,8 +239,7 @@ class PolicyStore:
             last = i == len(lines) - 1
             try:
                 record = _record_from_obj(json.loads(line))
-                key = self._identity(record)
-                existing_id = self._by_key.get(key)  # a TypeError if a field is a list
+                key, existing_id = self._known(record, i + 1)
             except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as e:
                 if (last and not ends_with_newline
                         and isinstance(e, json.JSONDecodeError)):
@@ -241,9 +255,6 @@ class PolicyStore:
                     f.write(b"\n")
             if existing_id is None:
                 self._index(record, key)
-            elif self._records[existing_id].stable_outcome() != record.stable_outcome():
-                raise StoreConflict(f"record at {self.path}:{i + 1} repeats an earlier "
-                                    f"line's identity {key} with a different outcome")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -251,13 +262,8 @@ class PolicyStore:
     def append(self, record: TrialRecord) -> int:
         """Persist one record; duplicate identities are idempotent."""
         with self._lock:
-            key = self._identity(record)
-            existing_id = self._by_key.get(key)
+            key, existing_id = self._known(record)
             if existing_id is not None:
-                existing = self._records[existing_id]
-                if existing.stable_outcome() != record.stable_outcome():
-                    raise StoreConflict(
-                        f"record for {key} already exists with a different outcome")
                 return existing_id
             self._write((_record_to_line(record, key[1]) + "\n").encode())
             return self._index(record, key)

@@ -26,6 +26,9 @@ outcome, not an exception: the trial stops and the trace is marked
 diverged. Large learning rates are expected to blow up during sweeps. A
 trial that diverges or reaches its target leaves the stack, and the rest
 go on.
+
+`write_csv` writes every CSV artifact but `lr eval`'s: a trial's train and
+eval traces, a surface path and a tune's leaderboard.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ class TrainConfig:
         if not (self.target_accuracy is None
                 or finite(self.target_accuracy) and 0 < self.target_accuracy <= 1):
             raise ValueError(f"target_accuracy must be in (0, 1], got {self.target_accuracy}")
+        if not count(self.seed):
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -271,20 +276,21 @@ def run_trial(model_spec: ModelSpec, task: TaskData, policy,
                           config, init=init)[0]
 
 
-def write_train_csv(trace: TrialTrace, path):
+def write_csv(path, header: list, rows):
+    """The header row, then each row, in the csv module's default dialect."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "lr", "train_loss"])
-        for t, lr, loss in zip(trace.iterations, trace.lrs, trace.losses):
-            writer.writerow([t, repr(lr), repr(loss)])
+        csv.writer(f).writerows([header, *rows])
+
+
+def write_train_csv(trace: TrialTrace, path):
+    write_csv(path, ["iteration", "lr", "train_loss"],
+              ([t, repr(lr), repr(loss)]
+               for t, lr, loss in zip(trace.iterations, trace.lrs, trace.losses)))
 
 
 def write_eval_csv(trace: TrialTrace, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "test_accuracy"])
-        for t, acc in zip(trace.eval_iterations, trace.eval_accuracies):
-            writer.writerow([t, repr(acc)])
+    write_csv(path, ["iteration", "test_accuracy"],
+              ([t, repr(acc)] for t, acc in zip(trace.eval_iterations, trace.eval_accuracies)))
 
 
 # --- 2-D surface trials ---
@@ -339,9 +345,7 @@ def run_surface_trial(surface: Surface, start, policy,
 
 
 def write_surface_csv(path_result: SurfacePath, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "x", "y", "value"])
-        for t, pt, v in zip(path_result.iterations, path_result.points,
-                            path_result.values):
-            writer.writerow([t, repr(float(pt[0])), repr(float(pt[1])), repr(v)])
+    write_csv(path, ["iteration", "x", "y", "value"],
+              ([t, repr(float(pt[0])), repr(float(pt[1])), repr(v)]
+               for t, pt, v in zip(path_result.iterations, path_result.points,
+                                   path_result.values)))

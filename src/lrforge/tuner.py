@@ -2,7 +2,9 @@
 
 A `SearchSpace` holds a search and checks it when built; `grid_search` runs
 it over its lambda grid or drawn lambdas, `compose_search` phase by phase.
-Each is deterministic for a given (space, context): trial seeds derive from
+Both run a search step through `_search`, which trains the cells, ranks them
+and names the winner; a lambda grid and a range test's k grid pass one rule,
+`_check_grid`. Each is deterministic for a given (space, context): trial seeds derive from
 the context seed, cells rank by value with fixed tie breaks, and all the
 trials of a search (or of one compose phase) train as one stacked population
 (`trainer.run_population`), whose rows are bit for bit the trials run alone.
@@ -10,7 +12,6 @@ trials of a search (or of one compose phase) train as one stacked population
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -21,11 +22,20 @@ from .optim import OptimizerSpec
 from .problems import TaskData
 from .schedule import (Composite, Fix, Policy, PolicyError, Scaled, Segment, count, finite,
                        canonical_policy_key, compile as compile_policy, policy_to_dict)
-from .trainer import TrainConfig, TrialOutcome, TrialTrace, run_population
+from .trainer import TrainConfig, TrialOutcome, TrialTrace, run_population, write_csv
 
 
 class AllDiverged(RuntimeError):
     """Every candidate trial diverged; there is nothing to rank."""
+
+
+def _check_grid(name: str, values):
+    """The rule for a grid of lambdas or ks: non-empty, every value positive and finite."""
+    if not values:
+        raise PolicyError(f"{name} must be non-empty")
+    for v in values:
+        if not (finite(v) and v > 0):
+            raise PolicyError(f"{name} values must be positive and finite, got {v!r}")
 
 
 def _check_draws(lambda_range, n):
@@ -59,6 +69,8 @@ class SearchSpace:
         for name in ("n_samples", "seed"):
             if not ranged and getattr(self, name) is not None:
                 raise PolicyError(f"{name} applies only with lambda_range")
+        if not (self.seed is None or count(self.seed)):
+            raise PolicyError(f"seed must be >= 0, got {self.seed}")
         if self.boundaries is not None and self.objective == "min_cost":
             raise PolicyError("objective min_cost does not apply with boundaries: "
                               "each phase ranks by accuracy")
@@ -78,12 +90,8 @@ class SearchSpace:
         if self.objective not in ("max_accuracy", "min_cost"):
             raise PolicyError(f"objective must be max_accuracy or min_cost, "
                               f"got {self.objective!r}")
-        if not ranged and not self.lambda_grid:
-            raise PolicyError("lambda_grid must be non-empty")
-        for lam in self.lambda_grid or ():
-            if not (finite(lam) and lam > 0):
-                raise PolicyError(f"lambda_grid values must be positive and finite, "
-                                  f"got {lam!r}")
+        if not ranged:
+            _check_grid("lambda_grid", self.lambda_grid)
         b = self.boundaries
         if b is not None and (len(b) < 2 or b[0] != 0 or not all(map(count, b))
                               or any(s >= e for s, e in zip(b, b[1:]))):
@@ -200,17 +208,27 @@ def _rank(entries: list[CellResult], objective: str) -> list[CellResult]:
     return sorted(entries, key=key)
 
 
+def _search(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: str,
+            trials_per_point: int, init=None) -> tuple[TuneResult, np.ndarray]:
+    """Train the cells as one population and rank them by the objective.
+
+    Returns the result and the params the winner's first trial ended with;
+    raises AllDiverged when every trial of every cell diverged.
+    """
+    unranked, traces = _run_cells(cells, ctx, objective, trials_per_point, init=init)
+    entries = _rank(unranked, objective)
+    if all(e.n_diverged == len(e.outcomes) for e in entries):
+        raise AllDiverged("every cell diverged in every trial")
+    winner = next(i for i, cell in enumerate(unranked) if cell is entries[0])
+    return (TuneResult(objective=objective, entries=entries, budget=ctx.config.budget),
+            traces[winner * trials_per_point].final_params)
+
+
 def grid_search(space: SearchSpace, ctx: TrialContext) -> TuneResult:
     """Sweep templates x the space's lambdas (grid or draws), ranked by the objective."""
     if space.objective == "min_cost" and ctx.config.target_accuracy is None:
         raise PolicyError("min_cost objective requires target_accuracy")
-    entries, _ = _run_cells(_cells(space, ctx), ctx, space.objective,
-                            space.trials_per_point)
-    entries = _rank(entries, space.objective)
-    if all(e.n_diverged == len(e.outcomes) for e in entries):
-        raise AllDiverged("every cell diverged in every trial")
-    return TuneResult(objective=space.objective, entries=entries,
-                      budget=ctx.config.budget)
+    return _search(_cells(space, ctx), ctx, space.objective, space.trials_per_point)[0]
 
 
 def draw_lambdas(lambda_range: tuple[float, float], n: int, seed: int) -> list[float]:
@@ -243,11 +261,7 @@ def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
     one grid step above when that step did not diverge.
     """
     ks = list(k_grid)
-    if not ks:
-        raise PolicyError("k_grid must be non-empty")
-    for k in ks:
-        if not (finite(k) and k > 0):
-            raise PolicyError(f"k_grid values must be positive and finite, got {k!r}")
+    _check_grid("k_grid", ks)
     ks = sorted(map(float, ks))
     if len(set(ks)) != len(ks):
         raise PolicyError("k_grid values must be distinct")
@@ -304,19 +318,12 @@ def tune_result_to_dict(result: TuneResult) -> dict:
 
 
 def write_leaderboard_csv(result: TuneResult, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["rank", "policy", "lambda", "metric_mean", "metric_std",
-                         "cost_iters"])
-        for rank, cell in enumerate(result.entries, start=1):
-            writer.writerow([
-                rank,
-                canonical_policy_key(cell.template),
-                repr(cell.lam),
+    write_csv(path, ["rank", "policy", "lambda", "metric_mean", "metric_std", "cost_iters"],
+              ([rank, canonical_policy_key(cell.template), repr(cell.lam),
                 "" if cell.metric_mean is None else repr(cell.metric_mean),
                 "" if cell.metric_std is None else repr(cell.metric_std),
-                repr(cell.cost_iters),
-            ])
+                repr(cell.cost_iters)]
+               for rank, cell in enumerate(result.entries, start=1)))
 
 
 def compose_multi(boundaries, phase_results: list[TuneResult]) -> Composite:
@@ -363,17 +370,13 @@ def compose_search(space: SearchSpace, ctx: TrialContext) -> tuple[Composite, li
     for start, end in zip(bounds, bounds[1:]):
         phase_cfg = replace(ctx.config, budget=end - start, target_accuracy=None)
         phase_ctx = TrialContext(ctx.model, ctx.task, ctx.optimizer, phase_cfg)
-        unranked, traces = _run_cells(cells, phase_ctx, "max_accuracy",
-                                      space.trials_per_point, init=checkpoint)
-        entries = _rank(unranked, "max_accuracy")
-        if entries[0].metric_mean is None:
-            raise AllDiverged(f"every candidate diverged in phase [{start}, {end})")
-        result = TuneResult(objective="max_accuracy", entries=entries,
-                            budget=end - start)
+        try:
+            # the next phase starts from the params the winner's first trial ended with
+            result, checkpoint = _search(cells, phase_ctx, "max_accuracy",
+                                         space.trials_per_point, init=checkpoint)
+        except AllDiverged:
+            raise AllDiverged(f"every candidate diverged in phase [{start}, {end})") from None
         phase_results.append(result)
-        # the next phase starts from the params the winner's first trial ended with
-        winner_cell = next(ci for ci, cell in enumerate(unranked) if cell is result.winner)
-        checkpoint = traces[winner_cell * space.trials_per_point].final_params
 
     composite = compose_multi(bounds, phase_results)
     return composite, phase_results

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrforge import cli
+from lrforge import cli, trainer, tuner
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ESCAPE_MANIFEST = os.path.join(REPO, "manifests", "surface_escape.json")
@@ -341,8 +341,16 @@ SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
      "trial_budget: budget must be >= 0, got -5"),
     ("range-test", {"range_test": {"k_grid": [0.1], "tolerance": -0.5}},
      "tolerance must be finite and >= 0, got -0.5"),
+    # a task key that names no task fails before the first training step
+    ("train", {"task": 5}, "task has the wrong type: 5"),
+    ("range-test", {"task": 5}, "task has the wrong type: 5"),
 ])
-def test_bad_input_leaves_no_out_dir_and_no_db(tmp_path, capsys, command, section, fragment):
+def test_bad_input_leaves_no_out_dir_and_no_db(tmp_path, capsys, monkeypatch, command, section,
+                                                fragment):
+    def run(*args, **kwargs):
+        raise AssertionError("a training step ran")
+    monkeypatch.setattr(trainer, "run_population", run)
+    monkeypatch.setattr(tuner, "run_population", run)
     manifest = write_manifest(tmp_path, **{"search": FIX_GRID, "range_test": {"k_grid": [0.1]},
                                            **SURFACE, **section})
     db = ("--db", tmp_path / "db.jsonl") if command != "surface" else ()

@@ -4,7 +4,8 @@ Every scalar a user hands lrforge is a real number (a lambda, a k, an
 observed metric, an optimizer setting) or a count (a budget, a width, an
 iteration index). A real must pass `finite`: an int or float, never a bool,
 that a float holds. A count must pass `count`: an int, never a bool, at or
-above the field's lower bound. A value outside its rule raises
+above the field's lower bound; an iteration index that a policy is
+evaluated at is also at most 2**53. A value outside its rule raises
 `PolicyError` or `ValueError` naming the field, from the constructor or the
 call that takes it, before anything runs; never `OverflowError` or
 `TypeError`, and never halfway through a run.
@@ -96,6 +97,38 @@ COUNTS = [
      lambda v: ReduceOnPlateau(k=0.1, factor=0.5, patience=1, cooldown=v)),
     ("query_top_k", "k", lambda v: store.PolicyStore(NO_DB).query_top_k("t", v)),
 ]
+# a seed is a count too: numpy takes no other, and its errors name no field
+SEEDS = [
+    ("TrainConfig.seed", "seed", lambda v: trainer.TrainConfig(seed=v)),
+    ("gen_moons.seed", "seed", lambda v: problems.gen_moons(seed=v, n=8)),
+    ("gen_blobs.seed", "seed", lambda v: problems.gen_blobs(seed=v, n_per_class=2)),
+    ("SearchSpace.seed", "seed",
+     lambda v: tuner.SearchSpace(templates=(FIX,), lambda_range=(0.1, 1.0), n_samples=2,
+                                 seed=v)),
+]
+NOT_SEED = NOT_COUNT + [("-1", -1)]
+# reals of the surfaces and datasets; a matrix entry that is a NaN or infinite
+# float fails the matrix checks, with their own messages (tests/test_problems.py)
+PROBLEM_REALS = [
+    ("gen_blobs.separation", "separation",
+     lambda v: problems.gen_blobs(seed=0, n_per_class=2, separation=v)),
+    ("Well.center", "center", lambda v: problems.Well(center=(v, 0.0), depth=1.0, width=1.0)),
+]
+MATRIX = [("Quadratic.a", "a", lambda v: problems.Quadratic(a=[[2, v], [v, 2]]))]
+NOT_ENTRY = [(label, v) for label, v in NOT_REAL if not isinstance(v, float)]
+# a t past 2**53, the largest integer a float holds exactly, overflows a closed
+# form (gamma ** t) or leaves math's domain (sin)
+CURVES = [("STEP", schedule.Step(k=0.1, gamma=0.5, l=1)), ("EXP", schedule.Exp(k=0.1, gamma=0.5)),
+          ("TRI", schedule.Tri(k0=0.1, k1=1.0, l=4)), ("TRI2", schedule.Tri2(k0=0.1, k1=1.0, l=4)),
+          ("TRIEXP", schedule.TriExp(k0=0.1, k1=1.0, l=4, gamma=0.5)),
+          ("SIN", schedule.Sin(k0=0.1, k1=1.0, l=4)), ("SIN2", schedule.Sin2(k0=0.1, k1=1.0, l=4)),
+          ("SINEXP", schedule.SinExp(k0=0.1, k1=1.0, l=4, gamma=0.5)),
+          ("WARMUP-EXP", schedule.Warmup(w=2, inner=schedule.Exp(k=0.1, gamma=0.5))),
+          ("SCALED-STEP", schedule.Scaled(lam=2.0, base=schedule.Step(k=0.1, gamma=0.5, l=1)))]
+TIMES = [(f"lr_at-{name}", "t", lambda v, p=policy: schedule.lr_at(p, v))
+         for name, policy in CURVES] + [
+    ("sample_trace.t_max", "t_max", lambda v: schedule.sample_trace(CURVES[0][1], v, v))]
+PAST_T = [("2**53+1", 2**53 + 1), ("10**308", 10**308), ("10**400", 10**400)]
 
 
 @pytest.fixture
@@ -109,7 +142,8 @@ def nothing_runs(monkeypatch):
 
 @pytest.mark.parametrize("field, call, value", [
     pytest.param(field, call, value, id=f"{name}-{label}")
-    for entries, values in ((REALS, NOT_REAL), (COUNTS, NOT_COUNT))
+    for entries, values in ((REALS, NOT_REAL), (COUNTS, NOT_COUNT), (SEEDS, NOT_SEED),
+                            (PROBLEM_REALS, NOT_REAL), (MATRIX, NOT_ENTRY), (TIMES, PAST_T))
     for name, field, call in entries for label, value in values])
 def test_a_value_outside_its_rule_is_rejected_naming_the_field(nothing_runs, field, call,
                                                                 value):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lrforge import trainer
+from lrforge import trainer, tuner
 from lrforge.adaptive import ReduceOnPlateau
 from lrforge.model import MLP, Linear, forward_loss_grad
 from lrforge.optim import OptimizerSpec
@@ -225,6 +225,32 @@ def test_range_test_all_diverged(blobs_task):
                        TrainConfig(batch_size=16, budget=100, eval_every=50, seed=0))
     with pytest.raises(AllDiverged):
         range_test(ctx, k_grid=[1e12, 1e15], trial_budget=50)
+
+
+def _stub_probes(monkeypatch, accuracies):
+    """Each range-test probe, in k order, ends at its accuracy, or diverges at None."""
+    def run(model, task, trials, optimizer, config, init=None):
+        assert len(trials) == len(accuracies)
+        return [trainer.TrialTrace(np.zeros(0), np.zeros(0), [], [], TrialOutcome(
+                    final_accuracy=acc or 0.0, best_accuracy=acc or 0.0,
+                    iterations_run=config.budget, iterations_to_target=None,
+                    diverged=acc is None, wall_time_sec=0.0), np.zeros(0))
+                for acc in accuracies]
+    monkeypatch.setattr(tuner, "run_population", run)
+
+
+def test_range_test_bracket_stops_below_a_diverged_k_above_the_best(blobs_ctx, monkeypatch):
+    _stub_probes(monkeypatch, [0.5, 0.75, None])
+    result = range_test(blobs_ctx, k_grid=[0.1, 0.2, 0.4], trial_budget=10)
+    assert result.k_best == 0.2
+    assert result.bracket == (0.2, 0.2)
+
+
+def test_range_test_bracket_takes_a_k_exactly_at_the_tolerance(blobs_ctx, monkeypatch):
+    # 0.75 - 0.25 is exactly 0.5 in binary: the k below the best is within tolerance
+    _stub_probes(monkeypatch, [0.5, 0.75])
+    result = range_test(blobs_ctx, k_grid=[0.1, 0.2], trial_budget=10, tolerance=0.25)
+    assert result.bracket == (0.1, 0.2)
 
 
 # --- composition ---
