@@ -5,6 +5,12 @@ rerunning a manifest with the same seed rewrites byte-identical CSV and
 JSON outputs and leaves the record database unchanged (appends of
 already-stored trials are no-ops).
 
+The trial commands (train, tune, range-test) share one front half,
+`_setup`: it loads the manifest, builds the trial context, reads the
+command's section, opens the record DB and checks the out dir, in that
+order. Each flag that several commands take is declared once, on a parent
+parser that each such command names in `build_parser`.
+
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 every trial
 diverged.
 """
@@ -312,6 +318,16 @@ def _train(ctx: tuner.TrialContext, cfg: trainer.TrainConfig, policy, out_dir: s
     return trace
 
 
+def _setup(args, section: str):
+    """A trial command's front half: (manifest, trial context, `section`, DB, out dir).
+
+    The steps run in that order, so each command reports the same first error.
+    """
+    doc = _load_manifest(args.manifest)
+    ctx = _trial_context(doc)
+    return doc, ctx, _read(doc, section), _open_db(args, doc), _out_dir(doc, args.out_dir)
+
+
 def _tune_rows(result: tuner.TuneResult):
     """Each trial of a search as a (template, lambda, seed, outcome) row."""
     return ((cell.template, cell.lam, seed, outcome) for cell in result.entries
@@ -339,12 +355,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_manifest(args.manifest)
-    ctx = _trial_context(doc)
+    doc, ctx, policy, db, out_dir = _setup(args, "policy")
     cfg = ctx.config
-    policy = _read(doc, "policy")
-    db = _open_db(args, doc)
-    out_dir = _out_dir(doc, args.out_dir)
     task_name = _task_name(doc, ctx, "min_cost" if cfg.target_accuracy else "max_accuracy")
 
     o = _train(ctx, cfg, policy, out_dir, db, task_name, _now()).outcome
@@ -368,29 +380,22 @@ def _print_leaderboard(result: tuner.TuneResult, limit: int = 10):
     print(f"{'rank':>4}  {'policy':<44} {'lambda':>10}  {metric_col:>20}"
           + ("  speedup" if min_cost else "") + "  cost")
     for rank, cell in enumerate(result.entries[:limit], start=1):
-        name = _short_name(cell.template)
+        # the metric cell, and for min_cost the speedup cell
         if cell.metric_mean is None:
             metric = "diverged" if cell.n_diverged else "no target hit"
-            line = f"{rank:>4}  {name:<44} {cell.lam:>10g}  {metric:>20}"
-            if min_cost:
-                line += "        -"
+            cells = f"{metric:>20}" + ("        -" if min_cost else "")
         elif min_cost:
             speedup = result.speedup(cell)
             sp = f"{speedup:>6.2f}x" if speedup is not None else "   inf "
-            line = (f"{rank:>4}  {name:<44} {cell.lam:>10g}  "
-                    f"{cell.metric_mean:>20.1f}  {sp}")
+            cells = f"{cell.metric_mean:>20.1f}  {sp}"
         else:
-            spread = f"{cell.metric_mean:.4f}+-{cell.metric_std:.4f}"
-            line = f"{rank:>4}  {name:<44} {cell.lam:>10g}  {spread:>20}"
-        print(f"{line}  {cell.cost_iters:.0f}")
+            cells = f"{cell.metric_mean:.4f}+-{cell.metric_std:.4f}".rjust(20)
+        print(f"{rank:>4}  {_short_name(cell.template):<44} {cell.lam:>10g}  {cells}  "
+              f"{cell.cost_iters:.0f}")
 
 
 def cmd_tune(args) -> int:
-    doc = _load_manifest(args.manifest)
-    ctx = _trial_context(doc)
-    space = _read(doc, "search")
-    db = _open_db(args, doc)
-    out_dir = _out_dir(doc, args.out_dir)
+    doc, ctx, space, db, out_dir = _setup(args, "search")
     task_name = _task_name(doc, ctx, space.objective)
     stamp = _now()
 
@@ -431,12 +436,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_range_test(args) -> int:
-    doc = _load_manifest(args.manifest)
-    ctx = _trial_context(doc)
-    probes = _read(doc, "range_test")
-    db = _open_db(args, doc)
-    out_dir = _out_dir(doc, args.out_dir)
-
+    doc, ctx, probes, db, out_dir = _setup(args, "range_test")
     task_name = _task_name(doc, ctx, "range_test")
     result = tuner.range_test(ctx, **probes)
     _record_trials(db, task_name, [(schedule.Fix(k=k), 1.0, result.seed, outcome)
@@ -517,6 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learning rate policy evaluation, training trials, and tuning.")
     parser.add_argument("--version", action="version", version=f"lr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag that several commands take is declared once, on a parent parser
+    manifest = argparse.ArgumentParser(add_help=False)
+    manifest.add_argument("--manifest", required=True)
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", dest="out_dir")
+    db = argparse.ArgumentParser(add_help=False)
+    db.add_argument("--db", help="record database path (default: $LRFORGE_DB)")
 
     p = sub.add_parser("eval", help="sample a policy's LR curve to CSV")
     p.add_argument("--policy", required=True,
@@ -526,37 +535,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("train", help="run one training trial from a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--db", help="record database path (default: $LRFORGE_DB)")
+    p = sub.add_parser("train", help="run one training trial from a manifest",
+                       parents=[manifest, out_dir, db])
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("tune", help="search policies/lambdas from a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--db", help="record database path (default: $LRFORGE_DB)")
+    p = sub.add_parser("tune", help="search policies/lambdas from a manifest",
+                       parents=[manifest, workers, out_dir, db])
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("range-test", help="bracket usable fixed LRs with short probes")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--db", help="record database path (default: $LRFORGE_DB)")
+    p = sub.add_parser("range-test", help="bracket usable fixed LRs with short probes",
+                       parents=[manifest, workers, out_dir, db])
     p.set_defaults(func=cmd_range_test)
 
-    p = sub.add_parser("top-k", help="best stored records for a task")
+    p = sub.add_parser("top-k", help="best stored records for a task", parents=[db])
     p.add_argument("--task", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--objective", choices=("max_accuracy", "min_cost"),
                    default="max_accuracy")
-    p.add_argument("--db", help="record database path (default: $LRFORGE_DB)")
     p.set_defaults(func=cmd_top_k)
 
-    p = sub.add_parser("surface", help="trace optimizer paths across a 2-D surface")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", dest="out_dir")
+    p = sub.add_parser("surface", help="trace optimizer paths across a 2-D surface",
+                       parents=[manifest, out_dir])
     p.set_defaults(func=cmd_surface)
 
     return parser

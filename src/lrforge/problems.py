@@ -139,14 +139,14 @@ class TaskData:
 def _size(name: str, value: int, low: int):
     """Reject a size that is no integer >= low, or past the largest that numpy can index."""
     if not count(value, low):
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
     if value > np.iinfo(np.intp).max:
-        raise ValueError(f"{name} must be <= {np.iinfo(np.intp).max}, got {value}")
+        raise ValueError(f"{name} must be <= {np.iinfo(np.intp).max}, got {value!r}")
 
 
 def _seed(seed: int):
     if not count(seed):
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
 
 def _split_80_20(name: str, features: np.ndarray, labels: np.ndarray,

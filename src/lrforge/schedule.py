@@ -281,36 +281,48 @@ def count(value, low: int = 0) -> bool:
     return type(value) is int and value >= low
 
 
-def _need(cond: bool, msg: str):
+class _Long(int):
+    """An int as a message shows it: its repr, or its bit length past the digits
+    that repr gives (see sys.set_int_max_str_digits)."""
+
+    def __repr__(self):
+        try:
+            return int.__repr__(self)
+        except ValueError:
+            return f"{'a negative' if self < 0 else 'an'} int of {self.bit_length()} bits"
+
+
+def _need(cond: bool, fmt: str, *args):
+    """Raise PolicyError(fmt % args) unless cond: the message is built only on failure."""
     if not cond:
-        raise PolicyError(msg)
+        raise PolicyError(fmt % tuple(_Long(a) if type(a) is int else a for a in args))
 
 
 def _real(name: str, value) -> float:
     _need(isinstance(value, (int, float)) and not isinstance(value, bool),
-          f"{name} must be a number, got {value!r}")
-    _need(finite(value), f"{name} must be finite, got {value!r}")
+          "%s must be a number, got %r", name, value)
+    _need(finite(value), "%s must be finite, got %r", name, value)
     return float(value)
 
 
 def _nonneg(name: str, value):
-    _need(_real(name, value) >= 0, f"{name} must be >= 0, got {value!r}")
+    _need(_real(name, value) >= 0, "%s must be >= 0, got %r", name, value)
 
 
 def _positive(name: str, value):
-    _need(_real(name, value) > 0, f"{name} must be > 0, got {value!r}")
+    _need(_real(name, value) > 0, "%s must be > 0, got %r", name, value)
 
 
 def _gamma(name: str, value):
-    _need(0 < _real(name, value) <= 1, f"{name} must be in (0, 1], got {value!r}")
+    _need(0 < _real(name, value) <= 1, "%s must be in (0, 1], got %r", name, value)
 
 
 def _fraction(name: str, value):
-    _need(0 < _real(name, value) < 1, f"{name} must be in (0, 1), got {value!r}")
+    _need(0 < _real(name, value) < 1, "%s must be in (0, 1), got %r", name, value)
 
 
 def _posint(name: str, value, low: int = 1):
-    _need(count(value, low), f"{name} must be an integer >= {low}, got {value!r}")
+    _need(count(value, low), "%s must be an integer >= %r, got %r", name, low, value)
 
 
 _count = partial(_posint, low=0)
@@ -323,52 +335,50 @@ _MAX_T = 2**53
 
 
 def _iteration(name: str, value):
-    _need(count(value), f"{name} must be an integer >= 0, got {value!r}")
-    _need(value <= _MAX_T, f"{name} must be <= 2**53, got {value!r}")
+    _count(name, value)
+    _need(value <= _MAX_T, "%s must be <= 2**53, got %r", name, value)
 
 
 def _one_of(choices: tuple):
     def check(name: str, value):
-        _need(value in choices, f"{name} must be one of {choices}, got {value!r}")
+        _need(value in choices, "%s must be one of %r, got %r", name, choices, value)
     return check
 
 
 def _milestones(name: str, value):
-    _need(isinstance(value, tuple), f"{name} must be a tuple")
-    prev = -1
-    for m in value:
-        _need(count(m), f"{name} must be non-negative integers, got {m!r}")
-        _need(m > prev, f"{name} must be strictly increasing, got {m!r}")
-        prev = m
+    _need(isinstance(value, tuple), "%s must be a tuple", name)
+    for prev, m in zip((-1, *value), value):
+        _need(count(m), "%s must be non-negative integers, got %r", name, m)
+        _need(m > prev, "%s must be strictly increasing, got %r", name, m)
 
 
 def _closed(name: str, policy):
     """A policy held by another (checked when it was built): one with a closed form."""
-    _need(_row(policy).closed_form is not None,
-          f"{family_name(policy)} has no closed form over t; lambda scaling or nesting "
-          f"in another policy does not apply to metric-driven policies")
+    row = _row(policy)  # a metric-driven one, which fails, is never Scaled: row.name is its name
+    _need(row.closed_form is not None, "%s has no closed form over t; lambda scaling or nesting "
+          "in another policy does not apply to metric-driven policies", row.name)
 
 
 def _closed_each(name: str, policies):
-    _need(isinstance(policies, tuple) and len(policies) > 0, f"{name} must be a non-empty tuple")
+    _need(isinstance(policies, tuple) and len(policies) > 0, "%s must be a non-empty tuple", name)
     for policy in policies:
         _closed(name, policy)
 
 
 def _segments(name: str, segments):
-    _need(isinstance(segments, tuple) and len(segments) > 0, f"{name} must be a non-empty tuple")
+    _need(isinstance(segments, tuple) and len(segments) > 0, "%s must be a non-empty tuple", name)
     prev_end = 0
     for i, seg in enumerate(segments):
-        _need(isinstance(seg, Segment), f"segments[{i}] must be a Segment")
+        _need(isinstance(seg, Segment), "segments[%r] must be a Segment", i)
         _need(isinstance(seg.start, int) and isinstance(seg.end, int),
-              f"segments[{i}] start/end must be integers")
+              "segments[%r] start/end must be integers", i)
         if i == 0:
-            _need(seg.start == 0, f"segments must start at iteration 0, got {seg.start}")
+            _need(seg.start == 0, "segments must start at iteration 0, got %r", seg.start)
         else:
-            _need(seg.start <= prev_end, f"segments gap at iteration {prev_end}")
-            _need(seg.start >= prev_end, f"segments overlap at iteration {seg.start}")
-        _need(seg.end > seg.start,
-              f"segments[{i}] end ({seg.end}) must exceed start ({seg.start})")
+            _need(seg.start <= prev_end, "segments gap at iteration %r", prev_end)
+            _need(seg.start >= prev_end, "segments overlap at iteration %r", seg.start)
+        _need(seg.end > seg.start, "segments[%r] end (%r) must exceed start (%r)",
+              i, seg.end, seg.start)
         _closed(name, seg.policy)
         require_horizon(seg.policy, seg.end - seg.start,
                         f"segments[{i}] [{seg.start}, {seg.end}): ")
@@ -379,19 +389,17 @@ def _segments(name: str, segments):
 
 
 def _k_min_at_most_k(p: CosineDecay | LinearDecay):
-    _need(p.k_min <= p.k, f"k_min ({p.k_min!r}) must not exceed k ({p.k!r})")
+    _need(p.k_min <= p.k, "k_min (%r) must not exceed k (%r)", p.k_min, p.k)
 
 
 def _k0_at_most_k1(p):
-    _need(p.k0 <= p.k1, f"k1 < k0 ({p.k1!r} < {p.k0!r})")
+    _need(p.k0 <= p.k1, "k1 < k0 (%r < %r)", p.k1, p.k0)
 
 
 def _warmup_rule(p: Warmup):
-    if p.w >= 1:
-        _need(p.w == int(p.w), f"w must be an integer when >= 1, got {p.w!r}")
-    elif p.w > 0:
-        _need(_horizon(p.inner) is not None,
-              f"w given as a fraction ({p.w!r}) requires a horizon-bound inner policy")
+    _need(p.w < 1 or p.w == int(p.w), "w must be an integer when >= 1, got %r", p.w)
+    _need(not 0 < p.w < 1 or _horizon(p.inner) is not None,
+          "w given as a fraction (%r) requires a horizon-bound inner policy", p.w)
 
 
 # --- horizon rules: the largest valid t, None when unbounded ---
@@ -552,7 +560,7 @@ def sample_trace(policy: Policy, t_max: int, stride: int = 1) -> list[tuple[int,
     t_max so horizon-bound policies stay in range.
     """
     _iteration("t_max", t_max)
-    _need(count(stride, 1), f"stride must be an integer >= 1, got {stride!r}")
+    _posint("stride", stride)
     form = _closed_form(policy)
     n = math.ceil(t_max / stride)
     return [(min(i * stride, t_max), form(policy, min(i * stride, t_max)))
@@ -560,9 +568,7 @@ def sample_trace(policy: Policy, t_max: int, stride: int = 1) -> list[tuple[int,
 
 
 def trace_to_csv(points: list[tuple[int, float]]) -> str:
-    lines = ["iteration,lr"]
-    lines.extend(f"{t},{lr!r}" for t, lr in points)
-    return "\n".join(lines) + "\n"
+    return "iteration,lr\n" + "".join(f"{t},{lr!r}\n" for t, lr in points)
 
 
 # --- JSON wire format ---
@@ -599,7 +605,7 @@ def _as_int(family: str, key: str, value):
     if isinstance(value, float) and value.is_integer():
         return int(value)
     _need(isinstance(value, int) and not isinstance(value, bool),
-          f"{family} param '{key}' must be an integer, got {value!r}")
+          "%s param '%s' must be an integer, got %r", family, key, value)
     return value
 
 
@@ -623,20 +629,20 @@ def _warmup_shorthand(params: dict) -> dict:
 
 def policy_from_dict(d: dict):
     """Parse the {"family", "params"} wire dict back into a policy, checked as built."""
-    _need(isinstance(d, dict), f"policy must be a JSON object, got {d!r}")
+    _need(isinstance(d, dict), "policy must be a JSON object, got %r", d)
     _need("family" in d, "policy is missing the 'family' key")
     params = d.get("params", {})
     _need(isinstance(params, dict), "'params' must be a JSON object")
     family = d["family"]
     row = _BY_NAME.get(family) if isinstance(family, str) else None
-    _need(row is not None, f"unknown family {family!r}")
+    _need(row is not None, "unknown family %r", family)
     if row.parse_hook is not None:
         params = row.parse_hook(params)
     for f in fields(row.cls):
         _need(f.name in params or f.default is not MISSING,
-              f"{family} is missing required param '{f.name}'")
+              "%s is missing required param '%s'", family, f.name)
     extra = set(params) - set(row.checks)
-    _need(not extra, f"{family} got unknown params {sorted(extra)}")
+    _need(not extra, "%s got unknown params %r", family, sorted(extra))
     kwargs = dict(params)
     for key, value in params.items():
         parse = _WIRE_PARSERS.get(row.checks[key])

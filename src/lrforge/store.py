@@ -295,7 +295,7 @@ class PolicyStore:
                     ) -> list[TrialRecord]:
         """Best k records for a task; top-(k-1) is always a prefix of top-k."""
         if not count(k):
-            raise ValueError(f"k must be >= 0, got {k}")
+            raise ValueError(f"k must be >= 0, got {k!r}")
         rank = _RANK.get(objective)
         if rank is None:
             raise ValueError(f"objective must be max_accuracy or min_cost, "

@@ -57,16 +57,16 @@ class TrainConfig:
 
     def __post_init__(self):
         if not count(self.batch_size, 1):
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
         if not count(self.budget):
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+            raise ValueError(f"budget must be >= 0, got {self.budget!r}")
         if not (self.eval_every is None or count(self.eval_every, 1)):
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every!r}")
         if not (self.target_accuracy is None
                 or finite(self.target_accuracy) and 0 < self.target_accuracy <= 1):
-            raise ValueError(f"target_accuracy must be in (0, 1], got {self.target_accuracy}")
+            raise ValueError(f"target_accuracy must be in (0, 1], got {self.target_accuracy!r}")
         if not count(self.seed):
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -124,10 +124,10 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
 
     config.seed is replaced by each trial's seed. Returns one trace per
     trial, in order, each equal to what `run_trial` gives for that trial.
-    Every policy is compiled before the first step; a horizon-bound one
-    must cover the budget, and so must each of a ChangeOnPlateau's
-    policies, since when each takes over is only known during the run. See
-    `run_trial` for the evaluation and stopping rules.
+    Every LR source (a Scaled policy's base) is compiled before the first
+    step; a horizon-bound one must cover the budget, and so must each of a
+    ChangeOnPlateau's policies, since when each takes over is only known
+    during the run. See `run_trial` for the evaluation and stopping rules.
     """
     policies = [policy for policy, _ in trials]
     plateau = {}  # trial index -> adaptive state
@@ -145,11 +145,11 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
             src[i] = len(sources)
             sources.append(lambda t, i=i: adaptive.current_lr(plateau[i], policies[i], t))
             continue
-        curve = schedule.compile(policy, config.budget)
+        # a Scaled policy compiles as its base does: same closed form, horizon and message
         base = policy.base if type(policy) is schedule.Scaled else policy
         if id(base) not in source_of:
             source_of[id(base)] = len(sources)
-            sources.append(curve if base is policy else schedule.compile(base, config.budget))
+            sources.append(schedule.compile(base, config.budget))
         src[i] = source_of[id(base)]
         if base is not policy:
             lam_col[i] = policy.lam
@@ -298,10 +298,13 @@ def write_eval_csv(trace: TrialTrace, path):
 
 @dataclass
 class SurfacePath:
-    iterations: list[int]
-    points: list[np.ndarray]
+    points: list[np.ndarray]  # the start, then one per step taken
     values: list[float]
     diverged: bool
+
+    @property
+    def iterations(self) -> list[int]:
+        return list(range(len(self.points)))
 
     def final_value(self) -> float:
         return self.values[-1]
@@ -318,7 +321,7 @@ def run_surface_trial(surface: Surface, start, policy,
     would diverge before reaching its horizon.
     """
     if not count(iterations):
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+        raise ValueError(f"iterations must be >= 0, got {iterations!r}")
     curve = schedule.compile(policy, iterations)
     point = np.asarray(start, dtype=float)
     if point.shape != (2,):
@@ -326,8 +329,7 @@ def run_surface_trial(surface: Surface, start, policy,
 
     opt_state = optim.init_state(opt_spec, 2)
     value, grad = surface_value_grad(surface, point)
-    path = SurfacePath(iterations=[0], points=[point.copy()], values=[value],
-                       diverged=False)
+    path = SurfacePath(points=[point.copy()], values=[value], diverged=False)
     for t in range(iterations):
         lr = curve(t)
         if not (finite(value) and np.isfinite(grad).all() and finite(lr)):
@@ -336,7 +338,6 @@ def run_surface_trial(surface: Surface, start, policy,
         point, opt_state = optim.step(point, grad, lr, opt_state)
         with np.errstate(over="ignore", invalid="ignore"):
             value, grad = surface_value_grad(surface, point)
-        path.iterations.append(t + 1)
         path.points.append(point.copy())
         path.values.append(value)
     if not finite(value):

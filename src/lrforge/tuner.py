@@ -4,10 +4,15 @@ A `SearchSpace` holds a search and checks it when built; `grid_search` runs
 it over its lambda grid or drawn lambdas, `compose_search` phase by phase.
 Both run a search step through `_search`, which trains the cells, ranks them
 and names the winner; a lambda grid and a range test's k grid pass one rule,
-`_check_grid`. Each is deterministic for a given (space, context): trial seeds derive from
-the context seed, cells rank by value with fixed tie breaks, and all the
-trials of a search (or of one compose phase) train as one stacked population
-(`trainer.run_population`), whose rows are bit for bit the trials run alone.
+`_check_grid`. A range test's probes and each compose phase run on the
+caller's context with only its config replaced (`dataclasses.replace`).
+
+Each search is deterministic for a given (space, context): trial seeds
+derive from the context seed (`_run_cells` computes a cell's seeds once,
+and each `CellResult` keeps its own copy of them), cells rank by value with
+fixed tie breaks, and all the trials of a search (or of one compose phase)
+train as one stacked population (`trainer.run_population`), whose rows are
+bit for bit the trials run alone.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ def _check_draws(lambda_range, n):
     if not (finite(low) and finite(high) and 0 < low <= high):
         raise PolicyError(f"lambda_range must satisfy 0 < low <= high, got {lambda_range!r}")
     if not count(n, 1):
-        raise PolicyError(f"n_samples must be >= 1, got {n}")
+        raise PolicyError(f"n_samples must be >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ class SearchSpace:
             if not ranged and getattr(self, name) is not None:
                 raise PolicyError(f"{name} applies only with lambda_range")
         if not (self.seed is None or count(self.seed)):
-            raise PolicyError(f"seed must be >= 0, got {self.seed}")
+            raise PolicyError(f"seed must be >= 0, got {self.seed!r}")
         if self.boundaries is not None and self.objective == "min_cost":
             raise PolicyError("objective min_cost does not apply with boundaries: "
                               "each phase ranks by accuracy")
@@ -86,7 +91,7 @@ class SearchSpace:
         if not self.templates:
             raise PolicyError("templates must be non-empty")
         if not count(self.trials_per_point, 1):
-            raise PolicyError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
+            raise PolicyError(f"trials_per_point must be >= 1, got {self.trials_per_point!r}")
         if self.objective not in ("max_accuracy", "min_cost"):
             raise PolicyError(f"objective must be max_accuracy or min_cost, "
                               f"got {self.objective!r}")
@@ -159,22 +164,19 @@ def _run_cells(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: 
 
     Also returns every trial's trace, cell by cell, seeds in order.
     """
-    base_seed = ctx.config.seed
-    trials = [(_apply_lambda(template, lam), base_seed + r)
-              for template, lam in cells for r in range(trials_per_point)]
+    seeds = [ctx.config.seed + r for r in range(trials_per_point)]
+    trials = [(_apply_lambda(template, lam), seed) for template, lam in cells for seed in seeds]
     traces = run_population(ctx.model, ctx.task, trials, ctx.optimizer, ctx.config,
                             init=init)
     results = []
     for ci, (template, lam) in enumerate(cells):
         cell = traces[ci * trials_per_point:(ci + 1) * trials_per_point]
-        results.append(_aggregate(template, lam, base_seed, [t.outcome for t in cell],
-                                  objective))
+        results.append(_aggregate(template, lam, seeds, [t.outcome for t in cell], objective))
     return results, traces
 
 
-def _aggregate(template: Policy, lam: float, base_seed: int,
+def _aggregate(template: Policy, lam: float, seeds: list[int],
                outcomes: list[TrialOutcome], objective: str) -> CellResult:
-    seeds = [base_seed + r for r in range(len(outcomes))]
     ok = [o for o in outcomes if not o.diverged]
     n_diverged = len(outcomes) - len(ok)
     cost_pool = ok if ok else outcomes
@@ -192,7 +194,7 @@ def _aggregate(template: Policy, lam: float, base_seed: int,
         mean = float(np.mean(hits)) if reached else None
         std = float(np.std(hits)) if reached else None
 
-    return CellResult(template=template, lam=lam, seeds=seeds, outcomes=outcomes,
+    return CellResult(template=template, lam=lam, seeds=list(seeds), outcomes=outcomes,
                       metric_mean=mean, metric_std=std, cost_iters=cost,
                       n_diverged=n_diverged, reached_target=reached)
 
@@ -274,10 +276,9 @@ def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
         raise PolicyError(f"trial_budget: {e}") from None
     if not count(budget, 1):
         raise PolicyError(f"trial_budget must be >= 1, got {budget!r}")
-    probe_ctx = TrialContext(ctx.model, ctx.task, ctx.optimizer, probe_cfg)
 
     cells = [(Fix(k=k), 1.0) for k in ks]
-    results, _ = _run_cells(cells, probe_ctx, "max_accuracy", 1)
+    results, _ = _run_cells(cells, replace(ctx, config=probe_cfg), "max_accuracy", 1)
 
     div = [cell.n_diverged > 0 for cell in results]
     accs = [0.0 if d else cell.metric_mean for d, cell in zip(div, results)]
@@ -368,8 +369,8 @@ def compose_search(space: SearchSpace, ctx: TrialContext) -> tuple[Composite, li
     phase_results = []
     checkpoint = None
     for start, end in zip(bounds, bounds[1:]):
-        phase_cfg = replace(ctx.config, budget=end - start, target_accuracy=None)
-        phase_ctx = TrialContext(ctx.model, ctx.task, ctx.optimizer, phase_cfg)
+        phase_ctx = replace(ctx, config=replace(ctx.config, budget=end - start,
+                                                target_accuracy=None))
         try:
             # the next phase starts from the params the winner's first trial ended with
             result, checkpoint = _search(cells, phase_ctx, "max_accuracy",

@@ -14,6 +14,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ def _read_tree(root):
     for dirpath, _, names in os.walk(root):
         for n in names:
             p = os.path.join(dirpath, n)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrforge import cli, trainer, tuner
+from lrforge import cli, schedule, trainer, tuner
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ESCAPE_MANIFEST = os.path.join(REPO, "manifests", "surface_escape.json")
@@ -795,3 +795,73 @@ def test_surface_diverges_a_path_whose_lr_is_past_the_float_range(tmp_path, caps
     assert "(diverged)" in capsys.readouterr().out
     trace = (tmp_path / "out" / "path_FIX_0.csv").read_text().splitlines()
     assert trace == ["iteration,x,y,value", "0,1.0,1.0,1.0"]  # the start point only
+
+
+# --- the leaderboard and the flags each command takes ---
+
+
+def _cell(template, lam, metric_mean=None, metric_std=None, cost_iters=100.0, n_diverged=0):
+    return tuner.CellResult(template=template, lam=lam, seeds=[0], outcomes=[],
+                            metric_mean=metric_mean, metric_std=metric_std,
+                            cost_iters=cost_iters, n_diverged=n_diverged,
+                            reached_target=None)
+
+
+# a template with its own lambda, past the 44-column policy cell
+LONG_NAME = schedule.Scaled(lam=0.5, base=schedule.TriExp(k0=0.001, k1=0.25, l=100,
+                                                          gamma=0.999))
+
+
+def test_leaderboard_rows(capsys):
+    fix, step = schedule.Fix(k=0.1), schedule.Step(k=0.2, gamma=0.5, l=10)
+    cli._print_leaderboard(tuner.TuneResult("max_accuracy", [
+        _cell(fix, 1.0, 0.91234, 0.00567, 80.0),
+        _cell(LONG_NAME, 2.5, 0.5, 0.0),
+        _cell(step, 0.1, cost_iters=12.0, n_diverged=1),
+    ], budget=100))
+    cli._print_leaderboard(tuner.TuneResult("min_cost", [
+        _cell(fix, 1.0, 25.0, 5.0, 25.0),
+        _cell(step, 3.0, 0.0, 0.0, 40.5),
+        _cell(fix, 0.5, cost_iters=7.0, n_diverged=2),
+        _cell(LONG_NAME, 1e-05),
+    ], budget=100))
+    assert capsys.readouterr().out == (
+        "rank  policy                                           lambda    accuracy mean+-std  cost\n"
+        "   1  FIX(k=0.1)                                            1        0.9123+-0.0057  80\n"
+        "   2  TRIEXP(k0=0.001,k1=0.25,l=100,gamma=0.999...        2.5        0.5000+-0.0000  100\n"
+        "   3  STEP(k=0.2,gamma=0.5,l=10)                          0.1              diverged  12\n"
+        "rank  policy                                           lambda          iters@target  speedup  cost\n"
+        "   1  FIX(k=0.1)                                            1                  25.0    4.00x  25\n"
+        "   2  STEP(k=0.2,gamma=0.5,l=10)                            3                   0.0     inf   40\n"
+        "   3  FIX(k=0.1)                                          0.5              diverged        -  7\n"
+        "   4  TRIEXP(k0=0.001,k1=0.25,l=100,gamma=0.999...      1e-05         no target hit        -  100\n")
+
+
+#: the flags that take a value, and the commands that take each
+FLAG_COMMANDS = {
+    "--manifest": {"train", "tune", "range-test", "surface"},
+    "--out-dir": {"train", "tune", "range-test", "surface"},
+    "--db": {"train", "tune", "range-test", "top-k"},
+    "--workers": {"tune", "range-test"},
+}
+REQUIRED_ARGS = {"eval": ["--policy", "{}", "--t-max", "1"], "top-k": ["--task", "t"]}
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "tune", "range-test", "top-k", "surface"])
+@pytest.mark.parametrize("flag", sorted(FLAG_COMMANDS))
+def test_each_command_takes_its_flags(capsys, command, flag):
+    base = [command, *REQUIRED_ARGS.get(command, ["--manifest", "m.json"])]
+    parse = cli.build_parser().parse_args
+    if command not in FLAG_COMMANDS[flag]:
+        with pytest.raises(SystemExit):
+            parse([*base, flag, "7"])
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+        return
+    args = parse([*base, flag, "7"])
+    assert getattr(args, flag[2:].replace("-", "_")) == (7 if flag == "--workers" else "7")
+    if flag == "--manifest":
+        with pytest.raises(SystemExit):  # the one required flag
+            parse([command])
+        assert "the following arguments are required: --manifest" in capsys.readouterr().err
+    else:
+        assert getattr(parse(base), flag[2:].replace("-", "_")) is None

@@ -183,3 +183,38 @@ def test_no_module_checks_finiteness_but_through_the_rule():
                   and i not in allowed]
     assert rule is not None
     assert found == []
+
+
+# the entry points whose message shows a count (or, for target_accuracy, a
+# real) as it was given: a numpy scalar, which no rule takes, shows as one
+SHOWN = {"TrainConfig.budget", "TrainConfig.batch_size", "TrainConfig.eval_every",
+         "TrainConfig.target_accuracy", "TrainConfig.seed", "run_surface_trial.iterations",
+         "gen_moons.n", "gen_blobs.n_per_class", "gen_moons.seed", "query_top_k",
+         "SearchSpace.n_samples", "SearchSpace.seed", "SearchSpace.trials_per_point"}
+
+
+@pytest.mark.parametrize("field, call, value", [
+    pytest.param(field, call, np.float32(0.5) if field == "target_accuracy" else np.int64(5),
+                 id=name)
+    for name, field, call in REALS + COUNTS + SEEDS if name in SHOWN])
+def test_a_rejected_numpy_scalar_shows_its_type(nothing_runs, field, call, value):
+    with pytest.raises(ValueError) as e:
+        call(value)
+    assert field in str(e.value) and repr(value) in str(e.value)
+
+
+def test_an_int_too_long_to_print_shows_its_bit_length():
+    huge = 10**5000  # past the 4300 digits repr gives by default
+    step = schedule.Step(k=0.1, gamma=0.5, l=huge)
+    assert step.l == huge and schedule.lr_at(step, 7) == 0.1
+    bits = huge.bit_length()
+    for call, message in [
+            (lambda: schedule.lr_at(FIX, huge), f"t must be <= 2**53, got an int of {bits} bits"),
+            (lambda: schedule.sample_trace(FIX, huge),
+             f"t_max must be <= 2**53, got an int of {bits} bits"),
+            (lambda: Fix(k=-huge), f"k must be finite, got a negative int of {bits} bits"),
+            (lambda: schedule.Step(k=0.1, gamma=0.5, l=-huge),
+             f"l must be an integer >= 1, got a negative int of {bits} bits")]:
+        with pytest.raises(schedule.PolicyError) as e:
+            call()
+        assert str(e.value) == message

@@ -1,10 +1,11 @@
 """Each job that once had two copies in lrforge keeps exactly one.
 
 A second copy of one of these sequences would drift from the first: a CSV
-writer, the store's conflict rule, the grid rule, a model's descriptor and
-the policy-name table cell. Each text below names one, and must appear in
-exactly one place; zero would mean the text went stale, not that the job
-went.
+writer, the store's conflict rule, the grid rule, a model's descriptor, the
+policy-name table cell, a trial command's front half, each shared flag, a
+leaderboard row, a cell's seeds and a trial context built field by field.
+Each text below names one, and must appear in exactly one place; zero would
+mean the text went stale, not that the job went.
 """
 
 import os
@@ -18,6 +19,14 @@ ONE_COPY = {
     "raise StoreConflict(": "store.py",                   # PolicyStore._known
     "values must be positive and finite": "tuner.py",     # _check_grid
     "name[:41]": "cli.py",                                # _short_name
+    "_open_db(args, doc)": "cli.py",                      # _setup, each trial command's front
+    'add_argument("--manifest"': "cli.py",                # build_parser's parent parsers
+    'add_argument("--out-dir"': "cli.py",
+    'add_argument("--db"': "cli.py",
+    'add_argument("--workers"': "cli.py",
+    "{cell.lam:>10g}": "cli.py",                          # _print_leaderboard's one row
+    "seed + r": "tuner.py",                               # _run_cells, a cell's seeds
+    "TrialContext(": "cli.py",                            # elsewhere replace(ctx, ...)
 }
 
 
