@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from .schedule import ChangeOnPlateau, PolicyError, ReduceOnPlateau, finite, lr_at
+from .schedule import ChangeOnPlateau, PolicyError, ReduceOnPlateau, finite, lr_at, shown
 
 PlateauPolicy = ReduceOnPlateau | ChangeOnPlateau
 
@@ -65,7 +65,7 @@ def observe(state: AdaptiveState, config: PlateauPolicy, metric: float,
     only the change variant uses it (as the new local t origin).
     """
     if not finite(metric):
-        raise PolicyError(f"observed metric must be finite, got {metric!r}")
+        raise PolicyError(f"observed metric must be finite, got {shown(metric)!r}")
     metric = float(metric)
 
     if _improved(config, state.best_metric, metric):

@@ -7,6 +7,8 @@ update is elementwise, so a (C, P) stack of C parameter vectors steps at
 once, each row with its own learning rate (lr of shape (C, 1)), and row c
 gets the same floats it would get alone. Such an lr column is checked with
 numpy in one pass; only a bad one is walked to name its first bad value.
+A non-finite gradient or lr raises `NonFinite`, a ValueError that a caller
+tracing a trajectory takes as divergence.
 
 Adam per step, elementwise:
     m   = b1 * m + (1 - b1) * g
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schedule import finite
+from .schedule import finite, number, shown
 
 
 @dataclass(frozen=True)
@@ -42,14 +44,15 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind == "sgd":
             if not (finite(self.momentum) and 0 <= self.momentum < 1):
-                raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+                raise ValueError(f"momentum must be in [0, 1), got {shown(self.momentum)!r}")
         elif self.kind == "adam":
             if not all(finite(beta) and 0 <= beta < 1 for beta in (self.beta1, self.beta2)):
-                raise ValueError(f"betas must be in [0, 1), got {self.beta1!r}, {self.beta2!r}")
+                raise ValueError(f"betas must be in [0, 1), got "
+                                 f"{shown(self.beta1)!r}, {shown(self.beta2)!r}")
             if not self.eps > 0:
-                raise ValueError(f"eps must be > 0, got {self.eps!r}")
+                raise ValueError(f"eps must be > 0, got {shown(self.eps)!r}")
             if not finite(self.eps):
-                raise ValueError(f"eps must be finite, got {self.eps!r}")
+                raise ValueError(f"eps must be finite, got {shown(self.eps)!r}")
         else:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
@@ -76,9 +79,16 @@ def init_state(spec: OptimizerSpec, n: int | tuple[int, ...]) -> OptimizerState:
     return OptimizerState(spec, (np.zeros(n), np.zeros(n)))
 
 
+class NonFinite(ValueError):
+    """A non-finite gradient or learning rate: the trajectory diverged."""
+
+
 def _check_lr(value):
-    if not (finite(value) and value >= 0):
-        raise ValueError(f"lr must be finite and >= 0, got {value!r}")
+    held = finite(value)
+    if not (held and value >= 0):
+        # a number that is NaN, infinite or past the float range; any other value is no LR
+        error = NonFinite if number(value) and not held else ValueError
+        raise error(f"lr must be finite and >= 0, got {shown(value)!r}")
 
 
 def _check(params: np.ndarray, grads: np.ndarray, lr: float, state_vec: np.ndarray):
@@ -91,7 +101,7 @@ def _check(params: np.ndarray, grads: np.ndarray, lr: float, state_vec: np.ndarr
         for value in lr.ravel().tolist():  # name the first bad value
             _check_lr(value)
     if not np.isfinite(grads).all():
-        raise ValueError("non-finite gradient")
+        raise NonFinite("non-finite gradient")
 
 
 def step(params: np.ndarray, grads: np.ndarray, lr: float | np.ndarray,

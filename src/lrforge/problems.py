@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import count, finite
+from .schedule import finite, need_count, shown
 
 # IDX file layout (big-endian):
 #   images: magic 2051, count, rows, cols, then count*rows*cols unsigned bytes
@@ -34,7 +34,7 @@ class Quadratic:
         entries = np.asarray(self.a, dtype=object)  # numpy numbers as Python ones
         # a NaN or infinite float fails the matrix checks below
         if not all(finite(v) or isinstance(v, float) for v in entries.flat):
-            raise ValueError(f"a must hold finite numbers, got {self.a!r}")
+            raise ValueError(f"a must hold finite numbers, got {shown(self.a)!r}")
         object.__setattr__(self, "a", entries.astype(float))
         if self.a.shape != (2, 2):
             raise ValueError(f"a must be 2x2, got shape {self.a.shape}")
@@ -42,6 +42,9 @@ class Quadratic:
             raise ValueError("a must be symmetric")
         if not np.linalg.eigvalsh(self.a).min() > 0:  # NaN eigenvalues of an infinite a too
             raise ValueError("a must be positive definite")
+
+    def _value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return 0.5 * float(x @ self.a @ x), self.a @ x
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,13 @@ class Rosenbrock:
         if not (finite(self.a) and finite(self.b)):
             raise ValueError(f"rosenbrock a and b must be finite, got {self}")
 
+    def _value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        a, b = self.a, self.b
+        v = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
+        g = np.array([-2 * (a - x[0]) - 4 * b * x[0] * (x[1] - x[0] ** 2),
+                      2 * b * (x[1] - x[0] ** 2)])
+        return float(v), g
+
 
 @dataclass(frozen=True)
 class Well:
@@ -66,7 +76,7 @@ class Well:
         if len(self.center) != 2:
             raise ValueError(f"center must have 2 coordinates, got {len(self.center)}")
         if not all(map(finite, self.center)):
-            raise ValueError(f"center coordinates must be finite, got {self.center!r}")
+            raise ValueError(f"center coordinates must be finite, got {shown(self.center)!r}")
         if not all(finite(v) and v > 0 for v in (self.depth, self.width)):
             raise ValueError(f"well depth and width must be finite and > 0, got {self}")
 
@@ -86,6 +96,19 @@ class MultiBasin:
         depths = sorted((w.depth for w in self.wells), reverse=True)
         if len(depths) > 1 and depths[0] == depths[1]:
             raise ValueError("deepest well must be unique")
+        # each well's center, depth, 2 * width^2 and width^2, which every evaluation reads
+        object.__setattr__(self, "_terms", tuple(
+            (np.asarray(w.center, dtype=float), w.depth, 2 * w.width ** 2, w.width ** 2)
+            for w in self.wells))
+
+    def _value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = 0.0, np.zeros(2)
+        for center, depth, spread, width2 in self._terms:
+            d = x - center
+            e = depth * np.exp(-float(d @ d) / spread)
+            value -= e
+            grad += e * d / width2
+        return float(value), grad
 
 
 Surface = Quadratic | Rosenbrock | MultiBasin
@@ -96,24 +119,9 @@ def surface_value_grad(surface: Surface, point: np.ndarray) -> tuple[float, np.n
     x = np.asarray(point, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"point must have shape (2,), got {x.shape}")
-    if isinstance(surface, Quadratic):
-        return 0.5 * float(x @ surface.a @ x), surface.a @ x
-    if isinstance(surface, Rosenbrock):
-        a, b = surface.a, surface.b
-        v = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
-        g = np.array([-2 * (a - x[0]) - 4 * b * x[0] * (x[1] - x[0] ** 2),
-                      2 * b * (x[1] - x[0] ** 2)])
-        return float(v), g
-    if isinstance(surface, MultiBasin):
-        value = 0.0
-        grad = np.zeros(2)
-        for w in surface.wells:
-            d = x - np.asarray(w.center, dtype=float)
-            e = w.depth * np.exp(-float(d @ d) / (2 * w.width ** 2))
-            value -= e
-            grad += e * d / w.width ** 2
-        return float(value), grad
-    raise ValueError(f"unknown surface type {type(surface).__name__}")
+    if not isinstance(surface, Surface):
+        raise ValueError(f"unknown surface type {type(surface).__name__}")
+    return surface._value_grad(x)
 
 
 # --- datasets ---
@@ -138,15 +146,9 @@ class TaskData:
 
 def _size(name: str, value: int, low: int):
     """Reject a size that is no integer >= low, or past the largest that numpy can index."""
-    if not count(value, low):
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    need_count(name, value, low)
     if value > np.iinfo(np.intp).max:
-        raise ValueError(f"{name} must be <= {np.iinfo(np.intp).max}, got {value!r}")
-
-
-def _seed(seed: int):
-    if not count(seed):
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+        raise ValueError(f"{name} must be <= {np.iinfo(np.intp).max}, got {shown(value)!r}")
 
 
 def _split_80_20(name: str, features: np.ndarray, labels: np.ndarray,
@@ -171,9 +173,9 @@ def gen_blobs(seed: int, n_per_class: int, n_classes: int = 2, d: int = 2,
     _size("n_per_class", n_per_class, 1)
     _size("n_classes", n_classes, 2)
     _size("d", d, 1)
-    _seed(seed)
+    need_count("seed", seed)
     if not finite(separation):
-        raise ValueError(f"separation must be finite, got {separation!r}")
+        raise ValueError(f"separation must be finite, got {shown(separation)!r}")
     rng = np.random.default_rng(seed)
     centers = np.zeros((n_classes, d))
     if d == 1:
@@ -192,8 +194,8 @@ def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
     """Two interleaving half-circle arcs with Gaussian coordinate noise."""
     _size("n", n, 4)
     if not (finite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
-    _seed(seed)
+        raise ValueError(f"noise must be finite and >= 0, got {shown(noise)!r}")
+    need_count("seed", seed)
     rng = np.random.default_rng(seed)
     n_outer = n // 2
     n_inner = n - n_outer

@@ -264,16 +264,20 @@ class ChangeOnPlateau(_Checked):
 # --- the two scalar rules, and the field checks built on them ---
 #
 # Every scalar check in lrforge asks one of two questions. `finite`: is it a
-# real number, an int or float (never a bool) that a float holds, so not NaN,
-# not infinite and no int past the float range? `count`: is it an int (never
-# a bool) >= low? A field check check(name, value) raises PolicyError naming
+# real number, a `number` (an int or float, never a bool) that a float holds,
+# so not NaN, not infinite and no int past the float range? `count`: is it an
+# int (never a bool) >= low? A field check check(name, value) raises PolicyError naming
 # the field; a real-valued check returns the value as a float.
 
 
+def number(value) -> bool:
+    """An int or float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def finite(value) -> bool:
-    """An int or float, never a bool, that a float holds."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+    """A number that a float holds."""
+    return number(value) and abs(value) <= sys.float_info.max
 
 
 def count(value, low: int = 0) -> bool:
@@ -292,15 +296,27 @@ class _Long(int):
             return f"{'a negative' if self < 0 else 'an'} int of {self.bit_length()} bits"
 
 
+def shown(value):
+    """value as a message shows it: each int, in a tuple or list too, as a _Long."""
+    if type(value) in (tuple, list):
+        return type(value)(map(shown, value))
+    return _Long(value) if type(value) is int else value
+
+
+def need_count(name: str, value, low: int = 0, error: type = ValueError):
+    """Raise error naming the field unless value is a count >= low."""
+    if not count(value, low):
+        raise error(f"{name} must be >= {low}, got {shown(value)!r}")
+
+
 def _need(cond: bool, fmt: str, *args):
     """Raise PolicyError(fmt % args) unless cond: the message is built only on failure."""
     if not cond:
-        raise PolicyError(fmt % tuple(_Long(a) if type(a) is int else a for a in args))
+        raise PolicyError(fmt % tuple(map(shown, args)))
 
 
 def _real(name: str, value) -> float:
-    _need(isinstance(value, (int, float)) and not isinstance(value, bool),
-          "%s must be a number, got %r", name, value)
+    _need(number(value), "%s must be a number, got %r", name, value)
     _need(finite(value), "%s must be finite, got %r", name, value)
     return float(value)
 
@@ -380,8 +396,8 @@ def _segments(name: str, segments):
         _need(seg.end > seg.start, "segments[%r] end (%r) must exceed start (%r)",
               i, seg.end, seg.start)
         _closed(name, seg.policy)
-        require_horizon(seg.policy, seg.end - seg.start,
-                        f"segments[{i}] [{seg.start}, {seg.end}): ")
+        require_horizon(seg.policy, seg.end - seg.start, "segments[%r] [%r, %r): ",
+                        i, seg.start, seg.end)
         prev_end = seg.end
 
 
@@ -475,13 +491,15 @@ def _horizon(policy: Policy):
     return _row(policy).horizon(policy)
 
 
-def require_horizon(policy, steps: int, where: str = ""):
-    """Raise PolicyError, prefixed by where, unless policy covers t = 0 .. steps - 1."""
+def require_horizon(policy, steps: int, where: str = "", *args):
+    """Raise PolicyError, prefixed by where % args, unless policy covers t = 0 .. steps - 1."""
     end = _horizon(policy)
     if end is not None and end < steps - 1:
         base = _row(split_lambda(policy)[0])
-        raise PolicyError(f"{where}{base.name} {base.horizon_by} ends at t={end}, shorter "
-                          f"than a {steps}-step run (last step t={steps - 1})")
+        run = repr(shown(steps))  # an int past repr's digit limit reads "an int of N bits"
+        run = f"a {run}-step run" if run[-1].isdigit() else f"a run whose length is {run}"
+        _need(False, where + "%s %s ends at t=%r, shorter than %s (last step t=%r)",
+              *args, base.name, base.horizon_by, end, run, steps - 1)
 
 
 def _closed_form(policy):

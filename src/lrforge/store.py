@@ -24,10 +24,11 @@ garbage-collected; each line, newline included, goes out in one `write(2)`.
 When the path no longer names that file (it was removed or replaced), the
 store reopens the path first, so a record lands in the file at the path now.
 
-A partially written trailing line (interrupted writer) is skipped with a
-warning on load. Any other line that is not a record, whether it fails to
-parse or parses to something else (a list, an object missing a field, a
-list where the identity needs a scalar, a field of the wrong type), raises
+A partially written trailing line (interrupted writer), one that is not
+valid UTF-8 or not JSON, is skipped with a warning on load. Any other line
+that is not a record, whether it fails to decode or parse or parses to
+something else (a list, an object missing a field, a list where the
+identity needs a scalar, a field of the wrong type), raises
 ValueError("corrupt record at PATH:N"). The accuracies and lambda must be
 `schedule.finite`, the iteration counts `schedule.count`s (iterations to
 target may be null), the seed an int and `diverged` a bool.
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .schedule import canonical_json, count, finite, policy_to_dict
+from .schedule import canonical_json, count, finite, need_count, policy_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -235,14 +236,14 @@ class PolicyStore:
         ends_with_newline = bool(lines) and lines[-1] == b""
         if ends_with_newline:
             lines.pop()
+        unreadable = (UnicodeDecodeError, json.JSONDecodeError)  # bytes that are no JSON text
         for i, line in enumerate(lines):
             last = i == len(lines) - 1
             try:
                 record = _record_from_obj(json.loads(line))
                 key, existing_id = self._known(record, i + 1)
-            except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as e:
-                if (last and not ends_with_newline
-                        and isinstance(e, json.JSONDecodeError)):
+            except (*unreadable, AttributeError, KeyError, TypeError) as e:
+                if last and not ends_with_newline and isinstance(e, unreadable):
                     # interrupted writer; drop the unfinished bytes so the
                     # next append starts on a fresh line
                     log.warning("dropping partial trailing line in %s", self.path)
@@ -294,8 +295,7 @@ class PolicyStore:
     def query_top_k(self, task: str, k: int, objective: str = "max_accuracy"
                     ) -> list[TrialRecord]:
         """Best k records for a task; top-(k-1) is always a prefix of top-k."""
-        if not count(k):
-            raise ValueError(f"k must be >= 0, got {k!r}")
+        need_count("k", k)
         rank = _RANK.get(objective)
         if rank is None:
             raise ValueError(f"objective must be max_accuracy or min_cost, "

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ import numpy as np
 from . import adaptive, optim, schedule
 from .model import ModelSpec, accuracy_on, forward_loss_grad, init_params, param_count
 from .problems import Surface, TaskData, surface_value_grad
-from .schedule import count, finite
+from .schedule import finite, need_count, shown
 from .store import outcome_dict
 
 
@@ -56,17 +56,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not count(self.batch_size, 1):
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if not count(self.budget):
-            raise ValueError(f"budget must be >= 0, got {self.budget!r}")
-        if not (self.eval_every is None or count(self.eval_every, 1)):
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every!r}")
+        need_count("batch_size", self.batch_size, 1)
+        need_count("budget", self.budget)
+        if self.eval_every is not None:
+            need_count("eval_every", self.eval_every, 1)
         if not (self.target_accuracy is None
                 or finite(self.target_accuracy) and 0 < self.target_accuracy <= 1):
-            raise ValueError(f"target_accuracy must be in (0, 1], got {self.target_accuracy!r}")
-        if not count(self.seed):
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+            raise ValueError(f"target_accuracy must be in (0, 1], "
+                             f"got {shown(self.target_accuracy)!r}")
+        need_count("seed", self.seed)
 
 
 @dataclass
@@ -141,7 +139,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
         if isinstance(policy, adaptive.PlateauPolicy):
             plateau[i] = adaptive.initial_state(policy)
             for j, sub in enumerate(getattr(policy, "policies", ())):
-                schedule.require_horizon(sub, config.budget, f"PLATEAU_CHANGE policies[{j}]: ")
+                schedule.require_horizon(sub, config.budget, "PLATEAU_CHANGE policies[%r]: ", j)
             src[i] = len(sources)
             sources.append(lambda t, i=i: adaptive.current_lr(plateau[i], policies[i], t))
             continue
@@ -319,29 +317,34 @@ def run_surface_trial(surface: Surface, start, policy,
     rate). The policy is compiled against `iterations` before the first
     step, so a horizon-bound one must cover every step, even if the path
     would diverge before reaching its horizon.
+
+    Each step checks its value here, and its gradient and LR in
+    `optim.step`, whose `NonFinite` ends the path as diverged. Overflow and
+    invalid values on the way there, in the surface or the step, raise no
+    warning. `optim.step` returns a fresh point, so only the start is copied.
     """
-    if not count(iterations):
-        raise ValueError(f"iterations must be >= 0, got {iterations!r}")
+    need_count("iterations", iterations)
     curve = schedule.compile(policy, iterations)
-    point = np.asarray(start, dtype=float)
+    point = np.array(start, dtype=float)
     if point.shape != (2,):
         raise ValueError(f"start must be a 2-D point, got shape {point.shape}")
 
     opt_state = optim.init_state(opt_spec, 2)
-    value, grad = surface_value_grad(surface, point)
-    path = SurfacePath(points=[point.copy()], values=[value], diverged=False)
-    for t in range(iterations):
-        lr = curve(t)
-        if not (finite(value) and np.isfinite(grad).all() and finite(lr)):
-            path.diverged = True
-            return path
-        point, opt_state = optim.step(point, grad, lr, opt_state)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = surface_value_grad(surface, point)
+        path = SurfacePath(points=[point], values=[value], diverged=False)
+        for t in range(iterations):
+            lr = curve(t)
+            if not finite(value):
+                break
+            try:
+                point, opt_state = optim.step(point, grad, lr, opt_state)
+            except optim.NonFinite:
+                return replace(path, diverged=True)
             value, grad = surface_value_grad(surface, point)
-        path.points.append(point.copy())
-        path.values.append(value)
-    if not finite(value):
-        path.diverged = True
+            path.points.append(point)
+            path.values.append(value)
+    path.diverged = not finite(value)
     return path
 
 

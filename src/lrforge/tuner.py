@@ -26,7 +26,8 @@ from .model import ModelSpec
 from .optim import OptimizerSpec
 from .problems import TaskData
 from .schedule import (Composite, Fix, Policy, PolicyError, Scaled, Segment, count, finite,
-                       canonical_policy_key, compile as compile_policy, policy_to_dict)
+                       canonical_policy_key, compile as compile_policy, need_count,
+                       policy_to_dict, shown)
 from .trainer import TrainConfig, TrialOutcome, TrialTrace, run_population, write_csv
 
 
@@ -40,7 +41,7 @@ def _check_grid(name: str, values):
         raise PolicyError(f"{name} must be non-empty")
     for v in values:
         if not (finite(v) and v > 0):
-            raise PolicyError(f"{name} values must be positive and finite, got {v!r}")
+            raise PolicyError(f"{name} values must be positive and finite, got {shown(v)!r}")
 
 
 def _check_draws(lambda_range, n):
@@ -51,9 +52,9 @@ def _check_draws(lambda_range, n):
         raise PolicyError("n_samples is required")
     low, high = lambda_range
     if not (finite(low) and finite(high) and 0 < low <= high):
-        raise PolicyError(f"lambda_range must satisfy 0 < low <= high, got {lambda_range!r}")
-    if not count(n, 1):
-        raise PolicyError(f"n_samples must be >= 1, got {n!r}")
+        raise PolicyError(f"lambda_range must satisfy 0 < low <= high, "
+                          f"got {shown(lambda_range)!r}")
+    need_count("n_samples", n, 1, PolicyError)
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class SearchSpace:
         for name in ("n_samples", "seed"):
             if not ranged and getattr(self, name) is not None:
                 raise PolicyError(f"{name} applies only with lambda_range")
-        if not (self.seed is None or count(self.seed)):
-            raise PolicyError(f"seed must be >= 0, got {self.seed!r}")
+        if self.seed is not None:
+            need_count("seed", self.seed, 0, PolicyError)
         if self.boundaries is not None and self.objective == "min_cost":
             raise PolicyError("objective min_cost does not apply with boundaries: "
                               "each phase ranks by accuracy")
@@ -90,8 +91,7 @@ class SearchSpace:
             object.__setattr__(self, "lambda_grid", (1.0,))
         if not self.templates:
             raise PolicyError("templates must be non-empty")
-        if not count(self.trials_per_point, 1):
-            raise PolicyError(f"trials_per_point must be >= 1, got {self.trials_per_point!r}")
+        need_count("trials_per_point", self.trials_per_point, 1, PolicyError)
         if self.objective not in ("max_accuracy", "min_cost"):
             raise PolicyError(f"objective must be max_accuracy or min_cost, "
                               f"got {self.objective!r}")
@@ -100,7 +100,8 @@ class SearchSpace:
         b = self.boundaries
         if b is not None and (len(b) < 2 or b[0] != 0 or not all(map(count, b))
                               or any(s >= e for s, e in zip(b, b[1:]))):
-            raise PolicyError(f"boundaries must start at 0 and strictly increase, got {b!r}")
+            raise PolicyError(f"boundaries must start at 0 and strictly increase, "
+                              f"got {shown(b)!r}")
 
 
 @dataclass(frozen=True)
@@ -268,14 +269,13 @@ def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
     if len(set(ks)) != len(ks):
         raise PolicyError("k_grid values must be distinct")
     if not (finite(tolerance) and tolerance >= 0):
-        raise PolicyError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+        raise PolicyError(f"tolerance must be finite and >= 0, got {shown(tolerance)!r}")
     budget = trial_budget if trial_budget is not None else max(1, ctx.config.budget // 10)
     try:
         probe_cfg = replace(ctx.config, budget=budget, target_accuracy=None)
     except ValueError as e:  # the probe budget's own rule, under the key the caller gave
         raise PolicyError(f"trial_budget: {e}") from None
-    if not count(budget, 1):
-        raise PolicyError(f"trial_budget must be >= 1, got {budget!r}")
+    need_count("trial_budget", budget, 1, PolicyError)
 
     cells = [(Fix(k=k), 1.0) for k in ks]
     results, _ = _run_cells(cells, replace(ctx, config=probe_cfg), "max_accuracy", 1)

@@ -7,9 +7,10 @@ from lrforge.optim import OptimizerSpec
 from lrforge.trainer import TrainConfig
 from lrforge.tuner import TrialContext
 
-# tests/test_oracle.py draws ten times its tier-1 examples under this profile,
-# selected with --hypothesis-profile=oracle-deep; every other hypothesis test
-# sets its own example count, which the profile leaves as it is
+# tests/test_oracle.py and tests/test_problems.py's surface byte test draw ten
+# times their tier-1 examples under this profile, selected with
+# --hypothesis-profile=oracle-deep; every other hypothesis test sets its own
+# example count, which the profile leaves as it is
 settings.register_profile("oracle-deep", max_examples=400)
 
 

@@ -1,6 +1,7 @@
 """Independent references: closed forms for the policy families, the
-plain-reduction loss and gradient of a model stack, and a plain training
-loop over one trial.
+plain-reduction loss and gradient of a model stack, a plain training
+loop over one trial, and the 2-D surfaces and a surface path by their
+per-point formulas and a plain loop.
 
 Each evaluator here recomputes the curve with different algebra than the
 library: integer phase reduction instead of the floor/abs carrier,
@@ -22,6 +23,7 @@ import numpy as np
 
 from lrforge import adaptive, schedule
 from lrforge.model import init_params, views
+from lrforge.problems import Quadratic, Rosenbrock
 from lrforge.schedule import (
     Composite,
     CosineDecay,
@@ -297,3 +299,52 @@ def ref_run_trial(spec, task, policy, opt_spec, config, init=None) -> dict:
             if target is not None and acc >= target:
                 return finish(t + 1, False, t + 1)
     return finish(budget, False, None)
+
+
+# --- 2-D surfaces ---
+
+
+def ref_surface_value_grad(surface, x: np.ndarray) -> tuple:
+    """f and its gradient at a (2,) float point, each surface by its formula
+    with every term built at the call: a well's center array and width
+    terms too. `problems.surface_value_grad` must give the same bytes."""
+    if isinstance(surface, Quadratic):
+        return 0.5 * float(x @ surface.a @ x), surface.a @ x
+    if isinstance(surface, Rosenbrock):
+        a, b = surface.a, surface.b
+        v = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
+        g = np.array([-2 * (a - x[0]) - 4 * b * x[0] * (x[1] - x[0] ** 2),
+                      2 * b * (x[1] - x[0] ** 2)])
+        return float(v), g
+    value = 0.0
+    grad = np.zeros(2)
+    for w in surface.wells:
+        d = x - np.asarray(w.center, dtype=float)
+        e = w.depth * np.exp(-float(d @ d) / (2 * w.width ** 2))
+        value -= e
+        grad += e * d / w.width ** 2
+    return float(value), grad
+
+
+def ref_surface_trial(surface, start, policy, opt_spec, iterations: int) -> tuple:
+    """(points, values, diverged) of a surface path, in a plain loop.
+
+    Before step t the loop checks the value and gradient at the current
+    point and the LR at t; one that is not finite ends the path there, as
+    diverged. So does a non-finite value at the last point.
+    """
+    point = np.array(start, dtype=float)
+    moments = [np.zeros(2) for _ in range(1 if opt_spec.kind == "sgd" else 2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = ref_surface_value_grad(surface, point)
+        points, values = [point], [value]
+        for t in range(iterations):
+            lr = schedule.lr_at(policy, t)
+            if not (schedule.finite(value) and np.isfinite(grad).all()
+                    and schedule.finite(lr)):
+                return points, values, True
+            point = _ref_update(opt_spec, point, grad, lr, moments, t + 1)
+            value, grad = ref_surface_value_grad(surface, point)
+            points.append(point)
+            values.append(value)
+    return points, values, not schedule.finite(value)

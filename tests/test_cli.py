@@ -702,9 +702,11 @@ def test_top_k_lists_stored_records(tmp_path):
       for outcome, top in [({"final_accuracy": "x"}, {}), ({}, {"lambda": "x"}),
                            ({"diverged": "no"}, {}), ({"iterations_run": 1.5}, {}),
                            ({}, {"seed": True})]),
+    # a byte that is not UTF-8
+    b'{"v": 1, "task": "t\xff"}',
 ])
 def test_top_k_on_a_line_that_is_no_record_is_a_validation_error(tmp_path, capsys, line):
-    (tmp_path / "bad.jsonl").write_text(line + "\n")
+    (tmp_path / "bad.jsonl").write_bytes((line if type(line) is bytes else line.encode()) + b"\n")
     code, err = lr(capsys, "top-k", "--task", "t", "--db", tmp_path / "bad.jsonl")
     assert code == 2
     assert f"corrupt record at {tmp_path / 'bad.jsonl'}:1" in err

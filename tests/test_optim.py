@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lrforge.optim import OptimizerSpec, init_state, select, step
+from lrforge.optim import NonFinite, OptimizerSpec, init_state, select, step
 
 SGD = OptimizerSpec("sgd")
 ADAM = OptimizerSpec("adam")
@@ -142,6 +142,27 @@ def test_shape_mismatch_rejected():
 def test_non_finite_gradient_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         step(np.zeros(1), np.array([float("inf")]), 0.1, init_state(ADAM, 1))
+
+
+@pytest.mark.parametrize("lr, grad, error", [
+    (float("nan"), 1.0, NonFinite), (float("inf"), 1.0, NonFinite),
+    (np.float64("inf"), 1.0, NonFinite), (10**400, 1.0, NonFinite), (0.1, float("nan"), NonFinite),
+    # a bad call, not a diverged trajectory
+    (-0.1, 1.0, ValueError), (True, 1.0, ValueError), (1 + 2j, 1.0, ValueError),
+    ("0.1", 1.0, ValueError), (np.array([[0.1], [np.nan]]), 1.0, NonFinite),
+    (np.array([[-1.0], [np.nan]]), 1.0, ValueError)], ids=repr)
+def test_a_non_finite_lr_or_gradient_raises_non_finite(lr, grad, error):
+    # run_surface_trial ends a path as diverged on NonFinite, a ValueError
+    shape = (2, 1) if isinstance(lr, np.ndarray) else (1,)
+    with pytest.raises(ValueError) as err:
+        step(np.zeros(shape), np.full(shape, grad), lr, init_state(SGD, shape))
+    assert type(err.value) is error
+
+
+def test_a_shape_mismatch_is_no_divergence():
+    with pytest.raises(ValueError) as err:
+        step(np.zeros(2), np.full(3, np.nan), float("nan"), init_state(SGD, 2))
+    assert type(err.value) is ValueError and "shape mismatch" in str(err.value)
 
 
 def test_init_validation():

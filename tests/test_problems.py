@@ -1,9 +1,12 @@
 """Surfaces, synthetic datasets, and the IDX file format."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrforge.problems import (
     MultiBasin,
@@ -17,6 +20,8 @@ from lrforge.problems import (
     save_idx,
     surface_value_grad,
 )
+
+from reference import ref_surface_value_grad
 
 
 # --- surfaces ---
@@ -85,6 +90,47 @@ def test_multibasin_validation():
 def test_surface_point_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         surface_value_grad(Rosenbrock(), np.zeros(3))
+
+
+# the coordinates where float arithmetic has its edges: signed zeros, the
+# infinities, NaN, the largest finite floats and subnormals
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324,
+         1.5e-310]
+EDGE_POINTS = [np.array([x, y]) for x in EDGES for y in EDGES]
+DEEP = settings.get_current_profile_name() == "oracle-deep"
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_scale = st.one_of(st.floats(1e-100, 1e100), st.integers(1, 10))
+
+
+@st.composite
+def _surfaces(draw):
+    kind = draw(st.sampled_from(["quadratic", "rosenbrock", "multibasin"]))
+    if kind == "quadratic":
+        p, r = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+        q = draw(st.floats(-0.5, 0.5)) * math.sqrt(p * r)
+        return Quadratic(a=[[p, q], [q, r]])
+    if kind == "rosenbrock":
+        return Rosenbrock(a=draw(_reals), b=draw(_reals))
+    depths = draw(st.lists(_scale, min_size=1, max_size=4, unique=True))
+    return MultiBasin(wells=tuple(Well(center=(draw(_reals), draw(_reals)), depth=depth,
+                                       width=draw(_scale)) for depth in depths))
+
+
+@given(surface=_surfaces(),
+       points=st.lists(st.tuples(st.one_of(st.sampled_from(EDGES), st.floats()),
+                                 st.one_of(st.sampled_from(EDGES), st.floats())), max_size=20))
+@settings(max_examples=settings.default.max_examples if DEEP else 40,
+          derandomize=True, deadline=None)
+def test_surface_value_grad_matches_the_per_point_formulas(surface, points):
+    # byte for byte, NaN sign bits included, at the edge points and the drawn ones;
+    # CI reruns this under --hypothesis-profile=oracle-deep, as it does tests/test_oracle.py
+    with np.errstate(all="ignore"):
+        for x in EDGE_POINTS + [np.array(point) for point in points]:
+            value, grad = surface_value_grad(surface, x)
+            want_value, want_grad = ref_surface_value_grad(surface, x)
+            assert type(value) is float
+            assert struct.pack("<d", value) == struct.pack("<d", want_value), x
+            assert grad.dtype == want_grad.dtype and grad.tobytes() == want_grad.tobytes(), x
 
 
 # --- synthetic datasets ---

@@ -129,6 +129,22 @@ TIMES = [(f"lr_at-{name}", "t", lambda v, p=policy: schedule.lr_at(p, v))
          for name, policy in CURVES] + [
     ("sample_trace.t_max", "t_max", lambda v: schedule.sample_trace(CURVES[0][1], v, v))]
 PAST_T = [("2**53+1", 2**53 + 1), ("10**308", 10**308), ("10**400", 10**400)]
+# ints past the 4300 digits that repr gives (sys.set_int_max_str_digits): a
+# message shows one by its bit length, so it still names the field. A model
+# spec's message shows the spec itself, which repr cannot print with one
+TOO_LONG = [("10**5000", 10**5000), ("-10**5000", -(10**5000))]
+MODEL_COUNTS = ("MLP.hidden", "Linear.d_in")
+POLY = schedule.Poly(k=1.0, p=1.0, t_max=5)
+# a count that no rule rejects, but that a horizon or numpy's index range does
+HUGE_COUNTS = [
+    ("compile", "t_max", lambda v: schedule.compile(POLY, v)),
+    ("run_surface_trial.horizon", "t_max",
+     lambda v: trainer.run_surface_trial(problems.Rosenbrock(), (0.0, 0.0), POLY,
+                                         optim.OptimizerSpec(), v)),
+    ("Composite.segments", "segments",
+     lambda v: schedule.Composite(segments=(schedule.Segment(0, v, POLY),))),
+    ("gen_moons.n-past-intp", "n", lambda v: problems.gen_moons(seed=0, n=v)),
+]
 
 
 @pytest.fixture
@@ -143,7 +159,11 @@ def nothing_runs(monkeypatch):
 @pytest.mark.parametrize("field, call, value", [
     pytest.param(field, call, value, id=f"{name}-{label}")
     for entries, values in ((REALS, NOT_REAL), (COUNTS, NOT_COUNT), (SEEDS, NOT_SEED),
-                            (PROBLEM_REALS, NOT_REAL), (MATRIX, NOT_ENTRY), (TIMES, PAST_T))
+                            (PROBLEM_REALS, NOT_REAL), (MATRIX, NOT_ENTRY), (TIMES, PAST_T),
+                            (REALS + PROBLEM_REALS + MATRIX, TOO_LONG),
+                            ([e for e in COUNTS if e[0] not in MODEL_COUNTS] + SEEDS,
+                             TOO_LONG[1:]),
+                            (HUGE_COUNTS, TOO_LONG[:1]))
     for name, field, call in entries for label, value in values])
 def test_a_value_outside_its_rule_is_rejected_naming_the_field(nothing_runs, field, call,
                                                                 value):
@@ -207,14 +227,28 @@ def test_an_int_too_long_to_print_shows_its_bit_length():
     huge = 10**5000  # past the 4300 digits repr gives by default
     step = schedule.Step(k=0.1, gamma=0.5, l=huge)
     assert step.l == huge and schedule.lr_at(step, 7) == 0.1
+    # a segment's bounds are formatted only if its policy fails to cover it
+    multi = schedule.Composite(segments=(schedule.Segment(0, huge, Fix(k=1.0)),))
+    assert schedule.lr_at(multi, 7) == 1.0
     bits = huge.bit_length()
-    for call, message in [
-            (lambda: schedule.lr_at(FIX, huge), f"t must be <= 2**53, got an int of {bits} bits"),
+    policy_error = schedule.PolicyError
+    for call, message, error in [
+            (lambda: schedule.lr_at(FIX, huge), f"t must be <= 2**53, got an int of {bits} bits",
+             policy_error),
             (lambda: schedule.sample_trace(FIX, huge),
-             f"t_max must be <= 2**53, got an int of {bits} bits"),
-            (lambda: Fix(k=-huge), f"k must be finite, got a negative int of {bits} bits"),
+             f"t_max must be <= 2**53, got an int of {bits} bits", policy_error),
+            (lambda: Fix(k=-huge), f"k must be finite, got a negative int of {bits} bits",
+             policy_error),
             (lambda: schedule.Step(k=0.1, gamma=0.5, l=-huge),
-             f"l must be an integer >= 1, got a negative int of {bits} bits")]:
-        with pytest.raises(schedule.PolicyError) as e:
+             f"l must be an integer >= 1, got a negative int of {bits} bits", policy_error),
+            (lambda: schedule.compile(schedule.Poly(k=1.0, p=1.0, t_max=5), huge),
+             f"POLY t_max ends at t=5, shorter than a run whose length is an int of {bits} bits "
+             f"(last step t=an int of {bits} bits)", policy_error),
+            (lambda: trainer.TrainConfig(budget=-huge),
+             f"budget must be >= 0, got a negative int of {bits} bits", ValueError),
+            (lambda: tuner.SearchSpace(templates=(FIX,), boundaries=(0, -huge)),
+             f"boundaries must start at 0 and strictly increase, "
+             f"got (0, a negative int of {bits} bits)", policy_error)]:
+        with pytest.raises(error) as e:
             call()
-        assert str(e.value) == message
+        assert type(e.value) is error and str(e.value) == message

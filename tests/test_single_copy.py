@@ -3,9 +3,9 @@
 A second copy of one of these sequences would drift from the first: a CSV
 writer, the store's conflict rule, the grid rule, a model's descriptor, the
 policy-name table cell, a trial command's front half, each shared flag, a
-leaderboard row, a cell's seeds and a trial context built field by field.
-Each text below names one, and must appear in exactly one place; zero would
-mean the text went stale, not that the job went.
+leaderboard row, a cell's seeds, a trial context built field by field and a
+count's message. Each text below names one, and must appear in exactly one
+place; zero would mean the text went stale, not that the job went.
 """
 
 import os
@@ -27,6 +27,8 @@ ONE_COPY = {
     "{cell.lam:>10g}": "cli.py",                          # _print_leaderboard's one row
     "seed + r": "tuner.py",                               # _run_cells, a cell's seeds
     "TrialContext(": "cli.py",                            # elsewhere replace(ctx, ...)
+    "must be >= {low}, got": "schedule.py",               # need_count, every count's message
+    "isinstance(value, (int, float))": "schedule.py",     # number, the one number test
 }
 
 

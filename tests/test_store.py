@@ -146,13 +146,16 @@ def test_reopen_sees_the_same_records(tmp_path):
     assert reopened.append(_rec(k=0.3)) == 2
 
 
-def test_partial_trailing_line_is_dropped_and_truncated(tmp_path, caplog):
+# an interrupted writer's last line: cut inside the JSON, or (from a writer
+# that does not escape non-ASCII text) inside a character's UTF-8 bytes
+@pytest.mark.parametrize("tail", [b'{"v":1,"task":"blo', b'{"v":1,"task":"bl\xc3'])
+def test_partial_trailing_line_is_dropped_and_truncated(tmp_path, caplog, tail):
     path = tmp_path / "db.jsonl"
     store = PolicyStore(path)
     store.append(_rec(k=0.1))
     store.append(_rec(k=0.2, acc=0.95))
     whole = path.read_bytes()
-    path.write_bytes(whole + b'{"v":1,"task":"blo')  # interrupted writer
+    path.write_bytes(whole + tail)
     with caplog.at_level("WARNING", logger="lrforge.store"):
         recovered = PolicyStore(path)
     assert "partial trailing line" in caplog.text
@@ -202,8 +205,8 @@ def test_mid_file_corruption_is_an_error(tmp_path):
         ("iterations_to_target", False), ("diverged", "no"), ("diverged", 0)]]
     wrong += [_line(_rec(), **{"lambda": "x"}), _line(_rec(), **{"lambda": float("inf")}),
               _line(_rec(), seed=1.5), _line(_rec(), seed=True)]
-    # lines that do not parse, and lines that parse to something not a record
-    for bad in [b"not json", b"[1, 2]", _line(_rec(), outcome=None),
+    # lines that do not decode or parse, and lines that parse to something not a record
+    for bad in [b"not json", b'{"v": 1, "task": "t\xff"}', b"[1, 2]", _line(_rec(), outcome=None),
                 _line(_rec(), outcome=outcome), _line(_rec(), outcome=[1, 2]),
                 _line(_rec(), **{"lambda": [1.0]}), *wrong]:
         path.write_bytes(b"\n".join([bad] + good[1:]))

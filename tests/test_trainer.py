@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lrforge import schedule, trainer
+from lrforge import optim, schedule, trainer
 from lrforge.adaptive import ChangeOnPlateau, ReduceOnPlateau
 from lrforge.model import MLP, Linear, forward_loss_grad, init_params
 from lrforge.optim import OptimizerSpec
@@ -17,6 +17,8 @@ from lrforge.trainer import (
     write_surface_csv,
     write_train_csv,
 )
+
+from reference import ref_surface_trial
 
 SGD = OptimizerSpec("sgd")
 
@@ -224,6 +226,75 @@ def test_surface_csv_golden(tmp_path):
     assert lines[1].split(",")[0] == "0"
     assert float(lines[1].split(",")[1]) == 0.5
     assert len(lines) == 3
+
+
+def _spiked(t: int, bad, steps: int = 10):
+    """A small fixed LR for steps 0 .. t - 1, then `bad` from step t."""
+    head = (schedule.Segment(0, t, schedule.Fix(0.001)),) if t else ()
+    return schedule.Composite(segments=head + (schedule.Segment(t, steps, bad),))
+
+
+def _too_long_to_print():
+    """An LR of 10**4800: an int past the float range, and past the digits repr gives."""
+    policy = schedule.Fix(k=10**300)
+    for _ in range(15):
+        policy = schedule.Scaled(lam=10**300, base=policy)
+    return policy
+
+
+# an LR spike at step t that makes the next point's value, or only its
+# gradient, not finite, or an LR that is not finite itself
+SPIKES = {
+    "value": (Quadratic(a=np.eye(2)), (1.0, 1.0), schedule.Fix(1e300)),
+    "gradient": (MultiBasin(wells=(Well(center=(0.0, 0.0), depth=1.0, width=0.1),)),
+                 (0.1, 0.05), schedule.Fix(1e308)),
+    "float-lr": (Quadratic(a=np.eye(2)), (1.0, 1.0),
+                 schedule.Scaled(lam=1e6, base=schedule.Fix(1e303))),
+    "int-lr": (Quadratic(a=np.eye(2)), (1.0, 1.0), _too_long_to_print()),
+}
+
+
+@pytest.mark.parametrize("opt", [SGD, OptimizerSpec("sgd", momentum=0.9),
+                                 OptimizerSpec("adam")], ids=["sgd", "momentum", "adam"])
+@pytest.mark.parametrize("t", [0, 1, 4])
+@pytest.mark.parametrize("kind", SPIKES)
+def test_a_non_finite_value_gradient_or_lr_ends_the_path_where_the_plain_loop_does(
+        kind, t, opt):
+    surface, start, bad = SPIKES[kind]
+    policy = _spiked(t, bad)
+    path = run_surface_trial(surface, start, policy, opt, 10)
+    points, values, diverged = ref_surface_trial(surface, start, policy, opt, 10)
+    assert path.diverged == diverged
+    assert np.array(path.points).tobytes() == np.array(points).tobytes()
+    assert np.array(path.values).tobytes() == np.array(values).tobytes()
+    if opt is SGD:  # the path ends at the check the case is named for
+        assert diverged
+        with np.errstate(all="ignore"):
+            value, grad = surface_value_grad(surface, path.points[-1])
+        lr = schedule.lr_at(policy, len(path.points) - 1)
+        assert [kind == "value", kind == "gradient", kind.endswith("lr")] == [
+            not schedule.finite(value),
+            schedule.finite(value) and not np.isfinite(grad).all(),
+            np.isfinite(grad).all() and not schedule.finite(lr)]
+
+
+def test_each_surface_step_calls_optim_step_and_surface_value_grad(monkeypatch):
+    # perfbench's optim.step and problems.surface_value_grad spans wrap these
+    # module attributes: one optim.step per step tried, one surface_value_grad per point
+    calls = []
+    step, value_grad = optim.step, trainer.surface_value_grad
+    monkeypatch.setattr(optim, "step", lambda *a: calls.append("step") or step(*a))
+    monkeypatch.setattr(trainer, "surface_value_grad",
+                        lambda *a: calls.append("value") or value_grad(*a))
+    path = run_surface_trial(Quadratic(a=np.eye(2)), (1.0, 1.0), schedule.Fix(0.1), SGD, 20)
+    assert len(path.points) == 21
+    assert calls == ["value"] + ["step", "value"] * 20
+    # a non-finite LR at step 3: three steps, then the optim.step that raised NonFinite
+    calls.clear()
+    path = run_surface_trial(Quadratic(a=np.eye(2)), (1.0, 1.0), _spiked(3, SPIKES["float-lr"][2]),
+                             SGD, 10)
+    assert path.diverged and len(path.points) == 4
+    assert calls == ["value"] + ["step", "value"] * 3 + ["step"]
 
 
 # --- fail fast on short horizons ---
