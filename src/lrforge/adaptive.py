@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from .schedule import ChangeOnPlateau, PolicyError, ReduceOnPlateau, finite, lr_at, shown
+from .schedule import ChangeOnPlateau, PolicyError, ReduceOnPlateau, finite, lr_at, need
 
 PlateauPolicy = ReduceOnPlateau | ChangeOnPlateau
 
@@ -43,8 +43,8 @@ class Switched(NamedTuple):
 
 
 def initial_state(config: PlateauPolicy) -> AdaptiveState:
-    if not isinstance(config, PlateauPolicy):
-        raise PolicyError(f"{type(config).__name__} is not a metric-driven policy")
+    need(isinstance(config, PlateauPolicy), "%s is not a metric-driven policy",
+         type(config).__name__, error=PolicyError)
     lr = config.k if isinstance(config, ReduceOnPlateau) else 0.0
     return AdaptiveState(current_lr=lr)
 
@@ -64,8 +64,7 @@ def observe(state: AdaptiveState, config: PlateauPolicy, metric: float,
     t is the iteration index at which a switched-to policy would start;
     only the change variant uses it (as the new local t origin).
     """
-    if not finite(metric):
-        raise PolicyError(f"observed metric must be finite, got {shown(metric)!r}")
+    need(finite(metric), "observed metric must be finite, got %r", metric, error=PolicyError)
     metric = float(metric)
 
     if _improved(config, state.best_metric, metric):
@@ -106,6 +105,6 @@ def current_lr(state: AdaptiveState, config: PlateauPolicy, t: int) -> float:
         return state.current_lr
     local = t - state.local_t_origin
     if local < 0:
-        raise PolicyError(f"t ({t}) precedes the active policy's origin "
-                          f"({state.local_t_origin})")
+        need(False, "t (%s) precedes the active policy's origin (%s)", t, state.local_t_origin,
+             error=PolicyError)
     return lr_at(config.policies[state.policy_index], local)

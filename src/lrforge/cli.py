@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__, model, problems, schedule, store, trainer, tuner
 from .optim import OptimizerSpec
+from .schedule import need
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,8 +78,8 @@ def _policy(value, where: str):
 def _file_name(value, where: str) -> str:
     """A name that becomes part of a file name: no path separator, no NUL."""
     value = _check(value, str, where)
-    if any(c in value for c in ("\0", os.sep, os.altsep or os.sep)):
-        raise ManifestError(f"{where} must be a plain file name, got {value!r}")
+    need(not any(c in value for c in ("\0", os.sep, os.altsep or os.sep)),
+         "%s must be a plain file name, got %r", where, value, error=ManifestError)
     return value
 
 
@@ -133,8 +134,7 @@ MANIFEST = {
 
 def _reject_unknown(obj: dict, known, where: str):
     unknown = [repr(k) for k in obj if k not in known]
-    if unknown:
-        raise ManifestError(f"{where}: unknown key {', '.join(unknown)}")
+    need(not unknown, "%s: unknown key %s", where, ", ".join(unknown), error=ManifestError)
 
 
 def _check(value, type_, where: str, **context):
@@ -142,12 +142,12 @@ def _check(value, type_, where: str, **context):
 
     `context` reaches `build` beside the keys, for what a section needs from outside.
     """
-    if isinstance(type_, (dict, Kind)) and not isinstance(value, dict):
-        raise ManifestError(f"'{where}' must be a JSON object")
+    if isinstance(type_, (dict, Kind)):
+        need(isinstance(value, dict), "'%s' must be a JSON object", where, error=ManifestError)
     if isinstance(type_, dict):
         kind = value.get("kind")
-        if not isinstance(kind, str) or kind not in type_:
-            raise ManifestError(f"{where}.kind must be one of {', '.join(type_)}, got {kind!r}")
+        need(isinstance(kind, str) and kind in type_, "%s.kind must be one of %s, got %r",
+             where, ", ".join(type_), kind, error=ManifestError)
         rest = {k: v for k, v in value.items() if k != "kind"}
         return _check(rest, type_[kind], where, **context)
     if isinstance(type_, Kind):
@@ -158,26 +158,27 @@ def _check(value, type_, where: str, **context):
             if key in value:
                 present[key] = _check(value[key], key_type.type if required else key_type,
                                       f"{where}.{key}")
-            elif required:
-                raise ManifestError(f"{where}.{key} is required")
+            else:
+                need(not required, "%s.%s is required", where, key, error=ManifestError)
         try:
             return type_.build(**present, **context)
         except ValueError as e:
             raise ManifestError(f"{where}: {e}") from None
     if isinstance(type_, list):
-        if not isinstance(value, list):
-            raise ManifestError(f"{where} has the wrong type: {value!r}")
+        need(isinstance(value, list), "%s has the wrong type: %r", where, value,
+             error=ManifestError)
         return tuple(_check(v, type_[0], f"{where}[{i}]") for i, v in enumerate(value))
     if not isinstance(type_, type):
         return type_(value, where)
     # the one gate for a manifest number: json reads NaN, Infinity and 1e400
     # (as inf), none of them JSON, and an int past the float range is no float
-    if type_ in (int, float) and type(value) in (int, float) and not schedule.finite(value):
-        raise ManifestError(f"{where} must be a finite number, got {value!r}")
+    if type_ in (int, float) and type(value) in (int, float):
+        need(schedule.finite(value), "%s must be a finite number, got %r", where, value,
+             error=ManifestError)
     if type_ is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, type_) or isinstance(value, bool) and type_ is not bool:
-        raise ManifestError(f"{where} has the wrong type: {value!r}")
+    need(isinstance(value, type_) and (type_ is bool or not isinstance(value, bool)),
+         "%s has the wrong type: %r", where, value, error=ManifestError)
     return value
 
 
@@ -191,8 +192,7 @@ def _load_manifest(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ManifestError(f"manifest {path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ManifestError(f"manifest {path} must be a JSON object")
+    need(isinstance(doc, dict), "manifest %s must be a JSON object", path, error=ManifestError)
     _reject_unknown(doc, MANIFEST, "manifest")
     return doc
 
@@ -200,8 +200,7 @@ def _load_manifest(path) -> dict:
 def _read(doc: dict, key: str, default=..., **context):
     """Top-level manifest entry `key`, checked against `MANIFEST` and built."""
     if key not in doc:
-        if default is ...:
-            raise ManifestError(f"manifest is missing '{key}'")
+        need(default is not ..., "manifest is missing '%s'", key, error=ManifestError)
         return default
     return _check(doc[key], MANIFEST[key], key, **context)
 
@@ -227,19 +226,17 @@ def _creatable(path: str) -> bool:
 def _open_db(args, doc: dict) -> store.PolicyStore:
     """The record store of --db or the manifest, checked appendable but not created."""
     path = store.resolve_db_path(args.db or _read(doc, "db", None))
-    if not (os.access(path, os.W_OK) if os.path.exists(path)
-            else _creatable(os.path.dirname(os.path.abspath(path)))):
-        raise OSError(f"cannot append to record database {path}")
+    need(os.access(path, os.W_OK) if os.path.exists(path)
+         else _creatable(os.path.dirname(os.path.abspath(path))),
+         "cannot append to record database %s", path, error=OSError)
     return store.PolicyStore(path)
 
 
 def _out_dir(doc: dict, override) -> str:
     """The output directory, checked writable but not created (see `_artifact`)."""
     path = override or _read(doc, "out_dir", None)
-    if not path:
-        raise ManifestError("out_dir is required (manifest key or --out-dir)")
-    if not _creatable(path):
-        raise OSError(f"cannot write to output directory {path}")
+    need(path, "out_dir is required (manifest key or --out-dir)", error=ManifestError)
+    need(_creatable(path), "cannot write to output directory %s", path, error=OSError)
     return path
 
 
@@ -479,21 +476,18 @@ def cmd_surface(args) -> int:
     doc = _load_manifest(args.manifest)
     surface = _read(doc, "surface")
     start = _read(doc, "start")
-    if len(start) != 2:
-        raise ManifestError("start must be [x, y]")
+    need(len(start) == 2, "start must be [x, y]", error=ManifestError)
     iterations = _read(doc, "iterations")
     opt = _read(doc, "optimizer", OptimizerSpec())
     entries = _read(doc, "policies")
-    if not entries:
-        raise ManifestError("policies must be non-empty")
+    need(entries, "policies must be non-empty", error=ManifestError)
     out_dir = _out_dir(doc, args.out_dir)
 
     named = {}
     for i, entry in enumerate(entries):
         policy = entry["policy"]
         name = entry.get("name") or f"{schedule.family_name(policy)}_{i}"
-        if name in named:
-            raise ManifestError(f"duplicate policy name {name!r}")
+        need(name not in named, "duplicate policy name %r", name, error=ManifestError)
         schedule.compile(policy, iterations)  # before any path is traced or written
         named[name] = policy
 

@@ -5,33 +5,38 @@ widths[i] through weights `Wi` and bias `bi`, with a ReLU between layers.
 Parameters are plain float64 arrays: a (C, P) stack holds C flat vectors,
 each laid out by `layout(spec)`, and `views(spec, params)` gives every
 tensor as a view into it. Keeping every model a flat vector lets the
-optimizers stay model-agnostic.
+optimizers stay model-agnostic. A spec checks its widths when it is built,
+and its error shows each field through `schedule.need`.
 
 The loss is mean softmax cross-entropy, computed through log-sum-exp so
 large logits cannot overflow. Gradients are exact and analytic, and all C
 rows of a stack run through the same batched matmuls. Activations are laid
 out batch-major and two classes skip every reduce over the class axis but
-the max, for speed; neither moves a bit (see `forward_loss_grad`).
+the max, for speed; neither moves a bit (see `forward_loss_grad`). A
+training step computes only the loss and its gradient; accuracy is
+`accuracy_on`'s, over a whole dataset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .problems import Dataset
-from .schedule import count
+from .schedule import count, need
 
 
 class _Widths:
     """Base of every model spec: its layer widths are checked when it is built."""
 
     def __post_init__(self):
-        if not (all(count(w, 1) for w in self.widths) and self.widths[-1] >= 2):
-            raise ValueError(f"invalid model dimensions: {self}")
+        # the widths are the spec's fields, in order
+        shape = ", ".join(f"{f.name}=%r" for f in fields(self))
+        need(all(count(w, 1) for w in self.widths) and self.widths[-1] >= 2,
+             f"invalid model dimensions: {type(self).__name__}({shape})", *self.widths)
 
     def descriptor(self) -> str:
         return f"{type(self).__name__.lower()}({'->'.join(map(str, self.widths))})"
@@ -134,34 +139,33 @@ def _max_of_two(l0: np.ndarray, l1: np.ndarray) -> np.ndarray:
 
 def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
                       y: np.ndarray):
-    """Mean cross-entropy loss, gradient, and batch accuracy of a (C, P) stack.
+    """Mean cross-entropy loss and gradient of a (C, P) stack.
 
-    Returns (C,) losses, a (C, P) gradient stack and (C,) accuracies, with
-    x and y either shared, (B, d) and (B,), or per row, (C, B, d) and
-    (C, B). Row c of a stack is bit for bit what it gives as a stack of
-    one: every matmul slice is the same BLAS call and every reduction runs
-    in the same order.
+    Returns (C,) losses and a (C, P) gradient stack, with x and y either
+    shared, (B, d) and (B,), or per row, (C, B, d) and (C, B). Row c of a
+    stack is bit for bit what it gives as a stack of one: every matmul
+    slice is the same BLAS call and every reduction runs in the same order.
 
     Per-example arrays are batch-major (see `_batch_major`), so each bias
     sum adds whole rows, one example after another, exactly as a sum over
     the batch axis of a row-major array does. The loss is summed over a
     row-major copy, which numpy sums pairwise. With two classes nothing
     else reduces over the class axis: the exp-sum adds the two shifted
-    exps, the target logit is a select, and the prediction compares the
-    two logits, each bit for bit what the reduce, the gather and argmax
-    give; the shift is `_max_of_two`, bit for bit numpy's max reduce, which
-    decides the sign bit of a NaN loss. The one-hot labels are subtracted
-    from all of delta: subtracting 0.0 leaves an entry exactly as it was.
+    exps and the target logit is a select, each bit for bit what the
+    reduce and the gather give; the shift is `_max_of_two`, bit for bit
+    numpy's max reduce, which decides the sign bit of a NaN loss. The
+    one-hot labels are subtracted from all of delta: subtracting 0.0
+    leaves an entry exactly as it was.
     """
     if params.ndim != 2:
-        raise ValueError(f"params must be a (C, P) stack, got shape {params.shape}")
+        need(False, "params must be a (C, P) stack, got shape %s", params.shape)
     n = x.shape[-2]
     if n == 0:
-        raise ValueError("empty batch")
+        need(False, "empty batch")
     if x.shape[-1] != spec.d_in:
-        raise ValueError(f"feature width {x.shape[-1]} does not match d_in {spec.d_in}")
+        need(False, "feature width %s does not match d_in %s", x.shape[-1], spec.d_in)
     if y.min() < 0 or y.max() >= spec.n_classes:
-        raise ValueError(f"labels out of range [0, {spec.n_classes})")
+        need(False, "labels out of range [0, %s)", spec.n_classes)
 
     p = views(spec, params)
     stack, k = params.shape[0], spec.n_classes
@@ -173,18 +177,13 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
             l0, l1 = logits[..., 0], logits[..., 1]
             zmax = _max_of_two(l0, l1)
             sumexp = np.exp(l0 - zmax) + np.exp(l1 - zmax)
-            second = labels == 1
-            target = np.where(second, l1, l0)
-            # argmax picks a NaN first, then the larger, then the first of a tie
-            correct = (~(l0 >= l1) & (l0 == l0)) == second
+            target = np.where(labels == 1, l1, l0)
         else:
             zmax = logits.max(axis=-1)
             sumexp = np.add.reduce(np.exp(logits - zmax[..., None]), axis=-1)
             target = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
-            correct = np.argmax(logits, axis=-1) == labels
         lse = zmax + np.log(sumexp)
         loss = np.add.reduce(np.subtract(lse, target, out=np.empty((stack, n))), axis=-1) / n
-        accuracy = np.add.reduce(correct, axis=-1, dtype=np.float64) / n
 
         delta = np.exp(logits - lse[..., None])
         delta -= np.eye(k).take(labels.T, axis=0).swapaxes(0, 1)  # one-hot rows
@@ -199,7 +198,7 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
                 delta = np.matmul(delta, np.swapaxes(p[f"W{i}"], -1, -2),
                                   out=_batch_major(stack, n, spec.widths[i - 1]))
                 delta *= hidden[i - 2] > 0
-    return loss, grad, accuracy
+    return loss, grad
 
 
 def accuracy_on(spec: ModelSpec, params: np.ndarray, ds: Dataset) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schedule import finite, number, shown
+from .schedule import finite, need, number
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,15 @@ class OptimizerSpec:
     eps: float = 1e-8
 
     def __post_init__(self):
+        need(self.kind in ("sgd", "adam"), "unknown optimizer kind %r", self.kind)
         if self.kind == "sgd":
-            if not (finite(self.momentum) and 0 <= self.momentum < 1):
-                raise ValueError(f"momentum must be in [0, 1), got {shown(self.momentum)!r}")
-        elif self.kind == "adam":
-            if not all(finite(beta) and 0 <= beta < 1 for beta in (self.beta1, self.beta2)):
-                raise ValueError(f"betas must be in [0, 1), got "
-                                 f"{shown(self.beta1)!r}, {shown(self.beta2)!r}")
-            if not self.eps > 0:
-                raise ValueError(f"eps must be > 0, got {shown(self.eps)!r}")
-            if not finite(self.eps):
-                raise ValueError(f"eps must be finite, got {shown(self.eps)!r}")
+            need(finite(self.momentum) and 0 <= self.momentum < 1,
+                 "momentum must be in [0, 1), got %r", self.momentum)
         else:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+            need(all(finite(beta) and 0 <= beta < 1 for beta in (self.beta1, self.beta2)),
+                 "betas must be in [0, 1), got %r, %r", self.beta1, self.beta2)
+            need(self.eps > 0, "eps must be > 0, got %r", self.eps)
+            need(finite(self.eps), "eps must be finite, got %r", self.eps)
 
     def descriptor(self) -> str:
         if self.kind == "sgd":
@@ -88,20 +84,20 @@ def _check_lr(value):
     if not (held and value >= 0):
         # a number that is NaN, infinite or past the float range; any other value is no LR
         error = NonFinite if number(value) and not held else ValueError
-        raise error(f"lr must be finite and >= 0, got {shown(value)!r}")
+        need(False, "lr must be finite and >= 0, got %r", value, error=error)
 
 
 def _check(params: np.ndarray, grads: np.ndarray, lr: float, state_vec: np.ndarray):
     if params.shape != grads.shape or params.shape != state_vec.shape:
-        raise ValueError(f"shape mismatch: params {params.shape}, grads {grads.shape}, "
-                         f"state {state_vec.shape}")
+        need(False, "shape mismatch: params %s, grads %s, state %s",
+             params.shape, grads.shape, state_vec.shape)
     if not isinstance(lr, np.ndarray):
         _check_lr(lr)
     elif not (lr.dtype.kind in "biuf" and (np.isfinite(lr) & (lr >= 0)).all()):
         for value in lr.ravel().tolist():  # name the first bad value
             _check_lr(value)
     if not np.isfinite(grads).all():
-        raise NonFinite("non-finite gradient")
+        need(False, "non-finite gradient", error=NonFinite)
 
 
 def step(params: np.ndarray, grads: np.ndarray, lr: float | np.ndarray,

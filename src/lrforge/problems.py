@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import finite, need_count, shown
+from .schedule import finite, need, need_count
 
 # IDX file layout (big-endian):
 #   images: magic 2051, count, rows, cols, then count*rows*cols unsigned bytes
@@ -33,15 +33,13 @@ class Quadratic:
     def __post_init__(self):
         entries = np.asarray(self.a, dtype=object)  # numpy numbers as Python ones
         # a NaN or infinite float fails the matrix checks below
-        if not all(finite(v) or isinstance(v, float) for v in entries.flat):
-            raise ValueError(f"a must hold finite numbers, got {shown(self.a)!r}")
+        need(all(finite(v) or isinstance(v, float) for v in entries.flat),
+             "a must hold finite numbers, got %r", self.a)
         object.__setattr__(self, "a", entries.astype(float))
-        if self.a.shape != (2, 2):
-            raise ValueError(f"a must be 2x2, got shape {self.a.shape}")
-        if not np.allclose(self.a, self.a.T):
-            raise ValueError("a must be symmetric")
-        if not np.linalg.eigvalsh(self.a).min() > 0:  # NaN eigenvalues of an infinite a too
-            raise ValueError("a must be positive definite")
+        need(self.a.shape == (2, 2), "a must be 2x2, got shape %s", self.a.shape)
+        need(np.allclose(self.a, self.a.T), "a must be symmetric")
+        # NaN eigenvalues of an infinite a fail too
+        need(np.linalg.eigvalsh(self.a).min() > 0, "a must be positive definite")
 
     def _value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         return 0.5 * float(x @ self.a @ x), self.a @ x
@@ -55,8 +53,8 @@ class Rosenbrock:
     b: float = 100.0
 
     def __post_init__(self):
-        if not (finite(self.a) and finite(self.b)):
-            raise ValueError(f"rosenbrock a and b must be finite, got {self}")
+        need(finite(self.a) and finite(self.b),
+             "rosenbrock a and b must be finite, got Rosenbrock(a=%r, b=%r)", self.a, self.b)
 
     def _value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         a, b = self.a, self.b
@@ -73,12 +71,16 @@ class Well:
     width: float
 
     def __post_init__(self):
-        if len(self.center) != 2:
-            raise ValueError(f"center must have 2 coordinates, got {len(self.center)}")
-        if not all(map(finite, self.center)):
-            raise ValueError(f"center coordinates must be finite, got {shown(self.center)!r}")
-        if not all(finite(v) and v > 0 for v in (self.depth, self.width)):
-            raise ValueError(f"well depth and width must be finite and > 0, got {self}")
+        need(len(self.center) == 2, "center must have 2 coordinates, got %r", len(self.center))
+        need(all(map(finite, self.center)),
+             "center coordinates must be finite, got %r", self.center)
+        need(all(finite(v) and v > 0 for v in (self.depth, self.width)),
+             "well depth and width must be finite and > 0, got Well(center=%r, depth=%r, "
+             "width=%r)", self.center, self.depth, self.width)
+        # MultiBasin divides by width**2 and 2 * width**2
+        need(self.width * self.width > 0 and finite(2 * self.width * self.width),
+             "well width must keep width**2 nonzero and 2 * width**2 finite, got %r",
+             self.width)
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,9 @@ class MultiBasin:
     wells: tuple[Well, ...]
 
     def __post_init__(self):
-        if not self.wells:
-            raise ValueError("wells must be non-empty")
+        need(self.wells, "wells must be non-empty")
         depths = sorted((w.depth for w in self.wells), reverse=True)
-        if len(depths) > 1 and depths[0] == depths[1]:
-            raise ValueError("deepest well must be unique")
+        need(len(depths) < 2 or depths[0] != depths[1], "deepest well must be unique")
         # each well's center, depth, 2 * width^2 and width^2, which every evaluation reads
         object.__setattr__(self, "_terms", tuple(
             (np.asarray(w.center, dtype=float), w.depth, 2 * w.width ** 2, w.width ** 2)
@@ -118,9 +118,9 @@ def surface_value_grad(surface: Surface, point: np.ndarray) -> tuple[float, np.n
     """Evaluate f and its gradient at a 2-D point."""
     x = np.asarray(point, dtype=float)
     if x.shape != (2,):
-        raise ValueError(f"point must have shape (2,), got {x.shape}")
+        need(False, "point must have shape (2,), got %s", x.shape)
     if not isinstance(surface, Surface):
-        raise ValueError(f"unknown surface type {type(surface).__name__}")
+        need(False, "unknown surface type %s", type(surface).__name__)
     return surface._value_grad(x)
 
 
@@ -147,8 +147,8 @@ class TaskData:
 def _size(name: str, value: int, low: int):
     """Reject a size that is no integer >= low, or past the largest that numpy can index."""
     need_count(name, value, low)
-    if value > np.iinfo(np.intp).max:
-        raise ValueError(f"{name} must be <= {np.iinfo(np.intp).max}, got {shown(value)!r}")
+    need(value <= np.iinfo(np.intp).max, "%s must be <= %s, got %r",
+         name, np.iinfo(np.intp).max, value)
 
 
 def _split_80_20(name: str, features: np.ndarray, labels: np.ndarray,
@@ -174,8 +174,7 @@ def gen_blobs(seed: int, n_per_class: int, n_classes: int = 2, d: int = 2,
     _size("n_classes", n_classes, 2)
     _size("d", d, 1)
     need_count("seed", seed)
-    if not finite(separation):
-        raise ValueError(f"separation must be finite, got {shown(separation)!r}")
+    need(finite(separation), "separation must be finite, got %r", separation)
     rng = np.random.default_rng(seed)
     centers = np.zeros((n_classes, d))
     if d == 1:
@@ -193,8 +192,7 @@ def gen_blobs(seed: int, n_per_class: int, n_classes: int = 2, d: int = 2,
 def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
     """Two interleaving half-circle arcs with Gaussian coordinate noise."""
     _size("n", n, 4)
-    if not (finite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {shown(noise)!r}")
+    need(finite(noise) and noise >= 0, "noise must be finite and >= 0, got %r", noise)
     need_count("seed", seed)
     rng = np.random.default_rng(seed)
     n_outer = n // 2
@@ -216,8 +214,7 @@ def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
 
 def _read_exact(f, n: int, path) -> bytes:
     buf = f.read(n)
-    if len(buf) != n:
-        raise ValueError(f"truncated IDX file {path}: wanted {n} bytes, got {len(buf)}")
+    need(len(buf) == n, "truncated IDX file %s: wanted %s bytes, got %s", path, n, len(buf))
     return buf
 
 
@@ -225,19 +222,16 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Read an IDX image/label file pair, scaling pixels to [0, 1]."""
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"bad magic in {images_path}: "
-                             f"expected {IDX_IMAGE_MAGIC}, got {magic}")
+        need(magic == IDX_IMAGE_MAGIC, "bad magic in %s: expected %s, got %s",
+             images_path, IDX_IMAGE_MAGIC, magic)
         raw = _read_exact(f, count * rows * cols, images_path)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(">ii", _read_exact(f, 8, labels_path))
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"bad magic in {labels_path}: "
-                             f"expected {IDX_LABEL_MAGIC}, got {magic}")
+        need(magic == IDX_LABEL_MAGIC, "bad magic in %s: expected %s, got %s",
+             labels_path, IDX_LABEL_MAGIC, magic)
         labels = np.frombuffer(_read_exact(f, label_count, labels_path), dtype=np.uint8)
-    if count != label_count:
-        raise ValueError(f"length mismatch: {count} images vs {label_count} labels")
+    need(count == label_count, "length mismatch: %s images vs %s labels", count, label_count)
     features = images.astype(np.float64) / 255.0
     n_classes = int(labels.max()) + 1 if labels.size else 0
     return Dataset(features, labels.astype(np.int64), n_classes, split)
@@ -247,11 +241,9 @@ def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path):
     """Write an IDX pair; images are (n, rows, cols) uint8."""
     images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"images must be (n, rows, cols), got shape {images.shape}")
-    if labels.shape != (images.shape[0],):
-        raise ValueError(f"length mismatch: {images.shape[0]} images vs "
-                         f"{labels.shape[0]} labels")
+    need(images.ndim == 3, "images must be (n, rows, cols), got shape %s", images.shape)
+    need(labels.shape == (images.shape[0],), "length mismatch: %s images vs %s labels",
+         images.shape[0], labels.shape[0])
     n, rows, cols = images.shape
     with open(images_path, "wb") as f:
         f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, n, rows, cols))

@@ -14,6 +14,11 @@ own: it is its base's dict plus a top-level "lambda" key.
 Every policy runs `validate` when it is built, so a policy object that
 exists is valid, and the queries over t only look up its row.
 
+Every check in lrforge that rejects a value reports through `need`: it
+builds the message only on failure, and shows an int too long to print by
+its bit length, so the message still names the field. No other module
+formats a rejected value.
+
 The metric-driven families PLATEAU_REDUCE and PLATEAU_CHANGE have rows but
 no closed form: their LR depends on observed metrics, so `adaptive` steps
 them, every closed-form query rejects them, and no other policy may hold
@@ -267,7 +272,7 @@ class ChangeOnPlateau(_Checked):
 # real number, a `number` (an int or float, never a bool) that a float holds,
 # so not NaN, not infinite and no int past the float range? `count`: is it an
 # int (never a bool) >= low? A field check check(name, value) raises PolicyError naming
-# the field; a real-valued check returns the value as a float.
+# the field, through `need`; a real-valued check returns the value as a float.
 
 
 def number(value) -> bool:
@@ -296,23 +301,32 @@ class _Long(int):
             return f"{'a negative' if self < 0 else 'an'} int of {self.bit_length()} bits"
 
 
-def shown(value):
+def _shown(value):
     """value as a message shows it: each int, in a tuple or list too, as a _Long."""
     if type(value) in (tuple, list):
-        return type(value)(map(shown, value))
+        return type(value)(map(_shown, value))
     return _Long(value) if type(value) is int else value
+
+
+def need(ok, fmt: str, *values, error: type = ValueError):
+    """Raise error(fmt % values) unless ok, each value shown as `_shown` shows it.
+
+    The one way lrforge rejects a value: the message is built only on failure,
+    and an int too long to print still names its field.
+    """
+    if not ok:
+        raise error(fmt % tuple(map(_shown, values)))
 
 
 def need_count(name: str, value, low: int = 0, error: type = ValueError):
     """Raise error naming the field unless value is a count >= low."""
-    if not count(value, low):
-        raise error(f"{name} must be >= {low}, got {shown(value)!r}")
+    need(count(value, low), "%s must be >= %r, got %r", name, low, value, error=error)
 
 
-def _need(cond: bool, fmt: str, *args):
-    """Raise PolicyError(fmt % args) unless cond: the message is built only on failure."""
-    if not cond:
-        raise PolicyError(fmt % tuple(map(shown, args)))
+def _need(ok, fmt: str, *values):
+    """`need` raising PolicyError; a check that passes costs one call."""
+    if not ok:
+        need(False, fmt, *values, error=PolicyError)
 
 
 def _real(name: str, value) -> float:
@@ -435,7 +449,7 @@ def _warmup_horizon(p: Warmup):
 def _upto(p, t: int) -> int:
     """t, once checked against the t_max of a horizon-bound policy p."""
     if t > p.t_max:
-        raise PolicyError(f"t ({t}) exceeds t_max ({p.t_max}) for {_ROWS[type(p)].name}")
+        _need(False, "t (%s) exceeds t_max (%s) for %s", t, p.t_max, _ROWS[type(p)].name)
     return t
 
 
@@ -466,8 +480,8 @@ _start = attrgetter("start")
 def _composite(p: Composite, t: int) -> float:
     segs = p.segments
     if t >= segs[-1].end:
-        raise PolicyError(
-            f"t ({t}) is past the composite horizon (last segment ends at {segs[-1].end})")
+        _need(False, "t (%s) is past the composite horizon (last segment ends at %s)",
+              t, segs[-1].end)
     seg = segs[bisect_right(segs, t, key=_start) - 1]
     return _eval(seg.policy, t - seg.start)
 
@@ -478,7 +492,7 @@ def _composite(p: Composite, t: int) -> float:
 def _row(policy) -> "Family":
     row = _ROWS.get(type(policy))
     if row is None:
-        raise PolicyError(f"unknown policy type {type(policy).__name__}")
+        _need(False, "unknown policy type %s", type(policy).__name__)
     return row
 
 
@@ -496,7 +510,7 @@ def require_horizon(policy, steps: int, where: str = "", *args):
     end = _horizon(policy)
     if end is not None and end < steps - 1:
         base = _row(split_lambda(policy)[0])
-        run = repr(shown(steps))  # an int past repr's digit limit reads "an int of N bits"
+        run = repr(_shown(steps))  # an int past repr's digit limit reads "an int of N bits"
         run = f"a {run}-step run" if run[-1].isdigit() else f"a run whose length is {run}"
         _need(False, where + "%s %s ends at t=%r, shorter than %s (last step t=%r)",
               *args, base.name, base.horizon_by, end, run, steps - 1)
@@ -505,8 +519,8 @@ def require_horizon(policy, steps: int, where: str = "", *args):
 def _closed_form(policy):
     form = _row(policy).closed_form
     if form is None:
-        raise PolicyError(f"{family_name(policy)} has no closed form over t; "
-                          f"drive it through a trainer")
+        _need(False, "%s has no closed form over t; drive it through a trainer",
+              family_name(policy))
     return form
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .schedule import canonical_json, count, finite, need_count, policy_to_dict
+from .schedule import canonical_json, count, finite, need, need_count, policy_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -143,14 +143,14 @@ def _record_from_obj(obj: dict) -> TrialRecord:
     AttributeError, KeyError or TypeError."""
     v = obj.get("v")
     if v != SCHEMA_VERSION:
-        raise ValueError(f"unsupported record schema version {v!r}")
+        need(False, "unsupported record schema version %r", v)
     r = TrialRecord(obj["task"], obj["policy"], obj["lambda"], obj["seed"],
                     *_outcome_from_obj(obj["outcome"]), obj.get("wall_time_sec"),
                     obj.get("timestamp"), obj.get("artifact_version"))
     if not (finite(r.lam) and type(r.seed) is int and finite(r.final_accuracy)
             and finite(r.best_accuracy) and count(r.iterations_run) and type(r.diverged) is bool
             and (r.iterations_to_target is None or count(r.iterations_to_target))):
-        raise TypeError("an identity or outcome field has the wrong type")
+        need(False, "an identity or outcome field has the wrong type", error=TypeError)
     return r
 
 
@@ -216,8 +216,8 @@ class PolicyStore:
         existing_id = self._by_key.get(key)  # a TypeError if a field is a list
         if (existing_id is not None
                 and self._records[existing_id].stable_outcome() != record.stable_outcome()):
-            where = f" at {self.path}:{line}" if line else ""
-            raise StoreConflict(f"record{where} for {key} already exists with a different outcome")
+            need(False, "record%s for %s already exists with a different outcome",
+                 f" at {self.path}:{line}" if line else "", key, error=StoreConflict)
         return key, existing_id
 
     def _index(self, record: TrialRecord, key: tuple) -> int:
@@ -298,8 +298,7 @@ class PolicyStore:
         need_count("k", k)
         rank = _RANK.get(objective)
         if rank is None:
-            raise ValueError(f"objective must be max_accuracy or min_cost, "
-                             f"got {objective!r}")
+            need(False, "objective must be max_accuracy or min_cost, got %r", objective)
         # the same answer as sorted(...)[:k], without sorting every candidate
         entries = heapq.nsmallest(k, self._by_task.get(task, ()), key=rank)
         return [r for r, _ in entries]

@@ -43,7 +43,7 @@ import numpy as np
 from . import adaptive, optim, schedule
 from .model import ModelSpec, accuracy_on, forward_loss_grad, init_params, param_count
 from .problems import Surface, TaskData, surface_value_grad
-from .schedule import finite, need_count, shown
+from .schedule import finite, need, need_count
 from .store import outcome_dict
 
 
@@ -60,10 +60,9 @@ class TrainConfig:
         need_count("budget", self.budget)
         if self.eval_every is not None:
             need_count("eval_every", self.eval_every, 1)
-        if not (self.target_accuracy is None
-                or finite(self.target_accuracy) and 0 < self.target_accuracy <= 1):
-            raise ValueError(f"target_accuracy must be in (0, 1], "
-                             f"got {shown(self.target_accuracy)!r}")
+        need(self.target_accuracy is None
+             or finite(self.target_accuracy) and 0 < self.target_accuracy <= 1,
+             "target_accuracy must be in (0, 1], got %r", self.target_accuracy)
         need_count("seed", self.seed)
 
 
@@ -164,9 +163,8 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     rngs = [np.random.default_rng(seed) for seed in seeds]
     group = np.array([seeds.index(seed) for _, seed in trials], dtype=np.intp)
     if init is not None:
-        if init.shape != (param_count(model_spec),):
-            raise ValueError(f"init must have shape ({param_count(model_spec)},), "
-                             f"got {init.shape}")
+        need(init.shape == (param_count(model_spec),), "init must have shape (%s,), got %s",
+             param_count(model_spec), init.shape)
         params = np.repeat(init[None], len(trials), axis=0)
     else:
         inits = {seed: init_params(model_spec, seed) for seed in seeds}
@@ -230,9 +228,8 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
             for i in ids[int_lam[ids] & int_src[src[ids]]].tolist():
                 int_lr_steps.setdefault(i, []).append(t)
 
-        loss, grad, _ = forward_loss_grad(model_spec, params,
-                                          train.features.take(batch, axis=0),
-                                          train.labels.take(batch))
+        loss, grad = forward_loss_grad(model_spec, params, train.features.take(batch, axis=0),
+                                       train.labels.take(batch))
         step_lrs[ids, t] = lr_col[:, 0]
         step_losses[ids, t] = loss
         diverged = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1)
@@ -326,8 +323,7 @@ def run_surface_trial(surface: Surface, start, policy,
     need_count("iterations", iterations)
     curve = schedule.compile(policy, iterations)
     point = np.array(start, dtype=float)
-    if point.shape != (2,):
-        raise ValueError(f"start must be a 2-D point, got shape {point.shape}")
+    need(point.shape == (2,), "start must be a 2-D point, got shape %s", point.shape)
 
     opt_state = optim.init_state(opt_spec, 2)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -26,8 +26,8 @@ from .model import ModelSpec
 from .optim import OptimizerSpec
 from .problems import TaskData
 from .schedule import (Composite, Fix, Policy, PolicyError, Scaled, Segment, count, finite,
-                       canonical_policy_key, compile as compile_policy, need_count,
-                       policy_to_dict, shown)
+                       canonical_policy_key, compile as compile_policy, need, need_count,
+                       policy_to_dict)
 from .trainer import TrainConfig, TrialOutcome, TrialTrace, run_population, write_csv
 
 
@@ -37,23 +37,19 @@ class AllDiverged(RuntimeError):
 
 def _check_grid(name: str, values):
     """The rule for a grid of lambdas or ks: non-empty, every value positive and finite."""
-    if not values:
-        raise PolicyError(f"{name} must be non-empty")
+    need(values, "%s must be non-empty", name, error=PolicyError)
     for v in values:
-        if not (finite(v) and v > 0):
-            raise PolicyError(f"{name} values must be positive and finite, got {shown(v)!r}")
+        need(finite(v) and v > 0, "%s values must be positive and finite, got %r", name, v,
+             error=PolicyError)
 
 
 def _check_draws(lambda_range, n):
     """The rule for drawing n lambdas from lambda_range, for SearchSpace and draw_lambdas."""
-    if len(lambda_range) != 2:
-        raise PolicyError("lambda_range must be [low, high]")
-    if n is None:
-        raise PolicyError("n_samples is required")
+    need(len(lambda_range) == 2, "lambda_range must be [low, high]", error=PolicyError)
+    need(n is not None, "n_samples is required", error=PolicyError)
     low, high = lambda_range
-    if not (finite(low) and finite(high) and 0 < low <= high):
-        raise PolicyError(f"lambda_range must satisfy 0 < low <= high, "
-                          f"got {shown(lambda_range)!r}")
+    need(finite(low) and finite(high) and 0 < low <= high,
+         "lambda_range must satisfy 0 < low <= high, got %r", lambda_range, error=PolicyError)
     need_count("n_samples", n, 1, PolicyError)
 
 
@@ -73,35 +69,33 @@ class SearchSpace:
     def __post_init__(self):
         ranged = self.lambda_range is not None
         for name in ("n_samples", "seed"):
-            if not ranged and getattr(self, name) is not None:
-                raise PolicyError(f"{name} applies only with lambda_range")
+            need(ranged or getattr(self, name) is None, "%s applies only with lambda_range",
+                 name, error=PolicyError)
         if self.seed is not None:
             need_count("seed", self.seed, 0, PolicyError)
-        if self.boundaries is not None and self.objective == "min_cost":
-            raise PolicyError("objective min_cost does not apply with boundaries: "
-                              "each phase ranks by accuracy")
+        need(self.boundaries is None or self.objective != "min_cost",
+             "objective min_cost does not apply with boundaries: each phase ranks by accuracy",
+             error=PolicyError)
         if ranged:
-            if self.boundaries is not None or self.objective == "min_cost":
-                raise PolicyError("lambda_range applies only to a max_accuracy search "
-                                  "without boundaries, which samples it; give lambda_grid")
-            if self.lambda_grid is not None:
-                raise PolicyError("give lambda_grid or lambda_range, not both")
+            need(self.boundaries is None and self.objective != "min_cost",
+                 "lambda_range applies only to a max_accuracy search without boundaries, "
+                 "which samples it; give lambda_grid", error=PolicyError)
+            need(self.lambda_grid is None, "give lambda_grid or lambda_range, not both",
+                 error=PolicyError)
             _check_draws(self.lambda_range, self.n_samples)
         elif self.lambda_grid is None:
             object.__setattr__(self, "lambda_grid", (1.0,))
-        if not self.templates:
-            raise PolicyError("templates must be non-empty")
+        need(self.templates, "templates must be non-empty", error=PolicyError)
         need_count("trials_per_point", self.trials_per_point, 1, PolicyError)
-        if self.objective not in ("max_accuracy", "min_cost"):
-            raise PolicyError(f"objective must be max_accuracy or min_cost, "
-                              f"got {self.objective!r}")
+        need(self.objective in ("max_accuracy", "min_cost"),
+             "objective must be max_accuracy or min_cost, got %r", self.objective,
+             error=PolicyError)
         if not ranged:
             _check_grid("lambda_grid", self.lambda_grid)
         b = self.boundaries
-        if b is not None and (len(b) < 2 or b[0] != 0 or not all(map(count, b))
-                              or any(s >= e for s, e in zip(b, b[1:]))):
-            raise PolicyError(f"boundaries must start at 0 and strictly increase, "
-                              f"got {shown(b)!r}")
+        need(b is None or len(b) >= 2 and b[0] == 0 and all(map(count, b))
+             and all(s < e for s, e in zip(b, b[1:])),
+             "boundaries must start at 0 and strictly increase, got %r", b, error=PolicyError)
 
 
 @dataclass(frozen=True)
@@ -220,8 +214,8 @@ def _search(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: str
     """
     unranked, traces = _run_cells(cells, ctx, objective, trials_per_point, init=init)
     entries = _rank(unranked, objective)
-    if all(e.n_diverged == len(e.outcomes) for e in entries):
-        raise AllDiverged("every cell diverged in every trial")
+    need(any(e.n_diverged != len(e.outcomes) for e in entries),
+         "every cell diverged in every trial", error=AllDiverged)
     winner = next(i for i, cell in enumerate(unranked) if cell is entries[0])
     return (TuneResult(objective=objective, entries=entries, budget=ctx.config.budget),
             traces[winner * trials_per_point].final_params)
@@ -229,8 +223,8 @@ def _search(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: str
 
 def grid_search(space: SearchSpace, ctx: TrialContext) -> TuneResult:
     """Sweep templates x the space's lambdas (grid or draws), ranked by the objective."""
-    if space.objective == "min_cost" and ctx.config.target_accuracy is None:
-        raise PolicyError("min_cost objective requires target_accuracy")
+    need(space.objective != "min_cost" or ctx.config.target_accuracy is not None,
+         "min_cost objective requires target_accuracy", error=PolicyError)
     return _search(_cells(space, ctx), ctx, space.objective, space.trials_per_point)[0]
 
 
@@ -266,10 +260,9 @@ def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
     ks = list(k_grid)
     _check_grid("k_grid", ks)
     ks = sorted(map(float, ks))
-    if len(set(ks)) != len(ks):
-        raise PolicyError("k_grid values must be distinct")
-    if not (finite(tolerance) and tolerance >= 0):
-        raise PolicyError(f"tolerance must be finite and >= 0, got {shown(tolerance)!r}")
+    need(len(set(ks)) == len(ks), "k_grid values must be distinct", error=PolicyError)
+    need(finite(tolerance) and tolerance >= 0, "tolerance must be finite and >= 0, got %r",
+         tolerance, error=PolicyError)
     budget = trial_budget if trial_budget is not None else max(1, ctx.config.budget // 10)
     try:
         probe_cfg = replace(ctx.config, budget=budget, target_accuracy=None)
@@ -282,8 +275,7 @@ def range_test(ctx: TrialContext, k_grid, trial_budget: Optional[int] = None,
 
     div = [cell.n_diverged > 0 for cell in results]
     accs = [0.0 if d else cell.metric_mean for d, cell in zip(div, results)]
-    if all(div):
-        raise AllDiverged("every range-test probe diverged")
+    need(not all(div), "every range-test probe diverged", error=AllDiverged)
 
     best = max(range(len(ks)), key=lambda i: (not div[i], accs[i], -i))
     lo = ks[best]
@@ -333,18 +325,14 @@ def compose_multi(boundaries, phase_results: list[TuneResult]) -> Composite:
     boundaries is the full fence list [0, b1, ..., total]; phase i covers
     [boundaries[i], boundaries[i+1]) and gets phase_results[i]'s winner.
     """
-    if not phase_results:
-        raise PolicyError("phase results are empty")
-    if len(boundaries) != len(phase_results) + 1:
-        raise PolicyError(f"need {len(phase_results) + 1} boundaries for "
-                          f"{len(phase_results)} phases, got {len(boundaries)}")
+    need(phase_results, "phase results are empty", error=PolicyError)
+    need(len(boundaries) == len(phase_results) + 1, "need %s boundaries for %s phases, got %s",
+         len(phase_results) + 1, len(phase_results), len(boundaries), error=PolicyError)
     segments = []
     for i, result in enumerate(phase_results):
-        if not result.entries:
-            raise PolicyError(f"phase {i} result is empty")
+        need(result.entries, "phase %s result is empty", i, error=PolicyError)
         winner = result.winner
-        if winner.metric_mean is None:
-            raise AllDiverged(f"phase {i} winner diverged")
+        need(winner.metric_mean is not None, "phase %s winner diverged", i, error=AllDiverged)
         segments.append(Segment(start=int(boundaries[i]), end=int(boundaries[i + 1]),
                                 policy=winner.policy()))
     return Composite(segments=tuple(segments))
@@ -358,8 +346,7 @@ def compose_search(space: SearchSpace, ctx: TrialContext) -> tuple[Composite, li
     behavior rather than a fresh init.
     """
     bounds = space.boundaries
-    if bounds is None:
-        raise PolicyError("compose_search needs boundaries")
+    need(bounds is not None, "compose_search needs boundaries", error=PolicyError)
     cells = _cells(space, ctx)
     # fail before phase 0 runs if a candidate cannot cover the longest phase
     longest = max(e - b for b, e in zip(bounds, bounds[1:]))

@@ -181,7 +181,8 @@ def ref_forward_loss_grad(spec, params, x, y):
     Every reduction runs over a row-major (C, B, K) array: max, exp-sum and
     argmax over the class axis, fancy indexing for the target logit, and
     `sum` over the batch axis for the biases. `model.forward_loss_grad`
-    must give the same bytes, NaN sign bits included.
+    must give the same loss and gradient bytes, NaN sign bits included; the
+    accuracy is the reference's own, for evaluation.
     """
     p = views(spec, params)
     n = x.shape[-2]

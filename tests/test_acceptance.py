@@ -110,15 +110,15 @@ def test_criterion_04_gradient_checks():
             params = init_params(spec, seed=1)
             x = rng.normal(size=(16, spec.d_in))
             y = rng.integers(0, 5, size=16)
-            _, grad, _ = forward_loss_grad(spec, params[None], x, y)
+            _, grad = forward_loss_grad(spec, params[None], x, y)
             coords = rng.choice(params.size, size=200, replace=False)
             eps = 1e-6
             for i in coords:
                 bumped = params.copy()
                 bumped[i] += eps
-                up, _, _ = forward_loss_grad(spec, bumped[None], x, y)
+                up, _ = forward_loss_grad(spec, bumped[None], x, y)
                 bumped[i] -= 2 * eps
-                dn, _, _ = forward_loss_grad(spec, bumped[None], x, y)
+                dn, _ = forward_loss_grad(spec, bumped[None], x, y)
                 fd = (up[0] - dn[0]) / (2 * eps)
                 # 1e-9 absolute floor: central differences at h=1e-6 cannot
                 # resolve components smaller than the cancellation noise

@@ -773,6 +773,23 @@ def test_surface_rejects_a_metric_driven_policy_before_tracing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("width", [1e200, 1e-200], ids=["square-overflows", "square-is-zero"])
+def test_surface_rejects_a_well_width_whose_square_leaves_the_float_range(tmp_path, width):
+    # MultiBasin divides by width**2 and by 2 * width**2
+    with open(ESCAPE_MANIFEST, encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["surface"]["wells"][1]["width"] = width
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("surface", "--manifest", str(path), "--out-dir", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"error: surface.wells[1]: well width must keep width**2 nonzero and "
+                           f"2 * width**2 finite, got {width!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["sub/nstep", "nst\0ep"])
 def test_surface_policy_name_must_be_a_plain_file_name(tmp_path, capsys, name):
     with open(ESCAPE_MANIFEST, encoding="utf-8") as f:

@@ -87,6 +87,20 @@ def test_multibasin_validation():
                           Well(center=(3, 3), depth=1.0, width=0.5)))
 
 
+@pytest.mark.parametrize("width", [1e154, 1e200, 10**160, 1e-162, 1e-200])
+def test_a_well_width_whose_square_leaves_the_float_range_is_rejected(width):
+    # MultiBasin divides by width**2 and by 2 * width**2
+    with pytest.raises(ValueError, match=r"^well width must keep .* got "):
+        Well(center=(0.0, 0.0), depth=1.0, width=width)
+
+
+@pytest.mark.parametrize("width", [9e153, 10**150, 1e-160])
+def test_a_well_width_near_the_float_range_evaluates(width):
+    surface = MultiBasin(wells=(Well(center=(0.0, 0.0), depth=1.0, width=width),))
+    value, grad = surface_value_grad(surface, np.array([0.5, 0.5]))
+    assert math.isfinite(value) and np.isfinite(grad).all()
+
+
 def test_surface_point_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         surface_value_grad(Rosenbrock(), np.zeros(3))

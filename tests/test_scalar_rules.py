@@ -113,6 +113,10 @@ PROBLEM_REALS = [
     ("gen_blobs.separation", "separation",
      lambda v: problems.gen_blobs(seed=0, n_per_class=2, separation=v)),
     ("Well.center", "center", lambda v: problems.Well(center=(v, 0.0), depth=1.0, width=1.0)),
+    ("Well.depth", "depth", lambda v: problems.Well(center=(0.0, 0.0), depth=v, width=1.0)),
+    ("Well.width", "width", lambda v: problems.Well(center=(0.0, 0.0), depth=1.0, width=v)),
+    ("Rosenbrock.a", "a", lambda v: problems.Rosenbrock(a=v)),
+    ("Rosenbrock.b", "b", lambda v: problems.Rosenbrock(b=v)),
 ]
 MATRIX = [("Quadratic.a", "a", lambda v: problems.Quadratic(a=[[2, v], [v, 2]]))]
 NOT_ENTRY = [(label, v) for label, v in NOT_REAL if not isinstance(v, float)]
@@ -130,10 +134,8 @@ TIMES = [(f"lr_at-{name}", "t", lambda v, p=policy: schedule.lr_at(p, v))
     ("sample_trace.t_max", "t_max", lambda v: schedule.sample_trace(CURVES[0][1], v, v))]
 PAST_T = [("2**53+1", 2**53 + 1), ("10**308", 10**308), ("10**400", 10**400)]
 # ints past the 4300 digits that repr gives (sys.set_int_max_str_digits): a
-# message shows one by its bit length, so it still names the field. A model
-# spec's message shows the spec itself, which repr cannot print with one
+# message shows one by its bit length, so it still names the field
 TOO_LONG = [("10**5000", 10**5000), ("-10**5000", -(10**5000))]
-MODEL_COUNTS = ("MLP.hidden", "Linear.d_in")
 POLY = schedule.Poly(k=1.0, p=1.0, t_max=5)
 # a count that no rule rejects, but that a horizon or numpy's index range does
 HUGE_COUNTS = [
@@ -161,8 +163,7 @@ def nothing_runs(monkeypatch):
     for entries, values in ((REALS, NOT_REAL), (COUNTS, NOT_COUNT), (SEEDS, NOT_SEED),
                             (PROBLEM_REALS, NOT_REAL), (MATRIX, NOT_ENTRY), (TIMES, PAST_T),
                             (REALS + PROBLEM_REALS + MATRIX, TOO_LONG),
-                            ([e for e in COUNTS if e[0] not in MODEL_COUNTS] + SEEDS,
-                             TOO_LONG[1:]),
+                            (COUNTS + SEEDS, TOO_LONG[1:]),
                             (HUGE_COUNTS, TOO_LONG[:1]))
     for name, field, call in entries for label, value in values])
 def test_a_value_outside_its_rule_is_rejected_naming_the_field(nothing_runs, field, call,
