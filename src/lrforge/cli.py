@@ -184,13 +184,13 @@ def _check(value, type_, where: str, **context):
 
 def _load_manifest(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as e:
         raise IOError(f"cannot read manifest {path}: {e}") from None
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as e:  # not UTF-8, not JSON, or an int past the digit limit
         raise ManifestError(f"manifest {path} is not valid JSON: {e}") from None
     need(isinstance(doc, dict), "manifest %s must be a JSON object", path, error=ManifestError)
     _reject_unknown(doc, MANIFEST, "manifest")
@@ -337,7 +337,7 @@ def _tune_rows(result: tuner.TuneResult):
 def cmd_eval(args) -> int:
     text = args.policy
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as f:
+        with open(text[1:], "rb") as f:
             text = f.read()
     policy = schedule.policy_from_json(text)
     points = schedule.sample_trace(policy, args.t_max, args.stride)

@@ -49,7 +49,7 @@ class OptimizerSpec:
         else:
             need(all(finite(beta) and 0 <= beta < 1 for beta in (self.beta1, self.beta2)),
                  "betas must be in [0, 1), got %r, %r", self.beta1, self.beta2)
-            need(self.eps > 0, "eps must be > 0, got %r", self.eps)
+            need(number(self.eps) and self.eps > 0, "eps must be > 0, got %r", self.eps)
             need(finite(self.eps), "eps must be finite, got %r", self.eps)
 
     def descriptor(self) -> str:

@@ -198,7 +198,7 @@ class Warmup(_Checked):
         """w as an iteration count; a fraction is resolved once per object."""
         if self.w >= 1 or self.w == 0:
             return int(self.w)
-        return int(self.w * _horizon(self.inner))
+        return int(self.w * horizon(self.inner))
 
 
 @dataclass(frozen=True)
@@ -428,7 +428,7 @@ def _k0_at_most_k1(p):
 
 def _warmup_rule(p: Warmup):
     _need(p.w < 1 or p.w == int(p.w), "w must be an integer when >= 1, got %r", p.w)
-    _need(not 0 < p.w < 1 or _horizon(p.inner) is not None,
+    _need(not 0 < p.w < 1 or horizon(p.inner) is not None,
           "w given as a fraction (%r) requires a horizon-bound inner policy", p.w)
 
 
@@ -439,7 +439,7 @@ _t_max = attrgetter("t_max")
 
 
 def _warmup_horizon(p: Warmup):
-    inner = _horizon(p.inner)
+    inner = horizon(p.inner)
     return None if inner is None else p._iters + inner
 
 
@@ -501,13 +501,14 @@ def _eval(p: Policy, t: int) -> float:
     return _ROWS[type(p)].closed_form(p, t)
 
 
-def _horizon(policy: Policy):
+def horizon(policy: Policy):
+    """Largest valid t, None when unbounded."""
     return _row(policy).horizon(policy)
 
 
 def require_horizon(policy, steps: int, where: str = "", *args):
     """Raise PolicyError, prefixed by where % args, unless policy covers t = 0 .. steps - 1."""
-    end = _horizon(policy)
+    end = horizon(policy)
     if end is not None and end < steps - 1:
         base = _row(split_lambda(policy)[0])
         run = repr(_shown(steps))  # an int past repr's digit limit reads "an int of N bits"
@@ -558,11 +559,6 @@ def validate(policy):
 
 
 # --- evaluation ---
-
-
-def horizon(policy: Policy):
-    """Largest valid t, None when unbounded."""
-    return _horizon(policy)
 
 
 def compile(policy: Policy, steps: int):
@@ -691,10 +687,11 @@ def policy_to_json(policy, **dumps_kwargs) -> str:
     return json.dumps(policy_to_dict(policy), **dumps_kwargs)
 
 
-def policy_from_json(text: str):
+def policy_from_json(text: Union[str, bytes]):
+    """The policy a JSON text holds; bytes are read as UTF-8."""
     try:
-        d = json.loads(text)
-    except json.JSONDecodeError as e:
+        d = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as e:  # not UTF-8, not JSON, or an int past the digit limit
         raise PolicyError(f"invalid policy JSON: {e}") from None
     return policy_from_dict(d)
 
@@ -776,7 +773,7 @@ FAMILIES = (
     Family(Composite, "MULTI", {"segments": _segments}, _composite,
            lambda p: p.segments[-1].end - 1, "segments"),
     Family(Scaled, None, {"lam": _positive, "base": _closed},
-           lambda p, t: p.lam * _eval(p.base, t), lambda p: _horizon(p.base)),
+           lambda p, t: p.lam * _eval(p.base, t), lambda p: horizon(p.base)),
     Family(ReduceOnPlateau, "PLATEAU_REDUCE",
            {"k": _positive, "factor": _fraction, **_PLATEAU, "min_lr": _nonneg}, None),
     Family(ChangeOnPlateau, "PLATEAU_CHANGE", {"policies": _closed_each, **_PLATEAU}, None),

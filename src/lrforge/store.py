@@ -18,20 +18,23 @@ and rank by the cached string, so a query never re-serializes a policy,
 and an append splices it into the new line instead of encoding the policy
 again.
 
-A store writes through one descriptor, opened `O_APPEND` (making missing
-parent directories) at its first new record and closed when the store is
-garbage-collected; each line, newline included, goes out in one `write(2)`.
-When the path no longer names that file (it was removed or replaced), the
-store reopens the path first, so a record lands in the file at the path now.
+Each new line, newline included, goes out in one `write(2)` on a
+descriptor opened `O_APPEND` for it and closed after it, so it lands in
+the file at the path now, even if that file was removed or replaced since
+the store was opened; missing parent directories are made when the open
+finds none.
 
-A partially written trailing line (interrupted writer), one that is not
-valid UTF-8 or not JSON, is skipped with a warning on load. Any other line
-that is not a record, whether it fails to decode or parse or parses to
-something else (a list, an object missing a field, a list where the
-identity needs a scalar, a field of the wrong type), raises
-ValueError("corrupt record at PATH:N"). The accuracies and lambda must be
-`schedule.finite`, the iteration counts `schedule.count`s (iterations to
-target may be null), the seed an int and `diverged` a bool.
+A partially written trailing line (interrupted writer), one that does not
+decode (not UTF-8, not JSON, or an int past Python's digit limit), is
+skipped with a warning on load. Any other line that is not a record,
+whether it fails to decode or parses to something else (a list, an object
+missing a field, a field of the wrong type), raises
+ValueError("corrupt record at PATH:N"). The field types are the record's
+own rule, which `TrialRecord` checks when built, so an append never writes
+a line that a later load rejects: the task a str, the policy an object,
+the accuracies and lambda `schedule.finite`, the iteration counts
+`schedule.count`s (iterations to target may be null), the seed an int and
+`diverged` a bool.
 
 A loaded line and an appended record pass one admission rule,
 `PolicyStore._known`: a repeated identity (on load, two stores appending to
@@ -46,7 +49,6 @@ import json
 import logging
 import os
 import threading
-import weakref
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Optional
@@ -96,6 +98,13 @@ class TrialRecord:
     timestamp: Optional[str] = None
     artifact_version: Optional[str] = None
 
+    def __post_init__(self):
+        if not (type(self.task) is str and type(self.policy) is dict and type(self.seed) is int
+                and type(self.diverged) is bool and finite(self.lam) and count(self.iterations_run)
+                and finite(self.final_accuracy) and finite(self.best_accuracy)
+                and (self.iterations_to_target is None or count(self.iterations_to_target))):
+            need(False, "an identity or outcome field has the wrong type", error=TypeError)
+
     def key(self) -> tuple:
         return (self.task, canonical_json(self.policy), self.lam, self.seed)
 
@@ -144,14 +153,9 @@ def _record_from_obj(obj: dict) -> TrialRecord:
     v = obj.get("v")
     if v != SCHEMA_VERSION:
         need(False, "unsupported record schema version %r", v)
-    r = TrialRecord(obj["task"], obj["policy"], obj["lambda"], obj["seed"],
-                    *_outcome_from_obj(obj["outcome"]), obj.get("wall_time_sec"),
-                    obj.get("timestamp"), obj.get("artifact_version"))
-    if not (finite(r.lam) and type(r.seed) is int and finite(r.final_accuracy)
-            and finite(r.best_accuracy) and count(r.iterations_run) and type(r.diverged) is bool
-            and (r.iterations_to_target is None or count(r.iterations_to_target))):
-        need(False, "an identity or outcome field has the wrong type", error=TypeError)
-    return r
+    return TrialRecord(obj["task"], obj["policy"], obj["lambda"], obj["seed"],
+                       *_outcome_from_obj(obj["outcome"]), obj.get("wall_time_sec"),
+                       obj.get("timestamp"), obj.get("artifact_version"))
 
 
 class StoreConflict(ValueError):
@@ -186,17 +190,14 @@ class PolicyStore:
     not guard against another process appending to the same file; that
     each line is one `O_APPEND` write only keeps two writers' lines whole.
 
-    New lines go through one descriptor per store, opened at the first
-    new record, reopened when the path stops naming the file it refers
-    to, and closed when the store is garbage-collected.
+    Each new line is one `os.open`, `os.write` and `os.close` of the path,
+    so no descriptor outlives an append. A record is checked when built,
+    so `append` never writes a line that a later open would reject.
     """
 
     def __init__(self, path):
         self.path = str(path)
         self._lock = threading.Lock()
-        self._fd: Optional[int] = None
-        self._fd_id: tuple = ()           # (st_dev, st_ino) of the file _fd refers to
-        self._close_fd = None             # weakref.finalize closing _fd
         self._records: list[TrialRecord] = []
         self._by_key: dict[tuple, int] = {}
         self._by_task: dict[str, list[tuple[TrialRecord, str]]] = {}
@@ -213,7 +214,7 @@ class PolicyStore:
         """
         task, policy_key, lam, seed = record.key()
         key = task, self._policy_keys.setdefault(policy_key, policy_key), lam, seed
-        existing_id = self._by_key.get(key)  # a TypeError if a field is a list
+        existing_id = self._by_key.get(key)
         if (existing_id is not None
                 and self._records[existing_id].stable_outcome() != record.stable_outcome()):
             need(False, "record%s for %s already exists with a different outcome",
@@ -232,28 +233,28 @@ class PolicyStore:
             return
         with open(self.path, "rb") as f:
             raw = f.read()
-        lines = raw.split(b"\n")
-        ends_with_newline = bool(lines) and lines[-1] == b""
-        if ends_with_newline:
-            lines.pop()
-        unreadable = (UnicodeDecodeError, json.JSONDecodeError)  # bytes that are no JSON text
-        for i, line in enumerate(lines):
-            last = i == len(lines) - 1
+        lines = raw.split(b"\n")  # the last is b"" when the file ends with a newline
+        for i, line in enumerate(lines, 1):
+            unterminated = i == len(lines)
+            if unterminated and not line:
+                break
             try:
-                record = _record_from_obj(json.loads(line))
-                key, existing_id = self._known(record, i + 1)
-            except (*unreadable, AttributeError, KeyError, TypeError) as e:
-                if last and not ends_with_newline and isinstance(e, unreadable):
+                obj = json.loads(line)
+            except ValueError:  # not UTF-8, not JSON, or an int past the digit limit
+                if unterminated:
                     # interrupted writer; drop the unfinished bytes so the
                     # next append starts on a fresh line
                     log.warning("dropping partial trailing line in %s", self.path)
-                    with open(self.path, "r+b") as f:
-                        f.truncate(len(raw) - len(line))
+                    os.truncate(self.path, len(raw) - len(line))
                     break
-                raise ValueError(f"corrupt record at {self.path}:{i + 1}") from None
-            if last and not ends_with_newline:
-                with open(self.path, "ab") as f:
-                    f.write(b"\n")
+                obj = None  # no record, reported as one below
+            try:
+                record = _record_from_obj(obj)
+            except (AttributeError, KeyError, TypeError):
+                raise ValueError(f"corrupt record at {self.path}:{i}") from None
+            key, existing_id = self._known(record, i)
+            if unterminated:
+                self._write(b"\n")
             if existing_id is None:
                 self._index(record, key)
 
@@ -271,21 +272,17 @@ class PolicyStore:
 
     def _write(self, data: bytes):
         """Append `data` to the file now at the path, in one write if the OS allows."""
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         try:
-            current = os.stat(self.path)
-            same_file = (current.st_dev, current.st_ino) == self._fd_id
-        except FileNotFoundError:
-            same_file = False
-        if not same_file:
-            if self._close_fd is not None:
-                self._close_fd()
+            fd = os.open(self.path, flags, 0o666)
+        except FileNotFoundError:  # a parent directory is missing
             os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
-            self._fd = fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            opened = os.fstat(fd)
-            self._fd_id = (opened.st_dev, opened.st_ino)
-            self._close_fd = weakref.finalize(self, os.close, fd)
-        while data:
-            data = data[os.write(self._fd, data):]
+            fd = os.open(self.path, flags, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
     def records(self, task: Optional[str] = None) -> list[TrialRecord]:
         if task is None:

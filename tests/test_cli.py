@@ -189,6 +189,21 @@ def test_missing_manifest_is_an_io_error(tmp_path):
     assert "cannot read manifest" in proc.stderr
 
 
+@pytest.mark.parametrize("text", [b'{"policy": ' + b"7" * 5000 + b"}", b'{"policy": "\xff"}'],
+                         ids=["int-past-the-digit-limit", "not-utf-8"])
+@pytest.mark.parametrize("argv, message", [
+    (("train", "--manifest", "{}", "--out-dir", "out"), "manifest {} is not valid JSON: "),
+    (("eval", "--policy", "@{}", "--t-max", "4"), "invalid policy JSON: ")],
+    ids=["manifest", "policy-file"])
+def test_a_json_file_that_does_not_decode_is_named(tmp_path, capsys, monkeypatch, text, argv,
+                                                   message):
+    path = tmp_path / "in.json"
+    path.write_bytes(text)
+    monkeypatch.chdir(tmp_path)
+    code, err = lr(capsys, *(a.format(path) for a in argv))
+    assert code == 2 and err.startswith("error: " + message.format(path))
+
+
 def test_manifest_validation_exit_code(tmp_path):
     manifest = write_manifest(tmp_path, policy={"family": "NOPE", "params": {}})
     proc = run_cli("train", "--manifest", manifest, "--out-dir", "out",

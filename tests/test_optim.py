@@ -174,6 +174,7 @@ def test_init_validation():
                              ({"kind": "adam", "eps": 0.0}, "eps must be > 0"),
                              ({"kind": "adam", "eps": math.nan}, "eps must be > 0, got nan"),
                              ({"kind": "adam", "eps": math.inf}, "eps must be finite"),
+                             ({"kind": "adam", "eps": None}, "eps must be > 0, got None"),
                              ({"kind": "lbfgs"}, "unknown optimizer kind 'lbfgs'")):
         with pytest.raises(ValueError, match=fragment):
             OptimizerSpec(**kwargs)

@@ -33,10 +33,10 @@ CTX = tuner.TrialContext(model=model.Linear(2, 2), task=problems.gen_moons(seed=
 # never created: a store that is only queried writes nothing
 NO_DB = os.path.join(os.path.dirname(os.path.abspath(__file__)), "no-such-db.jsonl")
 
-# no real number: past the float range either way, NaN, infinite, a bool
+# no real number: past the float range either way, NaN, infinite, a bool, a string
 NOT_REAL = [("int-past-the-float-range", 10**400), ("-int-past-the-float-range", -(10**400)),
             ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
-            ("True", True), ("False", False)]
+            ("True", True), ("False", False), ("str", "1e-8")]
 # no count: 10**400 is one, and 10.5 passes every lower bound the fields have
 NOT_COUNT = [(label, v) for label, v in NOT_REAL if v != 10**400] + [("2.5", 2.5),
                                                                       ("10.5", 10.5)]

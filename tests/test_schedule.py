@@ -468,8 +468,8 @@ def test_public_validate_is_not_memoized(monkeypatch):
 
 def test_fractional_warmup_resolves_its_horizon_once(monkeypatch):
     calls = []
-    horizon_of = schedule._horizon
-    monkeypatch.setattr(schedule, "_horizon", lambda q: calls.append(q) or horizon_of(q))
+    horizon_of = schedule.horizon
+    monkeypatch.setattr(schedule, "horizon", lambda q: calls.append(q) or horizon_of(q))
     inner = CosineDecay(k=0.1, t_max=9000)
     p = Warmup(w=0.1, inner=inner)
     values = [lr_at(p, t) for t in range(1000)]

@@ -1,8 +1,9 @@
 """JSONL trial store: idempotent appends, recovery, top-k queries."""
 
-import gc
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -198,15 +199,19 @@ def test_mid_file_corruption_is_an_error(tmp_path):
     del outcome["best_accuracy"]
     # a field of the wrong type: an accuracy or lambda that is no finite number,
     # an iteration count that is no count, a seed that is no int, a diverged
-    # flag that is no bool
+    # flag that is no bool, a task that is no str, a policy that is no object
     wrong = [_line(_rec(), outcome={**full, key: value}) for key, value in [
         ("final_accuracy", "x"), ("best_accuracy", float("nan")), ("final_accuracy", True),
         ("iterations_run", 2.5), ("iterations_run", -1), ("iterations_to_target", "x"),
         ("iterations_to_target", False), ("diverged", "no"), ("diverged", 0)]]
     wrong += [_line(_rec(), **{"lambda": "x"}), _line(_rec(), **{"lambda": float("inf")}),
-              _line(_rec(), seed=1.5), _line(_rec(), seed=True)]
+              _line(_rec(), seed=1.5), _line(_rec(), seed=True), _line(_rec(), task=5),
+              _line(_rec(), policy=[{"family": "FIX"}])]
+    # an int past Python's 4300-digit limit, which does not decode
+    too_long = _line(_rec(), seed=7).replace(b'"seed": 7', b'"seed": ' + b"7" * 5000)
     # lines that do not decode or parse, and lines that parse to something not a record
-    for bad in [b"not json", b'{"v": 1, "task": "t\xff"}', b"[1, 2]", _line(_rec(), outcome=None),
+    for bad in [b"not json", b'{"v": 1, "task": "t\xff"}', too_long, b"[1, 2]",
+                _line(_rec(), outcome=None),
                 _line(_rec(), outcome=outcome), _line(_rec(), outcome=[1, 2]),
                 _line(_rec(), **{"lambda": [1.0]}), *wrong]:
         path.write_bytes(b"\n".join([bad] + good[1:]))
@@ -326,15 +331,69 @@ def test_an_append_after_the_file_is_replaced_lands_in_the_new_file(tmp_path):
     assert first == (_full_line(_rec(k=0.1)) + "\n").encode()
 
 
-def test_dropping_a_store_closes_its_descriptor(tmp_path):
-    store = PolicyStore(tmp_path / "db.jsonl")
-    store.append(_rec())
-    fd = store._fd
-    os.fstat(fd)
-    del store
-    gc.collect()
-    with pytest.raises(OSError):
-        os.fstat(fd)
+def test_no_descriptor_outlives_an_append(tmp_path):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to list this process's descriptors")
+    path = tmp_path / "db.jsonl"
+    before = sorted(os.listdir("/proc/self/fd"))
+    store = PolicyStore(path)
+    store.append(_rec(k=0.1))
+    store.append(_rec(k=0.1))  # idempotent: writes nothing
+    path.write_bytes(path.read_bytes()[:-1])
+    repaired = PolicyStore(path)  # appends the lost newline
+    repaired.append(_rec(k=0.2))
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(PolicyStore(path)) == 2
+
+
+@pytest.mark.parametrize("change", [{"lam": float("nan")}, {"seed": True},
+                                    {"policy": [{"family": "FIX"}]}])
+def test_a_record_a_load_would_reject_is_never_appended(tmp_path, change):
+    path = tmp_path / "db.jsonl"
+    store = PolicyStore(path)
+    store.append(_rec(k=0.1))
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="^an identity or outcome field has the wrong type$"):
+        store.append(replace(_rec(k=0.2), **change))
+    assert path.read_bytes() == before
+    assert PolicyStore(path).records() == [_rec(k=0.1)]
+
+
+_WRITER = """
+import sys
+from lrforge.store import PolicyStore, TrialRecord
+store = PolicyStore(sys.argv[1])
+print("open", flush=True)
+sys.stdin.read()  # appends start when stdin is closed
+task = sys.argv[2] * 4500  # a line longer than a 4 KB page
+for i in range(200):
+    store.append(TrialRecord(task, {"family": "FIX", "params": {"k": 0.1}}, float(i), 0,
+                             0.5, 0.5, 10, None, False))
+"""
+
+
+def test_two_processes_appending_to_one_file_keep_every_line_whole(tmp_path):
+    # each line is one O_APPEND write(2), so lines of concurrent writers never interleave
+    path = tmp_path / "db.jsonl"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+        os.environ.get("PYTHONPATH")]))}
+
+    def writer(name):
+        return subprocess.Popen([sys.executable, "-c", _WRITER, str(path), name], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    with writer("a") as a, writer("b") as b:
+        for w in (a, b):  # both stores are open before either appends
+            assert w.stdout.readline() == "open\n"
+        for w in (a, b):
+            w.stdin.close()
+        assert [w.wait(timeout=30) for w in (a, b)] == [0, 0]
+    lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b"" and len(lines) == 400
+    assert sorted((r["task"][0], r["lambda"]) for r in map(json.loads, lines)) == sorted(
+        (name, float(i)) for name in "ab" for i in range(200))
+    assert len(PolicyStore(path)) == 400
 
 
 def test_top_k_ranking_and_validation(tmp_path):
