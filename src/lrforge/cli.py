@@ -18,7 +18,6 @@ diverged.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -188,10 +187,7 @@ def _load_manifest(path) -> dict:
             raw = f.read()
     except OSError as e:
         raise IOError(f"cannot read manifest {path}: {e}") from None
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except ValueError as e:  # not UTF-8, not JSON, or an int past the digit limit
-        raise ManifestError(f"manifest {path} is not valid JSON: {e}") from None
+    doc = schedule.read_json(raw, f"manifest {path} is not valid JSON: ", ManifestError)
     need(isinstance(doc, dict), "manifest %s must be a JSON object", path, error=ManifestError)
     _reject_unknown(doc, MANIFEST, "manifest")
     return doc
@@ -286,8 +282,7 @@ def _compact(value) -> str:
 
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(schedule.indented_json(obj) + "\n")
 
 
 def _record_trials(db: store.PolicyStore, task_name: str, rows, stamp: str) -> int:

@@ -683,22 +683,36 @@ def policy_from_dict(d: dict):
     return policy
 
 
-def policy_to_json(policy, **dumps_kwargs) -> str:
-    return json.dumps(policy_to_dict(policy), **dumps_kwargs)
+def policy_to_json(policy) -> str:
+    return json.dumps(policy_to_dict(policy))
 
 
 def policy_from_json(text: Union[str, bytes]):
-    """The policy a JSON text holds; bytes are read as UTF-8."""
+    """The policy a JSON text holds, read by `read_json`."""
+    return policy_from_dict(read_json(text, "invalid policy JSON: ", PolicyError))
+
+
+def read_json(data: Union[str, bytes], prefix: str = "", error: type = ValueError):
+    """The value a JSON text holds: the one JSON reader in lrforge.
+
+    Manifests, policy files and store lines all come through here. Bytes
+    must be UTF-8 without a BOM (RFC 8259 section 8.1). A text that does not
+    decode raises error(prefix + the reason): bytes that are not UTF-8, a
+    BOM, bad JSON, an int past Python's digit limit, or nesting deep enough
+    to reach the recursion limit.
+    """
     try:
-        d = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except ValueError as e:  # not UTF-8, not JSON, or an int past the digit limit
-        raise PolicyError(f"invalid policy JSON: {e}") from None
-    return policy_from_dict(d)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{prefix}{e}") from None
 
 
 #: Canonical JSON text: sorted keys, no spaces. Store lines, store record
 #: identities and tuner tie-breaks all go through this one encoder.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Indented JSON text, keys sorted: each JSON artifact that `lr` writes.
+indented_json = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
 def canonical_policy_key(policy) -> str:

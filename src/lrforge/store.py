@@ -24,17 +24,20 @@ the file at the path now, even if that file was removed or replaced since
 the store was opened; missing parent directories are made when the open
 finds none.
 
-A partially written trailing line (interrupted writer), one that does not
-decode (not UTF-8, not JSON, or an int past Python's digit limit), is
-skipped with a warning on load. Any other line that is not a record,
-whether it fails to decode or parses to something else (a list, an object
-missing a field, a field of the wrong type), raises
-ValueError("corrupt record at PATH:N"). The field types are the record's
-own rule, which `TrialRecord` checks when built, so an append never writes
-a line that a later load rejects: the task a str, the policy an object,
-the accuracies and lambda `schedule.finite`, the iteration counts
-`schedule.count`s (iterations to target may be null), the seed an int and
-`diverged` a bool.
+Each line is decoded by `schedule.read_json`, lrforge's one JSON reader:
+UTF-8 without a BOM. A partially written trailing line (interrupted
+writer), one that does not decode (not UTF-8, a BOM, not JSON, an int past
+Python's digit limit, or nested past the recursion limit), is skipped with
+a warning on load. Any other line that is not a record, whether it fails to
+decode or parses to something else (a list, an object missing a field, a
+field of the wrong type), raises ValueError("corrupt record at PATH:N").
+The field types are the record's own rule, which `TrialRecord` checks when
+built, so an append never writes a line that a later load rejects: the task
+a str, the policy an object, the accuracies and lambda `schedule.finite`,
+the iteration counts `schedule.count`s (iterations to target may be null),
+the seed an int and `diverged` a bool; and, with a message of their own,
+the informational fields: `wall_time_sec` finite or None, `timestamp` and
+`artifact_version` a str or None.
 
 A loaded line and an appended record pass one admission rule,
 `PolicyStore._known`: a repeated identity (on load, two stores appending to
@@ -45,7 +48,6 @@ when it differs, naming a loaded line `record at PATH:N`.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 import os
 import threading
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .schedule import canonical_json, count, finite, need, need_count, policy_to_dict
+from .schedule import canonical_json, count, finite, need, need_count, policy_to_dict, read_json
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +106,11 @@ class TrialRecord:
                 and finite(self.final_accuracy) and finite(self.best_accuracy)
                 and (self.iterations_to_target is None or count(self.iterations_to_target))):
             need(False, "an identity or outcome field has the wrong type", error=TypeError)
+        need((self.wall_time_sec is None or finite(self.wall_time_sec))
+             and type(self.timestamp) in (str, type(None))
+             and type(self.artifact_version) in (str, type(None)),
+             "wall_time_sec must be finite or None, and timestamp and artifact_version "
+             "a str or None", error=TypeError)
 
     def key(self) -> tuple:
         return (self.task, canonical_json(self.policy), self.lam, self.seed)
@@ -239,8 +246,8 @@ class PolicyStore:
             if unterminated and not line:
                 break
             try:
-                obj = json.loads(line)
-            except ValueError:  # not UTF-8, not JSON, or an int past the digit limit
+                obj = read_json(line)
+            except ValueError:  # any text that read_json does not decode
                 if unterminated:
                     # interrupted writer; drop the unfinished bytes so the
                     # next append starts on a fresh line

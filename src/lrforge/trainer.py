@@ -172,8 +172,12 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     opt_state = optim.init_state(opt_spec, params.shape)
 
     ids = np.arange(len(trials))  # the trial in each row of the stack
-    step_lrs = np.empty((len(trials), budget))
-    step_losses = np.empty((len(trials), budget))
+    try:
+        step_lrs = np.empty((len(trials), budget))
+        step_losses = np.empty((len(trials), budget))
+    except MemoryError:  # named before the first step, as every other bad input is
+        need(False, "budget %r is too large to hold the LR and loss traces in memory "
+             "(trials: %r)", budget, len(trials))
     int_lr_steps = {}
     evals = [([], []) for _ in trials]
     traces: list[Optional[TrialTrace]] = [None] * len(trials)

@@ -189,8 +189,12 @@ def test_missing_manifest_is_an_io_error(tmp_path):
     assert "cannot read manifest" in proc.stderr
 
 
-@pytest.mark.parametrize("text", [b'{"policy": ' + b"7" * 5000 + b"}", b'{"policy": "\xff"}'],
-                         ids=["int-past-the-digit-limit", "not-utf-8"])
+DEEP = b"[" * 100000 + b"]" * 100000  # nested past the recursion limit
+
+
+@pytest.mark.parametrize("text", [b'{"policy": ' + b"7" * 5000 + b"}", b'{"policy": "\xff"}',
+                                  DEEP],
+                         ids=["int-past-the-digit-limit", "not-utf-8", "nested-too-deep"])
 @pytest.mark.parametrize("argv, message", [
     (("train", "--manifest", "{}", "--out-dir", "out"), "manifest {} is not valid JSON: "),
     (("eval", "--policy", "@{}", "--t-max", "4"), "invalid policy JSON: ")],
@@ -372,6 +376,17 @@ def test_bad_input_leaves_no_out_dir_and_no_db(tmp_path, capsys, monkeypatch, co
     code, err = lr(capsys, command, "--manifest", manifest, "--out-dir", tmp_path / "out", *db)
     assert code == 2
     assert fragment in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "db.jsonl").exists()
+
+
+def test_a_budget_too_large_to_allocate_is_a_validation_error(tmp_path):
+    # the traces of 2**50 float64 steps take 8 PiB, past any user address
+    # space, so the allocation fails at once under every overcommit setting
+    manifest = write_manifest(tmp_path, train={"batch_size": 16, "budget": 2**50, "seed": 0})
+    proc = run_cli("train", "--manifest", manifest, "--out-dir", "out", "--db", "db.jsonl",
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: budget {2**50} is too large")
     assert not (tmp_path / "out").exists() and not (tmp_path / "db.jsonl").exists()
 
 
@@ -719,6 +734,8 @@ def test_top_k_lists_stored_records(tmp_path):
                            ({}, {"seed": True})]),
     # a byte that is not UTF-8
     b'{"v": 1, "task": "t\xff"}',
+    # nesting past the recursion limit
+    pytest.param(DEEP, id="nested-too-deep"),
 ])
 def test_top_k_on_a_line_that_is_no_record_is_a_validation_error(tmp_path, capsys, line):
     (tmp_path / "bad.jsonl").write_bytes((line if type(line) is bytes else line.encode()) + b"\n")

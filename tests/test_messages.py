@@ -154,6 +154,10 @@ CASES = [
     ("surface-start", lambda tmp: (
         lambda: trainer.run_surface_trial(problems.Rosenbrock(), (0.0, 0.0, 0.0), FIX, SGD, 3),
         ValueError, "start must be a 2-D point, got shape (3,)")),
+    ("budget-memory", lambda tmp: (
+        lambda: trainer.run_trial(LINEAR, CTX.task, FIX, SGD, replace(CTX.config, budget=2**50)),
+        ValueError, f"budget {2**50} is too large to hold the LR and loss traces in memory "
+        "(trials: 1)")),
     # tuner
     ("lambda-range-pair", lambda tmp: (
         lambda: tuner.SearchSpace(templates=(FIX,), lambda_range=(0.1,), n_samples=2),
@@ -222,6 +226,9 @@ CASES = [
                                     ValueError, "unsupported record schema version 2")),
     ("record-types", lambda tmp: (lambda: store._record_from_obj({**RECORD, "seed": "0"}),
                                   TypeError, "an identity or outcome field has the wrong type")),
+    ("record-info-types", lambda tmp: (
+        lambda: store._record_from_obj({**RECORD, "timestamp": 5}), TypeError,
+        "wall_time_sec must be finite or None, and timestamp and artifact_version a str or None")),
     ("top-k-objective", lambda tmp: (
         lambda: store.PolicyStore(tmp / "db.jsonl").query_top_k("t", 1, "median"),
         ValueError, "objective must be max_accuracy or min_cost, got 'median'")),
@@ -261,6 +268,11 @@ CASES = [
     ("no-closed-form", lambda tmp: (
         lambda: schedule.lr_at(ReduceOnPlateau(k=0.1, factor=0.5, patience=1), 0),
         PolicyError, "PLATEAU_REDUCE has no closed form over t; drive it through a trainer")),
+    # schedule's JSON reader, on nesting past the recursion limit
+    ("json-nesting", lambda tmp: (
+        lambda: schedule.policy_from_json("[" * 100000), PolicyError,
+        "invalid policy JSON: maximum recursion depth exceeded while decoding a JSON array "
+        "from a unicode string")),
 ]
 
 

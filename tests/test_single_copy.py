@@ -33,6 +33,7 @@ ONE_COPY = {
     "must be >= %r, got": "schedule.py",                  # need_count, every count's message
     "% tuple(map(": "schedule.py",                        # need, every rejected value's message
     "isinstance(value, (int, float))": "schedule.py",     # number, the one number test
+    "json.loads(": "schedule.py",                         # read_json, the one JSON reader
 }
 
 

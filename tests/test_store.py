@@ -7,7 +7,7 @@ import sys
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrforge import __version__
@@ -22,6 +22,7 @@ from lrforge.schedule import (
     Warmup,
     canonical_json,
     canonical_policy_key,
+    policy_from_json,
 )
 from lrforge.store import (
     DEFAULT_DB,
@@ -147,9 +148,11 @@ def test_reopen_sees_the_same_records(tmp_path):
     assert reopened.append(_rec(k=0.3)) == 2
 
 
-# an interrupted writer's last line: cut inside the JSON, or (from a writer
-# that does not escape non-ASCII text) inside a character's UTF-8 bytes
-@pytest.mark.parametrize("tail", [b'{"v":1,"task":"blo', b'{"v":1,"task":"bl\xc3'])
+# an interrupted writer's last line: cut inside the JSON, (from a writer
+# that does not escape non-ASCII text) inside a character's UTF-8 bytes, or
+# nested too deep to decode
+@pytest.mark.parametrize("tail", [b'{"v":1,"task":"blo', b'{"v":1,"task":"bl\xc3',
+                                  pytest.param(b"[" * 100000, id="nested-too-deep")])
 def test_partial_trailing_line_is_dropped_and_truncated(tmp_path, caplog, tail):
     path = tmp_path / "db.jsonl"
     store = PolicyStore(path)
@@ -199,18 +202,24 @@ def test_mid_file_corruption_is_an_error(tmp_path):
     del outcome["best_accuracy"]
     # a field of the wrong type: an accuracy or lambda that is no finite number,
     # an iteration count that is no count, a seed that is no int, a diverged
-    # flag that is no bool, a task that is no str, a policy that is no object
+    # flag that is no bool, a task that is no str, a policy that is no object, a
+    # wall time that is no finite number or None, a timestamp or version no str or None
     wrong = [_line(_rec(), outcome={**full, key: value}) for key, value in [
         ("final_accuracy", "x"), ("best_accuracy", float("nan")), ("final_accuracy", True),
         ("iterations_run", 2.5), ("iterations_run", -1), ("iterations_to_target", "x"),
         ("iterations_to_target", False), ("diverged", "no"), ("diverged", 0)]]
     wrong += [_line(_rec(), **{"lambda": "x"}), _line(_rec(), **{"lambda": float("inf")}),
               _line(_rec(), seed=1.5), _line(_rec(), seed=True), _line(_rec(), task=5),
-              _line(_rec(), policy=[{"family": "FIX"}])]
+              _line(_rec(), policy=[{"family": "FIX"}]), _line(_rec(), wall_time_sec="x"),
+              _line(_rec(), wall_time_sec=float("nan")), _line(_rec(), timestamp=5),
+              _line(_rec(), artifact_version=1)]
     # an int past Python's 4300-digit limit, which does not decode
     too_long = _line(_rec(), seed=7).replace(b'"seed": 7', b'"seed": ' + b"7" * 5000)
-    # lines that do not decode or parse, and lines that parse to something not a record
-    for bad in [b"not json", b'{"v": 1, "task": "t\xff"}', too_long, b"[1, 2]",
+    # lines that do not decode or parse (nested past the recursion limit, or a good
+    # line behind a BOM, which RFC 8259 forbids), and lines that parse to something
+    # not a record
+    for bad in [b"not json", b'{"v": 1, "task": "t\xff"}', too_long,
+                b"[" * 100000 + b"]" * 100000, b"\xef\xbb\xbf" + good[0], b"[1, 2]",
                 _line(_rec(), outcome=None),
                 _line(_rec(), outcome=outcome), _line(_rec(), outcome=[1, 2]),
                 _line(_rec(), **{"lambda": [1.0]}), *wrong]:
@@ -346,17 +355,51 @@ def test_no_descriptor_outlives_an_append(tmp_path):
     assert len(PolicyStore(path)) == 2
 
 
-@pytest.mark.parametrize("change", [{"lam": float("nan")}, {"seed": True},
-                                    {"policy": [{"family": "FIX"}]}])
-def test_a_record_a_load_would_reject_is_never_appended(tmp_path, change):
+WRONG_IDENTITY = "^an identity or outcome field has the wrong type$"
+WRONG_INFO = "^wall_time_sec must be finite or None, and timestamp and artifact_version"
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"lam": float("nan")}, WRONG_IDENTITY), ({"seed": True}, WRONG_IDENTITY),
+    ({"policy": [{"family": "FIX"}]}, WRONG_IDENTITY),
+    # the informational fields: NaN is not JSON, and a load rejects any other type
+    ({"wall_time_sec": float("nan")}, WRONG_INFO), ({"timestamp": 5}, WRONG_INFO),
+    ({"artifact_version": 1}, WRONG_INFO)])
+def test_a_record_a_load_would_reject_is_never_appended(tmp_path, change, match):
     path = tmp_path / "db.jsonl"
     store = PolicyStore(path)
     store.append(_rec(k=0.1))
     before = path.read_bytes()
-    with pytest.raises(TypeError, match="^an identity or outcome field has the wrong type$"):
+    with pytest.raises(TypeError, match=match):
         store.append(replace(_rec(k=0.2), **change))
     assert path.read_bytes() == before
     assert PolicyStore(path).records() == [_rec(k=0.1)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.binary())
+@example(data=b"[" * 100000 + b"]" * 100000)  # nested past the recursion limit
+@example(data=b'\xef\xbb\xbf{"family": "FIX", "params": {"k": 0.1}}\n')  # a BOM
+@example(data=b'"\xed\xa0\x80"')  # a lone surrogate, which UTF-8 does not encode
+@example(data=b"7" * 5000)  # an int past Python's digit limit
+def test_hostile_bytes_are_read_or_rejected_with_value_error(tmp_path_factory, data):
+    # both readers go through schedule.read_json: whatever the bytes, each
+    # returns or raises ValueError, never another exception
+    try:
+        policy_from_json(data)
+    except ValueError:
+        pass
+    path = tmp_path_factory.mktemp("dbs") / "db.jsonl"
+    path.write_bytes(data)
+    try:
+        PolicyStore(path)
+    except ValueError:
+        pass
+    # the file changes only by the tail repair: an unterminated last line that
+    # does not decode is cut off, and one that holds a record gets its newline
+    last = data.rpartition(b"\n")[2]
+    assert path.read_bytes() in (data, data[:len(data) - len(last)], data + b"\n")
+    os.remove(path)
 
 
 _WRITER = """
