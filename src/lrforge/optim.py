@@ -5,10 +5,9 @@ parameters. Steps are pure: they return fresh (params, state) pairs and
 never mutate their inputs, so optimizer trajectories replay exactly. Every
 update is elementwise, so a (C, P) stack of C parameter vectors steps at
 once, each row with its own learning rate (lr of shape (C, 1)), and row c
-gets the same floats it would get alone. Such an lr column is checked with
-numpy in one pass; only a bad one is walked to name its first bad value.
-A non-finite gradient or lr raises `NonFinite`, a ValueError that a caller
-tracing a trajectory takes as divergence.
+gets the same floats it would get alone. A step is the update alone: the
+trainer, which decides divergence, never hands it a non-finite gradient or
+lr, so only the shapes are checked here.
 
 Adam per step, elementwise:
     m   = b1 * m + (1 - b1) * g
@@ -75,35 +74,12 @@ def init_state(spec: OptimizerSpec, n: int | tuple[int, ...]) -> OptimizerState:
     return OptimizerState(spec, (np.zeros(n), np.zeros(n)))
 
 
-class NonFinite(ValueError):
-    """A non-finite gradient or learning rate: the trajectory diverged."""
-
-
-def _check_lr(value):
-    held = finite(value)
-    if not (held and value >= 0):
-        # a number that is NaN, infinite or past the float range; any other value is no LR
-        error = NonFinite if number(value) and not held else ValueError
-        need(False, "lr must be finite and >= 0, got %r", value, error=error)
-
-
-def _check(params: np.ndarray, grads: np.ndarray, lr: float, state_vec: np.ndarray):
-    if params.shape != grads.shape or params.shape != state_vec.shape:
-        need(False, "shape mismatch: params %s, grads %s, state %s",
-             params.shape, grads.shape, state_vec.shape)
-    if not isinstance(lr, np.ndarray):
-        _check_lr(lr)
-    elif not (lr.dtype.kind in "biuf" and (np.isfinite(lr) & (lr >= 0)).all()):
-        for value in lr.ravel().tolist():  # name the first bad value
-            _check_lr(value)
-    if not np.isfinite(grads).all():
-        need(False, "non-finite gradient", error=NonFinite)
-
-
 def step(params: np.ndarray, grads: np.ndarray, lr: float | np.ndarray,
          state: OptimizerState) -> tuple[np.ndarray, OptimizerState]:
     """One update; the trainer steps its whole stack with one call."""
-    _check(params, grads, lr, state.moments[0])
+    if params.shape != grads.shape or params.shape != state.moments[0].shape:
+        need(False, "shape mismatch: params %s, grads %s, state %s",
+             params.shape, grads.shape, state.moments[0].shape)
     spec, t = state.spec, state.t + 1
     if spec.kind == "sgd":
         velocity = spec.momentum * state.moments[0] + grads

@@ -217,7 +217,8 @@ class Composite(_Checked):
 
 @dataclass(frozen=True)
 class Scaled(_Checked):
-    """eta(t) = lam * eta_base(t), exactly that product."""
+    """eta(t) = lam * eta_base(t), exactly that product; an integer product
+    past the float range stays an int, and under a float lam it is inf."""
 
     lam: float
     base: "Policy"
@@ -467,10 +468,18 @@ def _halved(p, cycle: int, shape: float) -> float:
     return p.k0 + (p.k1 - p.k0) * shape * 0.5 ** (cycle - 1)
 
 
+def _times(factor: float, value):
+    """factor * value, where an int value past the float range is the inf it rounds to."""
+    try:
+        return factor * value
+    except OverflowError:  # a float factor, and an int that no float holds
+        return factor * float("inf")
+
+
 def _warmup(p: Warmup, t: int) -> float:
     w = p._iters
     if t < w:
-        return (t / w) * _eval(p.inner, 0)
+        return _times(t / w, _eval(p.inner, 0))
     return _eval(p.inner, t - w)
 
 
@@ -708,8 +717,9 @@ def read_json(data: Union[str, bytes], prefix: str = "", error: type = ValueErro
 
 
 #: Canonical JSON text: sorted keys, no spaces. Store lines, store record
-#: identities and tuner tie-breaks all go through this one encoder.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: identities and tuner tie-breaks all go through this one encoder, which
+#: raises ValueError on a NaN or an infinity, since JSON holds neither.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 #: Indented JSON text, keys sorted: each JSON artifact that `lr` writes.
 indented_json = json.JSONEncoder(indent=2, sort_keys=True).encode
@@ -787,7 +797,7 @@ FAMILIES = (
     Family(Composite, "MULTI", {"segments": _segments}, _composite,
            lambda p: p.segments[-1].end - 1, "segments"),
     Family(Scaled, None, {"lam": _positive, "base": _closed},
-           lambda p, t: p.lam * _eval(p.base, t), lambda p: horizon(p.base)),
+           lambda p, t: _times(p.lam, _eval(p.base, t)), lambda p: horizon(p.base)),
     Family(ReduceOnPlateau, "PLATEAU_REDUCE",
            {"k": _positive, "factor": _fraction, **_PLATEAU, "min_lr": _nonneg}, None),
     Family(ChangeOnPlateau, "PLATEAU_CHANGE", {"policies": _closed_each, **_PLATEAU}, None),

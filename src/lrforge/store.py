@@ -37,7 +37,8 @@ a str, the policy an object, the accuracies and lambda `schedule.finite`,
 the iteration counts `schedule.count`s (iterations to target may be null),
 the seed an int and `diverged` a bool; and, with a message of their own,
 the informational fields: `wall_time_sec` finite or None, `timestamp` and
-`artifact_version` a str or None.
+`artifact_version` a str or None. A policy holding a NaN or an infinity,
+which JSON does not hold, raises TypeError too, when `key` encodes it.
 
 A loaded line and an appended record pass one admission rule,
 `PolicyStore._known`: a repeated identity (on load, two stores appending to
@@ -113,7 +114,11 @@ class TrialRecord:
              "a str or None", error=TypeError)
 
     def key(self) -> tuple:
-        return (self.task, canonical_json(self.policy), self.lam, self.seed)
+        try:
+            policy_text = canonical_json(self.policy)
+        except ValueError:  # a NaN or an infinity in the policy, which JSON does not hold
+            need(False, "policy must hold no NaN or infinity", error=TypeError)
+        return (self.task, policy_text, self.lam, self.seed)
 
     def stable_outcome(self) -> tuple:
         return _outcome_of(self)
@@ -257,9 +262,9 @@ class PolicyStore:
                 obj = None  # no record, reported as one below
             try:
                 record = _record_from_obj(obj)
+                key, existing_id = self._known(record, i)
             except (AttributeError, KeyError, TypeError):
                 raise ValueError(f"corrupt record at {self.path}:{i}") from None
-            key, existing_id = self._known(record, i)
             if unterminated:
                 self._write(b"\n")
             if existing_id is None:

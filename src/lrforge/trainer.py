@@ -19,11 +19,15 @@ evaluates every source once, and a row's LR is its lambda (1 when
 unscaled) times its source's value: `Scaled` is exactly lam * base(t), one
 multiply, which numpy rounds as Python does. An integer value under an
 integer lambda, or none, is an integer LR, as in Python; the product is
-taken in floats, exact for integers below 2**53.
+taken in floats, exact for integers below 2**53. An integer past the
+float range, alone or under a float lambda, is the LR inf.
 
-Divergence (a non-finite loss, gradient or learning rate) is a first-class
-outcome, not an exception: the trial stops and the trace is marked
-diverged. Large learning rates are expected to blow up during sweeps. A
+Divergence is a first-class outcome, not an exception, and this module
+alone decides it, by one rule: a step diverges when its loss (a surface
+path's value), its gradient or its learning rate is not finite, an int
+LR past the float range included. The trial stops and the trace is
+marked diverged; `optim.step` is the update alone and never sees such a
+step. Large learning rates are expected to blow up during sweeps. A
 trial that diverges or reaches its target leaves the stack, and the rest
 go on.
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -225,11 +229,17 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
         lo = (t % ep_len) * bs
         batch = order[:, lo:lo + bs].take(group, axis=0)
         values = [source(t) for source in sources]
+        try:
+            column = np.array(values, dtype=float)
+        except OverflowError:  # an int past the float range, which is not finite
+            column = np.array([np.inf if type(value) is int and not finite(value) else value
+                               for value in values], dtype=float)
         with np.errstate(over="ignore"):
-            lr_col = (lam_col[ids] * np.array(values, dtype=float)[src[ids]])[:, None]
+            lr_col = (lam_col[ids] * column[src[ids]])[:, None]
         if int in map(type, values):
             int_src = np.array([type(value) is int for value in values])
-            for i in ids[int_lam[ids] & int_src[src[ids]]].tolist():
+            int_rows = int_lam[ids] & int_src[src[ids]] & np.isfinite(lr_col[:, 0])
+            for i in ids[int_rows].tolist():
                 int_lr_steps.setdefault(i, []).append(t)
 
         loss, grad = forward_loss_grad(model_spec, params, train.features.take(batch, axis=0),
@@ -319,10 +329,12 @@ def run_surface_trial(surface: Surface, start, policy,
     step, so a horizon-bound one must cover every step, even if the path
     would diverge before reaching its horizon.
 
-    Each step checks its value here, and its gradient and LR in
-    `optim.step`, whose `NonFinite` ends the path as diverged. Overflow and
-    invalid values on the way there, in the surface or the step, raise no
-    warning. `optim.step` returns a fresh point, so only the start is copied.
+    Before each step the value and gradient at the current point and the LR
+    are checked, by the trainer's one divergence rule; one that is not
+    finite ends the path there, as diverged, and so does a non-finite value
+    at the last point. Overflow and invalid values on the way there, in the
+    surface or the step, raise no warning. `optim.step` returns a fresh
+    point, so only the start is copied.
     """
     need_count("iterations", iterations)
     curve = schedule.compile(policy, iterations)
@@ -332,20 +344,16 @@ def run_surface_trial(surface: Surface, start, policy,
     opt_state = optim.init_state(opt_spec, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         value, grad = surface_value_grad(surface, point)
-        path = SurfacePath(points=[point], values=[value], diverged=False)
+        points, values = [point], [value]
         for t in range(iterations):
             lr = curve(t)
-            if not finite(value):
-                break
-            try:
-                point, opt_state = optim.step(point, grad, lr, opt_state)
-            except optim.NonFinite:
-                return replace(path, diverged=True)
+            if not (finite(value) and np.isfinite(grad).all() and finite(lr)):
+                return SurfacePath(points, values, diverged=True)
+            point, opt_state = optim.step(point, grad, lr, opt_state)
             value, grad = surface_value_grad(surface, point)
-            path.points.append(point)
-            path.values.append(value)
-    path.diverged = not finite(value)
-    return path
+            points.append(point)
+            values.append(value)
+    return SurfacePath(points, values, diverged=not finite(value))
 
 
 def write_surface_csv(path_result: SurfacePath, path):

@@ -576,12 +576,14 @@ def test_tune_all_diverged_exit_code(tmp_path):
     manifest = write_manifest(
         tmp_path, name="tune.json", model={"kind": "mlp", "hidden": 8},
         train={"batch_size": 16, "budget": 100, "eval_every": 50, "seed": 0},
-        search={"templates": [{"family": "FIX", "params": {"k": 1e12}}],
+        # an LR of 10**600, an int past the float range, under the grid's lambdas
+        search={"templates": [{"family": "FIX", "params": {"k": 1e12}},
+                              {"family": "FIX", "params": {"k": 10**300}, "lambda": 10**300}],
                 "lambda_grid": [1.0, 10.0]})
     proc = run_cli("tune", "--manifest", manifest, "--workers", "1",
                    "--out-dir", "out", "--db", "db.jsonl", cwd=tmp_path)
     assert proc.returncode == 4
-    assert "error:" in proc.stderr
+    assert "error: every cell diverged" in proc.stderr
 
 
 def test_tune_with_boundaries_writes_a_composite(tmp_path):

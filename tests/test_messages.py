@@ -92,9 +92,6 @@ CASES = [
     ("step-shapes", lambda tmp: (
         lambda: optim.step(np.zeros(2), np.zeros(3), 0.1, optim.init_state(SGD, 2)),
         ValueError, "shape mismatch: params (2,), grads (3,), state (2,)")),
-    ("step-gradient", lambda tmp: (
-        lambda: optim.step(np.zeros(2), np.array([np.nan, 0.0]), 0.1, optim.init_state(SGD, 2)),
-        optim.NonFinite, "non-finite gradient")),
     # problems
     ("quadratic-entries", lambda tmp: (lambda: problems.Quadratic(a=[[True, 0], [0, 1]]),
                                        ValueError, "a must hold finite numbers, got "
@@ -229,6 +226,9 @@ CASES = [
     ("record-info-types", lambda tmp: (
         lambda: store._record_from_obj({**RECORD, "timestamp": 5}), TypeError,
         "wall_time_sec must be finite or None, and timestamp and artifact_version a str or None")),
+    ("record-policy-nan", lambda tmp: (
+        lambda: store.TrialRecord("t", {"k": math.nan}, 1.0, 0, 0.5, 0.5, 3, None, False).key(),
+        TypeError, "policy must hold no NaN or infinity")),
     ("top-k-objective", lambda tmp: (
         lambda: store.PolicyStore(tmp / "db.jsonl").query_top_k("t", 1, "median"),
         ValueError, "objective must be max_accuracy or min_cost, got 'median'")),

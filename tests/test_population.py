@@ -94,13 +94,21 @@ def test_a_non_finite_lr_diverges_only_its_own_row(blobs_task):
     spec, opt = MLP(2, 8, 3), OptimizerSpec("adam")
     config = TrainConfig(batch_size=16, budget=100, eval_every=20)
     overflow = Scaled(lam=1e6, base=Fix(1e303))  # passes validation, but its LR is inf
+    # integer LRs past the float range: the exact product 10**600 under a float
+    # lambda, once more inside the base, and the same product in floats, which
+    # is no integer LR
+    huge = Scaled(lam=10**300, base=Fix(10**300))
     trials = [(Fix(0.05), 1), (overflow, 2), (Fix(0.1), 3),
-              (ChangeOnPlateau(policies=(Fix(1e-6), overflow), patience=1), 4)]
+              (ChangeOnPlateau(policies=(Fix(1e-6), overflow), patience=1), 4),
+              (Scaled(lam=2.0, base=huge), 5),
+              (Scaled(lam=2.0, base=Scaled(lam=3.0, base=huge)), 6), (huge, 7)]
     traces = run_population(spec, blobs_task, trials, opt, config)
     first, late = traces[1], traces[3]
     assert first.outcome.diverged and first.lrs == [math.inf]
     assert late.outcome.diverged and 20 < late.outcome.iterations_run < 100
     assert late.lrs[-1] == math.inf and math.isfinite(late.lrs[-2])
+    for trace in traces[4:]:
+        assert trace.outcome.diverged and trace.lrs == [math.inf]
     assert not traces[0].outcome.diverged and not traces[2].outcome.diverged
     for (policy, seed), stacked in zip(trials, traces):
         _same(stacked, run_trial(spec, blobs_task, policy, opt, replace(config, seed=seed)))

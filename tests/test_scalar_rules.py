@@ -57,8 +57,6 @@ REALS = [
     ("OptimizerSpec.eps", "eps", lambda v: optim.OptimizerSpec("adam", eps=v)),
     ("OptimizerSpec.beta1", "betas", lambda v: optim.OptimizerSpec("adam", beta1=v)),
     ("OptimizerSpec.momentum", "momentum", lambda v: optim.OptimizerSpec("sgd", momentum=v)),
-    ("optim.step", "lr", lambda v: optim.step(np.zeros(2), np.zeros(2), v,
-                                              optim.init_state(optim.OptimizerSpec(), 2))),
     ("TrainConfig.target_accuracy", "target_accuracy",
      lambda v: trainer.TrainConfig(target_accuracy=v)),
     ("Fix.k", "k", lambda v: Fix(k=v)),

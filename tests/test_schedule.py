@@ -10,10 +10,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lrforge import schedule
+from lrforge import adaptive, schedule
 from lrforge.schedule import (
     ChangeOnPlateau,
     Composite,
@@ -50,6 +50,10 @@ from lrforge.schedule import (
 
 import reference
 from reference import MULTI_SWEEP_CASE, SWEEP_CASES, T_MAX_SWEEP, ref_lr, rel_err
+
+# under --hypothesis-profile=oracle-deep (tests/conftest.py) the LR sign test
+# draws the profile's example count
+DEEP = settings.get_current_profile_name() == "oracle-deep"
 
 
 # --- frozen values, worked out by hand ---
@@ -343,6 +347,81 @@ def test_composite_picks_owning_segment(data):
     i = data.draw(st.integers(0, n_segs - 1))
     t = data.draw(st.integers(fences[i], fences[i + 1] - 1))
     assert lr_at(p, t) == ks[i]
+
+
+# every value a non-negative real field takes: floats up to the largest, and
+# ints, whose exact products under Scaled can pass the float range
+_REALS = st.one_of(st.floats(0, allow_infinity=False), st.integers(0, 10**300))
+_POSITIVE = _REALS.filter(lambda v: v > 0)
+_GAMMAS = st.one_of(st.floats(0, 1, exclude_min=True), st.just(1))
+_LENGTHS = st.integers(1, 50)
+
+
+def _leaves(k, lo, hi, p, gamma, l, milestones):
+    """One policy of each closed-form family that holds no other policy."""
+    return [Fix(k=k), Step(k=k, gamma=gamma, l=l), NStep(k=k, gamma=gamma, milestones=milestones),
+            Exp(k=k, gamma=gamma, l=l), Poly(k=k, p=p, t_max=l),
+            CosineDecay(k=hi, t_max=l, k_min=lo), LinearDecay(k=hi, t_max=l, k_min=lo),
+            Tri(k0=lo, k1=hi, l=l), Tri2(k0=lo, k1=hi, l=l), TriExp(k0=lo, k1=hi, l=l, gamma=gamma),
+            Sin(k0=lo, k1=hi, l=l), Sin2(k0=lo, k1=hi, l=l), SinExp(k0=lo, k1=hi, l=l, gamma=gamma)]
+
+
+@st.composite
+def _leaf(draw):
+    lo, hi = sorted((draw(_REALS), draw(_REALS)))
+    milestones = tuple(sorted(draw(st.sets(st.integers(1, 100), min_size=1, max_size=4))))
+    return draw(st.sampled_from(_leaves(draw(_REALS), lo, hi, draw(_POSITIVE), draw(_GAMMAS),
+                                        draw(_LENGTHS), milestones)))
+
+
+@st.composite
+def _multi(draw, inner):
+    segments, start = [], 0
+    for policy in draw(st.lists(inner, min_size=1, max_size=3)):
+        last = horizon(policy)  # a segment runs its policy at t 0 .. end - start - 1
+        end = start + draw(st.integers(1, 50 if last is None else last + 1))
+        segments.append(Segment(start=start, end=end, policy=policy))
+        start = end
+    return Composite(segments=tuple(segments))
+
+
+_CLOSED = st.recursive(_leaf(), lambda inner: st.one_of(
+    st.builds(Scaled, lam=_POSITIVE, base=inner),
+    st.builds(Warmup, w=st.integers(0, 20), inner=inner),
+    _multi(inner)), max_leaves=5)
+_PLATEAU = st.one_of(
+    st.builds(ReduceOnPlateau, k=_POSITIVE, factor=st.floats(0, 1, exclude_min=True,
+                                                             exclude_max=True),
+              patience=st.integers(1, 3), min_lr=_REALS),
+    st.builds(ChangeOnPlateau, policies=st.lists(_CLOSED, min_size=1, max_size=3).map(tuple),
+              patience=st.integers(1, 3)))
+
+
+@example(policy=Scaled(lam=2.0, base=Scaled(lam=10**300, base=Fix(k=10**300))), ts=[],
+         metrics=[])  # an int LR past the float range under a float lambda: inf
+@example(policy=Warmup(w=2, inner=Scaled(lam=10**300, base=Fix(k=10**300))), ts=[1],
+         metrics=[])
+@given(policy=st.one_of(_CLOSED, _PLATEAU), ts=st.lists(st.integers(0, 2**53), max_size=5),
+       metrics=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+@settings(max_examples=settings.default.max_examples if DEEP else 100, deadline=None)
+def test_every_lr_is_a_number_and_never_negative(policy, ts, metrics):
+    # the trainer steps any LR a policy gives, checking only that it is finite
+    # (NaN and inf diverge), so no policy may give a negative LR or a non-number
+    drawn = {type(leaf) for leaf in _leaves(1, 0, 1, 1, 1, 1, (1,))} | {Scaled, Warmup, Composite}
+    assert drawn == {row.cls for row in schedule.FAMILIES if row.closed_form is not None}
+    if isinstance(policy, adaptive.PlateauPolicy):
+        # a switched-to policy restarts at local t 0, so it runs within each horizon
+        ends = [horizon(p) for p in getattr(policy, "policies", ())]
+        state, lrs = adaptive.initial_state(policy), []
+        for t, metric in enumerate(metrics[:min([end + 1 for end in ends if end is not None],
+                                                default=20)]):
+            lrs.append(adaptive.current_lr(state, policy, t))
+            state, _ = adaptive.observe(state, policy, metric, t=t + 1)
+    else:
+        end = horizon(policy)
+        lrs = [lr_at(policy, t if end is None else min(t, end)) for t in [0, *ts]]
+    for lr in lrs:
+        assert type(lr) in (int, float) and not lr < 0
 
 
 # --- validation: every policy is checked when it is built ---

@@ -6,7 +6,8 @@ policy-name table cell, a trial command's front half, each shared flag, a
 leaderboard row, a cell's seeds, a trial context built field by field, a
 count's message and the message of a rejected value. Each text below names
 one, and must appear in exactly one place; zero would mean the text went
-stale, not that the job went.
+stale, not that the job went. The divergence check of a step, once made by
+both the trainer and `optim.step`, is the trainer's alone.
 """
 
 import ast
@@ -73,3 +74,13 @@ def test_only_schedule_formats_a_rejected_value():
     need = next(node for node in ast.walk(ast.parse(texts["schedule.py"]))
                 if isinstance(node, ast.FunctionDef) and node.name == "need")
     assert raises == [f"schedule.py:{need.body[-1].body[0].lineno}"]
+
+
+def test_only_the_trainer_decides_divergence():
+    # optim.step is the update alone: the trainer's one rule (a loss, gradient
+    # or LR that is not finite) is the only divergence check of a step, so
+    # optim holds no finiteness test and defines no error of its own
+    optim = _sources()["optim.py"]
+    assert "isfinite" not in optim
+    assert [node.name for node in ast.walk(ast.parse(optim))
+            if isinstance(node, ast.ClassDef)] == ["OptimizerSpec", "OptimizerState"]

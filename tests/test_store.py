@@ -202,8 +202,9 @@ def test_mid_file_corruption_is_an_error(tmp_path):
     del outcome["best_accuracy"]
     # a field of the wrong type: an accuracy or lambda that is no finite number,
     # an iteration count that is no count, a seed that is no int, a diverged
-    # flag that is no bool, a task that is no str, a policy that is no object, a
-    # wall time that is no finite number or None, a timestamp or version no str or None
+    # flag that is no bool, a task that is no str, a policy that is no object or
+    # holds a NaN, a wall time that is no finite number or None, a timestamp or
+    # version no str or None
     wrong = [_line(_rec(), outcome={**full, key: value}) for key, value in [
         ("final_accuracy", "x"), ("best_accuracy", float("nan")), ("final_accuracy", True),
         ("iterations_run", 2.5), ("iterations_run", -1), ("iterations_to_target", "x"),
@@ -211,6 +212,7 @@ def test_mid_file_corruption_is_an_error(tmp_path):
     wrong += [_line(_rec(), **{"lambda": "x"}), _line(_rec(), **{"lambda": float("inf")}),
               _line(_rec(), seed=1.5), _line(_rec(), seed=True), _line(_rec(), task=5),
               _line(_rec(), policy=[{"family": "FIX"}]), _line(_rec(), wall_time_sec="x"),
+              _line(_rec(), policy={"family": "FIX", "params": {"k": float("nan")}}),
               _line(_rec(), wall_time_sec=float("nan")), _line(_rec(), timestamp=5),
               _line(_rec(), artifact_version=1)]
     # an int past Python's 4300-digit limit, which does not decode
@@ -362,6 +364,11 @@ WRONG_INFO = "^wall_time_sec must be finite or None, and timestamp and artifact_
 @pytest.mark.parametrize("change, match", [
     ({"lam": float("nan")}, WRONG_IDENTITY), ({"seed": True}, WRONG_IDENTITY),
     ({"policy": [{"family": "FIX"}]}, WRONG_IDENTITY),
+    # JSON holds no NaN or infinity, in the policy dict as anywhere
+    ({"policy": {"family": "FIX", "params": {"k": float("nan")}}},
+     "^policy must hold no NaN or infinity$"),
+    ({"policy": {"family": "FIX", "params": {"k": float("-inf")}}},
+     "^policy must hold no NaN or infinity$"),
     # the informational fields: NaN is not JSON, and a load rejects any other type
     ({"wall_time_sec": float("nan")}, WRONG_INFO), ({"timestamp": 5}, WRONG_INFO),
     ({"artifact_version": 1}, WRONG_INFO)])

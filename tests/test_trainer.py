@@ -1,5 +1,7 @@
 """Training loop behavior: determinism, eval cadence, stopping rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lrforge.problems import MultiBasin, Quadratic, Well, surface_value_grad
 from lrforge.trainer import (
     TrainConfig,
     epoch_length,
+    run_population,
     run_surface_trial,
     run_trial,
     write_eval_csv,
@@ -117,6 +120,35 @@ def test_divergence_is_an_outcome_not_an_exception(blobs_task):
     assert len(trace.iterations) == trace.outcome.iterations_run
 
 
+# LRs that are not finite: NaN, infinite either way, an int past the float range
+NOT_FINITE_LRS = [math.nan, math.inf, -math.inf, np.float64("inf"), 10**400, -(10**400)]
+NOT_FINITE_IDS = ["nan", "inf", "-inf", "float64-inf", "int-past-the-float-range",
+                  "-int-past-the-float-range"]
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_LRS, ids=NOT_FINITE_IDS)
+def test_any_lr_a_curve_gives_that_is_not_finite_diverges_its_row(bad, blobs_task, monkeypatch):
+    # the trainer's rule holds for every value, not only those a policy family
+    # gives; the base curve's row and its Scaled row diverge at step 3, alone
+    spiked, compile = schedule.Fix(0.05), schedule.compile
+    monkeypatch.setattr(schedule, "compile", lambda policy, steps: (
+        (lambda t: 0.05 if t < 3 else bad) if policy is spiked else compile(policy, steps)))
+    cfg = TrainConfig(batch_size=16, budget=20, eval_every=5)
+    trials = [(schedule.Fix(0.1), 1), (spiked, 2), (schedule.Scaled(lam=2.0, base=spiked), 3)]
+    traces = run_population(Linear(2, 3), blobs_task, trials, SGD, cfg)
+    assert not traces[0].outcome.diverged and traces[0].outcome.iterations_run == 20
+    for (policy, _), trace in zip(trials[1:], traces[1:]):
+        assert trace.outcome.diverged and trace.outcome.iterations_run == 4
+        assert trace.lrs[:3] == [schedule.lr_at(policy, 0)] * 3
+        assert not math.isfinite(trace.lrs[3]) and trace.int_lr_steps == ()
+        assert np.isfinite(trace.final_params).all()
+    for (policy, seed), trace in zip(trials, traces):
+        alone = run_trial(Linear(2, 3), blobs_task, policy, SGD,
+                          TrainConfig(batch_size=16, budget=20, eval_every=5, seed=seed))
+        assert trace.step_lrs.tobytes() == alone.step_lrs.tobytes()
+        assert trace.final_params.tobytes() == alone.final_params.tobytes()
+
+
 def test_reduce_on_plateau_lowers_lr(blobs_task):
     policy = ReduceOnPlateau(k=0.5, factor=0.1, patience=1)
     cfg = TrainConfig(batch_size=16, budget=400, eval_every=20, seed=0)
@@ -208,6 +240,17 @@ def test_surface_trial_diverges_at_an_int_lr_past_the_float_range():
     assert path.iterations == [0]
 
 
+@pytest.mark.parametrize("bad", NOT_FINITE_LRS, ids=NOT_FINITE_IDS)
+def test_any_lr_a_curve_gives_that_is_not_finite_ends_the_path(bad, monkeypatch):
+    # the trainer's rule holds for every value, not only those a policy family gives
+    monkeypatch.setattr(schedule, "compile", lambda policy, steps: lambda t: 0.1 if t < 3 else bad)
+    for opt in (SGD, OptimizerSpec("adam")):
+        path = run_surface_trial(Quadratic(a=np.eye(2)), (1.0, 1.0), schedule.Fix(0.1), opt, 10)
+        assert path.diverged
+        assert path.iterations == [0, 1, 2, 3]
+        assert np.isfinite(path.points).all()
+
+
 def test_surface_trial_validation():
     surface = Quadratic(a=np.eye(2))
     with pytest.raises(ValueError, match="iterations"):
@@ -280,7 +323,7 @@ def test_a_non_finite_value_gradient_or_lr_ends_the_path_where_the_plain_loop_do
 
 def test_each_surface_step_calls_optim_step_and_surface_value_grad(monkeypatch):
     # perfbench's optim.step and problems.surface_value_grad spans wrap these
-    # module attributes: one optim.step per step tried, one surface_value_grad per point
+    # module attributes: one optim.step per step taken, one surface_value_grad per point
     calls = []
     step, value_grad = optim.step, trainer.surface_value_grad
     monkeypatch.setattr(optim, "step", lambda *a: calls.append("step") or step(*a))
@@ -289,12 +332,12 @@ def test_each_surface_step_calls_optim_step_and_surface_value_grad(monkeypatch):
     path = run_surface_trial(Quadratic(a=np.eye(2)), (1.0, 1.0), schedule.Fix(0.1), SGD, 20)
     assert len(path.points) == 21
     assert calls == ["value"] + ["step", "value"] * 20
-    # a non-finite LR at step 3: three steps, then the optim.step that raised NonFinite
+    # a non-finite LR at step 3: three steps, and the check before the fourth ends the path
     calls.clear()
     path = run_surface_trial(Quadratic(a=np.eye(2)), (1.0, 1.0), _spiked(3, SPIKES["float-lr"][2]),
                              SGD, 10)
     assert path.diverged and len(path.points) == 4
-    assert calls == ["value"] + ["step", "value"] * 3 + ["step"]
+    assert calls == ["value"] + ["step", "value"] * 3
 
 
 # --- fail fast on short horizons ---
