@@ -14,7 +14,9 @@ rows of a stack run through the same batched matmuls. Activations are laid
 out batch-major and two classes skip every reduce over the class axis but
 the max, for speed; neither moves a bit (see `forward_loss_grad`). A
 training step computes only the loss and its gradient; accuracy is
-`accuracy_on`'s, over a whole dataset.
+`accuracy_on`'s, over a whole dataset. A caller that steps one stack many
+times checks it and builds its views and gradient buffer once, through
+`prepare`, and each step writes into them.
 """
 
 from __future__ import annotations
@@ -137,14 +139,36 @@ def _max_of_two(l0: np.ndarray, l1: np.ndarray) -> np.ndarray:
     return zmax
 
 
+def prepare(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Check a (C, P) stack and the examples x, y its batches come from, and
+    build the buffers a `forward_loss_grad` step of it writes into: the
+    views of params, and a (C, P) gradient buffer with its views."""
+    if params.ndim != 2:
+        need(False, "params must be a (C, P) stack, got shape %s", params.shape)
+    if x.shape[-2] == 0:
+        need(False, "empty batch")
+    if x.shape[-1] != spec.d_in:
+        need(False, "feature width %s does not match d_in %s", x.shape[-1], spec.d_in)
+    if y.min() < 0 or y.max() >= spec.n_classes:
+        need(False, "labels out of range [0, %s)", spec.n_classes)
+    grad = np.empty_like(params)
+    return views(spec, params), grad, views(spec, grad)
+
+
 def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
-                      y: np.ndarray):
+                      y: np.ndarray, bufs: tuple | None = None):
     """Mean cross-entropy loss and gradient of a (C, P) stack.
 
     Returns (C,) losses and a (C, P) gradient stack, with x and y either
     shared, (B, d) and (B,), or per row, (C, B, d) and (C, B). Row c of a
     stack is bit for bit what it gives as a stack of one: every matmul
     slice is the same BLAS call and every reduction runs in the same order.
+
+    A caller that steps one stack many times passes `bufs`, which
+    `prepare` built once from the stack and the examples every batch is
+    drawn from, and ignores overflow and invalid values itself. The step
+    then checks nothing, builds no views and returns the gradient in the
+    buffer of `bufs`. A call without `bufs` prepares its own.
 
     Per-example arrays are batch-major (see `_batch_major`), so each bias
     sum adds whole rows, one example after another, exactly as a sum over
@@ -157,47 +181,37 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     one-hot labels are subtracted from all of delta: subtracting 0.0
     leaves an entry exactly as it was.
     """
-    if params.ndim != 2:
-        need(False, "params must be a (C, P) stack, got shape %s", params.shape)
-    n = x.shape[-2]
-    if n == 0:
-        need(False, "empty batch")
-    if x.shape[-1] != spec.d_in:
-        need(False, "feature width %s does not match d_in %s", x.shape[-1], spec.d_in)
-    if y.min() < 0 or y.max() >= spec.n_classes:
-        need(False, "labels out of range [0, %s)", spec.n_classes)
-
-    p = views(spec, params)
-    stack, k = params.shape[0], spec.n_classes
+    if bufs is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return forward_loss_grad(spec, params, x, y, prepare(spec, params, x, y))
+    p, grad, g = bufs
+    stack, n, k = params.shape[0], x.shape[-2], spec.n_classes
     labels = np.empty((n, stack), dtype=np.intp).T  # y as (stack, n), batch-major
     labels[...] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, inputs, hidden = _forward(spec, p, x)
-        if k == 2:
-            l0, l1 = logits[..., 0], logits[..., 1]
-            zmax = _max_of_two(l0, l1)
-            sumexp = np.exp(l0 - zmax) + np.exp(l1 - zmax)
-            target = np.where(labels == 1, l1, l0)
-        else:
-            zmax = logits.max(axis=-1)
-            sumexp = np.add.reduce(np.exp(logits - zmax[..., None]), axis=-1)
-            target = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
-        lse = zmax + np.log(sumexp)
-        loss = np.add.reduce(np.subtract(lse, target, out=np.empty((stack, n))), axis=-1) / n
+    logits, inputs, hidden = _forward(spec, p, x)
+    if k == 2:
+        l0, l1 = logits[..., 0], logits[..., 1]
+        zmax = _max_of_two(l0, l1)
+        sumexp = np.exp(l0 - zmax) + np.exp(l1 - zmax)
+        target = np.where(labels == 1, l1, l0)
+    else:
+        zmax = logits.max(axis=-1)
+        sumexp = np.add.reduce(np.exp(logits - zmax[..., None]), axis=-1)
+        target = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
+    lse = zmax + np.log(sumexp)
+    loss = np.add.reduce(np.subtract(lse, target, out=np.empty((stack, n))), axis=-1) / n
 
-        delta = np.exp(logits - lse[..., None])
-        delta -= np.eye(k).take(labels.T, axis=0).swapaxes(0, 1)  # one-hot rows
-        delta /= n
+    delta = np.exp(logits - lse[..., None])
+    delta -= np.eye(k).take(labels.T, axis=0).swapaxes(0, 1)  # one-hot rows
+    delta /= n
 
-        grad = np.empty_like(params)
-        g = views(spec, grad)
-        for i in range(len(inputs), 0, -1):
-            np.matmul(np.swapaxes(inputs[i - 1], -1, -2), delta, out=g[f"W{i}"])
-            np.add.reduce(delta, axis=-2, out=g[f"b{i}"])
-            if i > 1:
-                delta = np.matmul(delta, np.swapaxes(p[f"W{i}"], -1, -2),
-                                  out=_batch_major(stack, n, spec.widths[i - 1]))
-                delta *= hidden[i - 2] > 0
+    for i in range(len(inputs), 0, -1):
+        np.matmul(inputs[i - 1].swapaxes(-1, -2), delta, out=g[f"W{i}"])
+        np.add.reduce(delta, axis=-2, out=g[f"b{i}"])
+        if i > 1:
+            delta = np.matmul(delta, p[f"W{i}"].swapaxes(-1, -2),
+                              out=_batch_major(stack, n, spec.widths[i - 1]))
+            delta *= hidden[i - 2] > 0
     return loss, grad
 
 

@@ -1,13 +1,15 @@
 """SGD and Adam updates on flat float64 parameter vectors.
 
 An optimizer's state is its spec plus its moment arrays, shaped like the
-parameters. Steps are pure: they return fresh (params, state) pairs and
-never mutate their inputs, so optimizer trajectories replay exactly. Every
-update is elementwise, so a (C, P) stack of C parameter vectors steps at
-once, each row with its own learning rate (lr of shape (C, 1)), and row c
-gets the same floats it would get alone. A step is the update alone: the
-trainer, which decides divergence, never hands it a non-finite gradient or
-lr, so only the shapes are checked here.
+parameters. Steps are pure unless given buffers: the plain call returns
+fresh (params, state) pairs and never mutates its inputs, so optimizer
+trajectories replay exactly. The trainer passes a scratch array and steps
+its stack in place, with the same floats. Every update is elementwise, so
+a (C, P) stack of C parameter vectors steps at once, each row with its
+own learning rate (lr of shape (C, 1)), and row c gets the same floats it
+would get alone. A step is the update alone: the trainer, which decides
+divergence, never hands it a non-finite gradient or lr, so only the shapes
+are checked here.
 
 Adam per step, elementwise:
     m   = b1 * m + (1 - b1) * g
@@ -75,21 +77,34 @@ def init_state(spec: OptimizerSpec, n: int | tuple[int, ...]) -> OptimizerState:
 
 
 def step(params: np.ndarray, grads: np.ndarray, lr: float | np.ndarray,
-         state: OptimizerState) -> tuple[np.ndarray, OptimizerState]:
-    """One update; the trainer steps its whole stack with one call."""
+         state: OptimizerState, out: np.ndarray | None = None
+         ) -> tuple[np.ndarray, OptimizerState]:
+    """One update; the trainer steps its whole stack with one call.
+
+    Given `out`, a scratch array shaped like params, the step is made in
+    place with the same floats: the new params and moments overwrite
+    `params` and the state's moment arrays, and `grads` and `out` are
+    overwritten too. The plain call and the buffered one run the same
+    update expressions.
+    """
     if params.shape != grads.shape or params.shape != state.moments[0].shape:
         need(False, "shape mismatch: params %s, grads %s, state %s",
              params.shape, grads.shape, state.moments[0].shape)
     spec, t = state.spec, state.t + 1
+    # where each result is written: its buffer given out, else (None) a fresh array
+    into, mo, spare = (None, (None, None), None) if out is None else (params, state.moments, grads)
     if spec.kind == "sgd":
-        velocity = spec.momentum * state.moments[0] + grads
-        return params - lr * velocity, OptimizerState(spec, (velocity,), t)
-    m, v = state.moments
-    m = spec.beta1 * m + (1 - spec.beta1) * grads
-    v = spec.beta2 * v + (1 - spec.beta2) * grads * grads
-    m_hat = m / (1 - spec.beta1 ** t)
-    v_hat = v / (1 - spec.beta2 ** t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + spec.eps), OptimizerState(spec, (m, v), t)
+        vel = np.add(np.multiply(spec.momentum, state.moments[0], out=mo[0]), grads, out=mo[0])
+        update = np.multiply(lr, vel, out=out)
+        return np.subtract(params, update, out=into), OptimizerState(spec, (vel,), t)
+    m = np.add(np.multiply(spec.beta1, state.moments[0], out=mo[0]),
+               np.multiply(1 - spec.beta1, grads, out=out), out=mo[0])
+    g2 = np.multiply(np.multiply(1 - spec.beta2, grads, out=out), grads, out=out)
+    v = np.add(np.multiply(spec.beta2, state.moments[1], out=mo[1]), g2, out=mo[1])
+    v_hat = np.divide(v, 1 - spec.beta2 ** t, out=spare)
+    update = np.multiply(lr, np.divide(m, 1 - spec.beta1 ** t, out=out), out=out)  # lr * m^
+    update /= np.add(np.sqrt(v_hat, out=v_hat), spec.eps, out=v_hat)
+    return np.subtract(params, update, out=into), OptimizerState(spec, (m, v), t)
 
 
 def select(state: OptimizerState, rows) -> OptimizerState:

@@ -12,6 +12,15 @@ one optimizer update over every trial still running. Each row gets
 exactly the floats it would get alone, so how trials are grouped never
 changes a result; `run_trial` is a population of one.
 
+The stack keeps its buffers. The params, gradient and optimizer moments
+are (C, P) arrays that every step overwrites in place, and the views and
+per-row arrays a step reads (each row's trial, seed group, lambda and LR
+source) are built again only at an evaluation or a divergence, where
+trials may leave the stack; that copies the rows kept into fresh arrays.
+The task's data are checked with the buffers, not per batch, and one
+`np.errstate` covers every step. A trial that leaves takes a copy of its
+params, so no later step reaches its trace.
+
 Every row reads its LR from one source: a search's trials are a few
 templates under many lambdas, so each distinct base curve is one source,
 shared by the trials under it, and each plateau trial is its own. A step
@@ -45,7 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import adaptive, optim, schedule
-from .model import ModelSpec, accuracy_on, forward_loss_grad, init_params, param_count
+from .model import ModelSpec, accuracy_on, forward_loss_grad, init_params, param_count, prepare
 from .problems import Surface, TaskData, surface_value_grad
 from .schedule import finite, need, need_count
 from .store import outcome_dict
@@ -173,6 +182,8 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     else:
         inits = {seed: init_params(model_spec, seed) for seed in seeds}
         params = np.stack([inits[seed] for _, seed in trials])
+    # checks the data every batch is drawn from before the first evaluation
+    bufs = prepare(model_spec, params, train.features, train.labels)
     opt_state = optim.init_state(opt_spec, params.shape)
 
     ids = np.arange(len(trials))  # the trial in each row of the stack
@@ -197,8 +208,10 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     def stop(done: np.ndarray, t_done: int, diverged: bool,
              to_target: Optional[int]) -> np.ndarray:
         """Close the traces of the rows in `done`, drop them from the stack,
-        and return the mask of rows kept."""
-        nonlocal ids, params, group, opt_state
+        and return the mask of rows kept. The rows kept are copied into fresh
+        arrays, and the step buffers built anew: a stop comes only at an
+        evaluation or a divergence, never in an ordinary step."""
+        nonlocal ids, group, lam_col, src, int_lam, params, bufs, opt_state
         wall = time.perf_counter() - started
         for r in np.flatnonzero(done).tolist():
             i = int(ids[r])
@@ -212,8 +225,9 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
                 final_params=params[r].copy(),
                 int_lr_steps=tuple(int_lr_steps.get(i, ())))
         keep = ~done
-        ids, params, group = ids[keep], params[keep], group[keep]
-        opt_state = optim.select(opt_state, keep)
+        ids, group, lam_col, src, int_lam = (a[keep] for a in (ids, group, lam_col, src, int_lam))
+        params, opt_state = params[keep], optim.select(opt_state, keep)
+        bufs = prepare(model_spec, params, train.features, train.labels)
         return keep
 
     def reached(acc: np.ndarray) -> np.ndarray:
@@ -221,50 +235,50 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
 
     stop(reached(evaluate(slice(None), 0)), 0, False, 0)
     order = None  # this epoch's permutation for each seed, one row each
-    for t in range(budget):
-        if ids.size == 0:
-            break
-        if t % ep_len == 0:
-            order = np.stack([rng.permutation(n) for rng in rngs])
-        lo = (t % ep_len) * bs
-        batch = order[:, lo:lo + bs].take(group, axis=0)
-        values = [source(t) for source in sources]
-        try:
-            column = np.array(values, dtype=float)
-        except OverflowError:  # an int past the float range, which is not finite
-            column = np.array([np.inf if type(value) is int and not finite(value) else value
-                               for value in values], dtype=float)
-        with np.errstate(over="ignore"):
-            lr_col = (lam_col[ids] * column[src[ids]])[:, None]
-        if int in map(type, values):
-            int_src = np.array([type(value) is int for value in values])
-            int_rows = int_lam[ids] & int_src[src[ids]] & np.isfinite(lr_col[:, 0])
-            for i in ids[int_rows].tolist():
-                int_lr_steps.setdefault(i, []).append(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(budget):
+            if ids.size == 0:
+                break
+            if t % ep_len == 0:
+                order = np.stack([rng.permutation(n) for rng in rngs])
+            lo = (t % ep_len) * bs
+            batch = order[:, lo:lo + bs].take(group, axis=0)
+            values = [source(t) for source in sources]
+            try:
+                column = np.array(values, dtype=float)
+            except OverflowError:  # an int past the float range, which is not finite
+                column = np.array([np.inf if type(value) is int and not finite(value) else value
+                                   for value in values], dtype=float)
+            lr_col = (lam_col * column[src])[:, None]
+            if int in map(type, values):
+                int_src = np.array([type(value) is int for value in values])
+                int_rows = int_lam & int_src[src] & np.isfinite(lr_col[:, 0])
+                for i in ids[int_rows].tolist():
+                    int_lr_steps.setdefault(i, []).append(t)
 
-        loss, grad = forward_loss_grad(model_spec, params, train.features.take(batch, axis=0),
-                                       train.labels.take(batch))
-        step_lrs[ids, t] = lr_col[:, 0]
-        step_losses[ids, t] = loss
-        diverged = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1)
-                     & np.isfinite(lr_col[:, 0]))
-        if diverged.any():
-            evaluate(diverged, t + 1)
-            keep = stop(diverged, t + 1, True, None)
-            loss, grad, lr_col = loss[keep], grad[keep], lr_col[keep]
+            loss, grad = forward_loss_grad(model_spec, params, train.features.take(batch, axis=0),
+                                           train.labels.take(batch), bufs)
+            step_lrs[ids, t] = lr_col[:, 0]
+            step_losses[ids, t] = loss
+            diverged = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1)
+                         & np.isfinite(lr_col[:, 0]))
+            if diverged.any():
+                evaluate(diverged, t + 1)
+                keep = stop(diverged, t + 1, True, None)
+                loss, grad, lr_col = loss[keep], grad[keep], lr_col[keep]
 
-        params, opt_state = optim.step(params, grad, lr_col, opt_state)
+            params, opt_state = optim.step(params, grad, lr_col, opt_state, np.empty_like(params))
 
-        t_done = t + 1
-        if t_done % eval_every == 0 or t_done == budget:
-            acc = evaluate(slice(None), t_done)
-            for r, i in enumerate(ids.tolist()):
-                if i in plateau:
-                    policy = policies[i]
-                    metric = loss[r] if policy.monitor == "train_loss" else acc[r]
-                    plateau[i], _ = adaptive.observe(plateau[i], policy, float(metric),
-                                                     t=t_done)
-            stop(reached(acc), t_done, False, t_done)
+            t_done = t + 1
+            if t_done % eval_every == 0 or t_done == budget:
+                acc = evaluate(slice(None), t_done)
+                for r, i in enumerate(ids.tolist()):
+                    if i in plateau:
+                        policy = policies[i]
+                        metric = loss[r] if policy.monitor == "train_loss" else acc[r]
+                        plateau[i], _ = adaptive.observe(plateau[i], policy, float(metric),
+                                                         t=t_done)
+                stop(reached(acc), t_done, False, t_done)
 
     stop(np.ones(ids.size, dtype=bool), budget, False, None)
     return traces

@@ -174,8 +174,11 @@ def _special_stack(spec, rng, rows=24):
 
 @pytest.mark.parametrize("spec", [Linear(3, 2), MLP(3, 6, 2), Linear(3, 3), MLP(3, 6, 3)],
                          ids=["linear-k2", "mlp-k2", "linear-k3", "mlp-k3"])
-@pytest.mark.parametrize("batch", ["shared", "per-row"])
+@pytest.mark.parametrize("batch", ["shared", "per-row", "labels-0", "labels-1", "labels-mixed"])
 def test_forward_loss_grad_bytes_match_the_plain_reductions(spec, batch):
+    # labels-*: per-row batches whose labels are all 0, all 1 or drawn, where
+    # every other row's logits are exactly its last bias: pairs of SPECIAL
+    # values and 0 and 1, which the one-hot and the target logit must meet
     rng = np.random.default_rng(spec.n_classes * 10 + len(spec.widths))
     for _ in range(20):
         params = _special_stack(spec, rng)
@@ -183,6 +186,13 @@ def test_forward_loss_grad_bytes_match_the_plain_reductions(spec, batch):
         shape = (n,) if batch == "shared" else (rows, n)
         x = rng.normal(size=shape + (spec.d_in,)) * rng.choice([1.0, 1e200])
         y = rng.integers(0, spec.n_classes, size=shape)
+        if batch.startswith("labels-"):
+            p, top = views(spec, params), len(spec.widths) - 1
+            p[f"W{top}"][::2] = 0.0
+            p[f"b{top}"][::2] = rng.choice(np.append(SPECIAL, [0.0, 1.0]),
+                                           size=p[f"b{top}"][::2].shape)
+            if batch != "labels-mixed":
+                y[...] = int(batch[-1])
         got = forward_loss_grad(spec, params, x, y)
         want = ref_forward_loss_grad(spec, params, x, y)[:2]  # the reference's accuracy aside
         assert len(got) == 2

@@ -182,6 +182,21 @@ def test_the_rules():
         assert not count(value, low)
 
 
+MAX, TINY = float(np.finfo(float).max), float(np.finfo(float).smallest_subnormal)
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, MAX, -MAX, float(np.nextafter(MAX, 0)),
+    TINY, -TINY, 2.2e-308, np.float64(1.5), np.float64(math.inf), np.float64(math.nan),
+    np.float64(MAX), np.float64(-TINY), True, False, 0, -3, 10**308, int(MAX), int(MAX) + 1,
+    -int(MAX) - 1, 10**400, -(10**400), "1.0", None,
+], ids=repr)
+def test_the_exact_float_fast_path_agrees_with_the_general_rule(value):
+    # `finite` admits an exact float by its type alone; every value must get
+    # the answer of the general rule: a number, never a bool, that a float holds
+    assert finite(value) == (schedule.number(value) and abs(value) <= MAX)
+
+
 def test_no_module_checks_finiteness_but_through_the_rule():
     # a fifth idiom of "is this a usable number" fails here: only the body of
     # schedule.finite may name math.isfinite, math.inf or float_info

@@ -149,6 +149,52 @@ def test_any_lr_a_curve_gives_that_is_not_finite_diverges_its_row(bad, blobs_tas
         assert trace.final_params.tobytes() == alone.final_params.tobytes()
 
 
+# name -> (model, task fixture, optimizer, target accuracy): in each, trial 0
+# diverges at step 31 (its LR overflows to inf), trials 1 and 2 reach the
+# target at an evaluation between steps 20 and 60, and trials 3 and 4 run
+# the whole budget
+STOPPING = {
+    "mlp-k2-momentum": (MLP(2, 8, 2), "moons_task", OptimizerSpec("sgd", momentum=0.9), 0.85),
+    "linear-k2-adam": (Linear(2, 2), "moons_task", OptimizerSpec("adam"), 0.87),
+    "mlp-k3-adam": (MLP(2, 8, 3), "blobs_task", OptimizerSpec("adam", beta1=0.5), 0.95),
+    "linear-k3-momentum": (Linear(2, 3), "blobs_task", OptimizerSpec("sgd", momentum=0.9), 0.9),
+}
+BLOWUP = schedule.Composite(segments=(
+    schedule.Segment(0, 30, schedule.Fix(0.001)),
+    schedule.Segment(30, 121, schedule.Scaled(lam=1e10, base=schedule.Fix(1e300)))))
+STOPPING_TRIALS = [(BLOWUP, 1), (schedule.Fix(0.5), 2), (schedule.Fix(0.05), 3),
+                   (schedule.Fix(1e-6), 4), (schedule.Fix(1e-6), 5)]
+
+
+@pytest.mark.parametrize("case", STOPPING)
+def test_a_trial_that_stops_keeps_its_bytes_while_the_stack_steps_on(case, request,
+                                                                      monkeypatch):
+    # the stack's params, gradient and moments are buffers that every step
+    # overwrites in place; a trace closed when its trial stops must own its
+    # params and keep every byte it had then, to the end of the population
+    spec, task, opt, target = STOPPING[case]
+    closed, make = [], trainer.TrialTrace  # (trace, its bytes when it was closed)
+
+    def trace_at_close(**fields):
+        trace = make(**fields)
+        closed.append((trace, [trace.final_params.tobytes(), trace.step_lrs.tobytes(),
+                               trace.step_losses.tobytes()]))
+        return trace
+
+    monkeypatch.setattr(trainer, "TrialTrace", trace_at_close)
+    cfg = TrainConfig(batch_size=16, budget=120, eval_every=20, target_accuracy=target)
+    traces = run_population(spec, request.getfixturevalue(task), STOPPING_TRIALS, opt, cfg)
+    outcomes = [t.outcome for t in traces]
+    assert outcomes[0].diverged and outcomes[0].iterations_run == 31
+    assert all(20 <= o.iterations_to_target <= 60 for o in outcomes[1:3])
+    assert [o.iterations_run for o in outcomes[3:]] == [120, 120]
+    assert sorted(map(id, traces)) == sorted(id(t) for t, _ in closed)
+    for trace, at_close in closed:
+        assert trace.final_params.base is None  # a copy, no view into the stack
+        assert [trace.final_params.tobytes(), trace.step_lrs.tobytes(),
+                trace.step_losses.tobytes()] == at_close
+
+
 def test_reduce_on_plateau_lowers_lr(blobs_task):
     policy = ReduceOnPlateau(k=0.5, factor=0.1, patience=1)
     cfg = TrainConfig(batch_size=16, budget=400, eval_every=20, seed=0)

@@ -343,6 +343,9 @@ def test_compose_search_rejects_a_short_horizon_before_phase_0(blobs_ctx, monkey
     with pytest.raises(PolicyError, match="POLY t_max"):
         compose_search(space, blobs_ctx)
     assert steps == []
+    # positive control: the counter sees the steps of a search that runs
+    compose_search(replace(space, boundaries=(0, 10, 20)), blobs_ctx)
+    assert len(steps) > 0
 
 
 def test_leaderboard_csv(tmp_path, blobs_ctx):
