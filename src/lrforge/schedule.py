@@ -1,10 +1,12 @@
 """Learning rate policy families: one table row per family.
 
 A policy describes one learning rate curve eta(t) over the iteration index
-t >= 0. Every family is a frozen dataclass with one `Family` row in
-`FAMILIES`, which holds its wire name, integer and nested-policy fields,
-parameter check, horizon rule and closed form. `validate`, `horizon`,
-`lr_at`, `compile`, `sample_trace`, `family_name` and the JSON wire format
+t >= 0. Every family is a frozen dataclass whose fields each carry their
+check (see `_field`); families with one field layout share a base that has
+no row. Each family has one `Family` row in `FAMILIES`, which holds its
+name, closed form, horizon, rule across fields and parse hook. `validate`,
+`horizon`, `lr_at`, `compile`, `sample_trace`, `family_name` and the JSON
+wire format
 
     {"family": "<NAME>", "params": {...}}
 
@@ -32,7 +34,7 @@ import json
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, partial
 from operator import attrgetter
 from typing import Callable, Optional, Union
@@ -42,238 +44,14 @@ class PolicyError(ValueError):
     """Invalid policy parameters, malformed policy JSON, or out-of-range t."""
 
 
-class _Checked:
-    """Base of every family: a policy checks its row's rules when it is built."""
-
-    def __post_init__(self):
-        validate(self)
-
-
-# --- fixed and decaying families ---
-
-
-@dataclass(frozen=True)
-class Fix(_Checked):
-    """eta(t) = k."""
-
-    k: float
-
-
-@dataclass(frozen=True)
-class Step(_Checked):
-    """eta(t) = k * gamma^floor(t / l)."""
-
-    k: float
-    gamma: float
-    l: int = 1
-
-
-@dataclass(frozen=True)
-class NStep(_Checked):
-    """eta(t) = k * gamma^i where i = number of milestones <= t."""
-
-    k: float
-    gamma: float
-    milestones: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Exp(_Checked):
-    """eta(t) = k * gamma^(t / l), real-valued exponent."""
-
-    k: float
-    gamma: float
-    l: int = 1
-
-
-@dataclass(frozen=True)
-class Poly(_Checked):
-    """eta(t) = k * (1 - t / t_max)^p, defined for t <= t_max."""
-
-    k: float
-    p: float
-    t_max: int
-
-
-@dataclass(frozen=True)
-class CosineDecay(_Checked):
-    """eta(t) = k_min + 0.5 * (k - k_min) * (1 + cos(pi * t / t_max))."""
-
-    k: float
-    t_max: int
-    k_min: float = 0.0
-
-
-@dataclass(frozen=True)
-class LinearDecay(_Checked):
-    """eta(t) = k - (k - k_min) * t / t_max."""
-
-    k: float
-    t_max: int
-    k_min: float = 0.0
-
-
-# --- cyclic families ---
-#
-# Triangular variants share one carrier:
-#   cycle(t) = floor(1 + t / (2l))
-#   x(t)     = |t / l - 2 * cycle(t) + 1|
-#   shape(t) = max(0, 1 - x(t))
-# so eta ramps k0 -> k1 -> k0 over each 2l-iteration cycle.
-
-
-@dataclass(frozen=True)
-class Tri(_Checked):
-    k0: float
-    k1: float
-    l: int
-
-
-@dataclass(frozen=True)
-class Tri2(_Checked):
-    """Triangular with the amplitude halved each cycle: * 1/2^(cycle-1)."""
-
-    k0: float
-    k1: float
-    l: int
-
-
-@dataclass(frozen=True)
-class TriExp(_Checked):
-    """Triangular with exponentially damped amplitude: * gamma^t."""
-
-    k0: float
-    k1: float
-    l: int
-    gamma: float
-
-
-@dataclass(frozen=True)
-class Sin(_Checked):
-    """eta(t) = k0 + (k1 - k0) * |sin(pi * t / (2l))|."""
-
-    k0: float
-    k1: float
-    l: int
-
-
-@dataclass(frozen=True)
-class Sin2(_Checked):
-    """Sinusoidal with the amplitude halved each cycle, as Tri2."""
-
-    k0: float
-    k1: float
-    l: int
-
-
-@dataclass(frozen=True)
-class SinExp(_Checked):
-    """Sinusoidal with exponentially damped amplitude: * gamma^t."""
-
-    k0: float
-    k1: float
-    l: int
-    gamma: float
-
-
-# --- structural families ---
-
-
-@dataclass(frozen=True)
-class Warmup(_Checked):
-    """Linear ramp from 0 to inner(0) over w iterations, then inner shifted.
-
-    eta(t) = (t / w) * eta_inner(0)   for t < w
-    eta(t) = eta_inner(t - w)         otherwise
-
-    w < 1 is read as a fraction of the inner policy's horizon (floored to an
-    iteration count); w >= 1 is an absolute iteration count.
-    """
-
-    w: float
-    inner: "Policy"
-
-    @cached_property
-    def _iters(self) -> int:
-        """w as an iteration count; a fraction is resolved once per object."""
-        if self.w >= 1 or self.w == 0:
-            return int(self.w)
-        return int(self.w * horizon(self.inner))
-
-
-@dataclass(frozen=True)
-class Segment:
-    start: int
-    end: int
-    policy: "Policy"
-
-
-@dataclass(frozen=True)
-class Composite(_Checked):
-    """Contiguous segments, each evaluated at its local t (t - start)."""
-
-    segments: tuple[Segment, ...]
-
-
-@dataclass(frozen=True)
-class Scaled(_Checked):
-    """eta(t) = lam * eta_base(t), exactly that product; an integer product
-    past the float range stays an int, and under a float lam it is inf."""
-
-    lam: float
-    base: "Policy"
-
-
-Policy = Union[
-    Fix, Step, NStep, Exp, Poly, CosineDecay, LinearDecay,
-    Tri, Tri2, TriExp, Sin, Sin2, SinExp,
-    Warmup, Composite, Scaled,
-]
-
-
-# --- metric-driven families (their state machine is in `adaptive`) ---
-
-_MODES = ("min", "max")
-_MONITORS = ("train_loss", "test_accuracy")
-
-
-@dataclass(frozen=True)
-class ReduceOnPlateau(_Checked):
-    """Hold the LR at k, multiply by factor on each plateau, floor at min_lr."""
-
-    k: float
-    factor: float
-    patience: int
-    monitor: str = "test_accuracy"
-    mode: str = "max"
-    min_delta: float = 0.0
-    cooldown: int = 0
-    min_lr: float = 0.0
-
-
-@dataclass(frozen=True)
-class ChangeOnPlateau(_Checked):
-    """Walk an ordered policy list, advancing one policy per plateau.
-
-    The active policy is evaluated at a local t that restarts at 0 on each
-    switch. Past the end of the list the final policy is held.
-    """
-
-    policies: tuple[Policy, ...]
-    patience: int
-    monitor: str = "test_accuracy"
-    mode: str = "max"
-    min_delta: float = 0.0
-    cooldown: int = 0
-
-
 # --- the two scalar rules, and the field checks built on them ---
 #
 # Every scalar check in lrforge asks one of two questions. `finite`: is it a
 # real number, a `number` (an int or float, never a bool) that a float holds,
 # so not NaN, not infinite and no int past the float range? `count`: is it an
-# int (never a bool) >= low? A field check check(name, value) raises PolicyError naming
-# the field, through `need`; a real-valued check returns the value as a float.
+# int (never a bool) >= low? A field check check(name, value) raises
+# PolicyError naming the field, through `need`; a real-valued check returns
+# the value as a float. Each family's field names its check through `_field`.
 
 
 def number(value) -> bool:
@@ -402,7 +180,7 @@ def _segments(name: str, segments):
     prev_end = 0
     for i, seg in enumerate(segments):
         _need(isinstance(seg, Segment), "segments[%r] must be a Segment", i)
-        _need(isinstance(seg.start, int) and isinstance(seg.end, int),
+        _need(type(seg.start) is type(seg.end) is int,  # count's type test: never a bool
               "segments[%r] start/end must be integers", i)
         if i == 0:
             _need(seg.start == 0, "segments must start at iteration 0, got %r", seg.start)
@@ -415,6 +193,233 @@ def _segments(name: str, segments):
         require_horizon(seg.policy, seg.end - seg.start, "segments[%r] [%r, %r): ",
                         i, seg.start, seg.end)
         prev_end = seg.end
+
+
+def _field(check: Callable, default=MISSING):
+    """A policy field that carries its check(name, value), run when the policy is built."""
+    return field(default=default, metadata={"check": check})
+
+
+class _Checked:
+    """Base of every family: a policy checks its row's rules when it is built."""
+
+    def __post_init__(self):
+        validate(self)
+
+
+# --- fixed and decaying families ---
+
+
+@dataclass(frozen=True)
+class Fix(_Checked):
+    """eta(t) = k."""
+
+    k: float = _field(_nonneg)
+
+
+@dataclass(frozen=True)
+class _Decay(_Checked):
+    """The fields of STEP and EXP; it has no row of its own."""
+
+    k: float = _field(_nonneg)
+    gamma: float = _field(_gamma)
+    l: int = _field(_posint, 1)
+
+
+@dataclass(frozen=True)
+class Step(_Decay):
+    """eta(t) = k * gamma^floor(t / l)."""
+
+
+@dataclass(frozen=True)
+class NStep(_Checked):
+    """eta(t) = k * gamma^i where i = number of milestones <= t."""
+
+    k: float = _field(_nonneg)
+    gamma: float = _field(_gamma)
+    milestones: tuple[int, ...] = _field(_milestones)
+
+
+@dataclass(frozen=True)
+class Exp(_Decay):
+    """eta(t) = k * gamma^(t / l), real-valued exponent."""
+
+
+@dataclass(frozen=True)
+class Poly(_Checked):
+    """eta(t) = k * (1 - t / t_max)^p, defined for t <= t_max."""
+
+    k: float = _field(_nonneg)
+    p: float = _field(_positive)
+    t_max: int = _field(_posint)
+
+
+@dataclass(frozen=True)
+class _Anneal(_Checked):
+    """The fields of COSINE and LINEAR; it has no row of its own."""
+
+    k: float = _field(_nonneg)
+    t_max: int = _field(_posint)
+    k_min: float = _field(_nonneg, 0.0)
+
+
+@dataclass(frozen=True)
+class CosineDecay(_Anneal):
+    """eta(t) = k_min + 0.5 * (k - k_min) * (1 + cos(pi * t / t_max))."""
+
+
+@dataclass(frozen=True)
+class LinearDecay(_Anneal):
+    """eta(t) = k - (k - k_min) * t / t_max."""
+
+
+# --- cyclic families ---
+#
+# Triangular variants share one carrier:
+#   cycle(t) = floor(1 + t / (2l))
+#   x(t)     = |t / l - 2 * cycle(t) + 1|
+#   shape(t) = max(0, 1 - x(t))
+# so eta ramps k0 -> k1 -> k0 over each 2l-iteration cycle.
+
+
+@dataclass(frozen=True)
+class _Cyclic(_Checked):
+    """The fields of TRI, TRI2, SIN and SIN2; it has no row of its own."""
+
+    k0: float = _field(_nonneg)
+    k1: float = _field(_nonneg)
+    l: int = _field(_posint)
+
+
+@dataclass(frozen=True)
+class _Damped(_Cyclic):
+    """The fields of TRIEXP and SINEXP: a cycle's, and gamma; it has no row of its own."""
+
+    gamma: float = _field(_gamma)
+
+
+@dataclass(frozen=True)
+class Tri(_Cyclic):
+    """eta(t) = k0 + (k1 - k0) * shape(t)."""
+
+
+@dataclass(frozen=True)
+class Tri2(_Cyclic):
+    """Triangular with the amplitude halved each cycle: * 1/2^(cycle-1)."""
+
+
+@dataclass(frozen=True)
+class TriExp(_Damped):
+    """Triangular with exponentially damped amplitude: * gamma^t."""
+
+
+@dataclass(frozen=True)
+class Sin(_Cyclic):
+    """eta(t) = k0 + (k1 - k0) * |sin(pi * t / (2l))|."""
+
+
+@dataclass(frozen=True)
+class Sin2(_Cyclic):
+    """Sinusoidal with the amplitude halved each cycle, as Tri2."""
+
+
+@dataclass(frozen=True)
+class SinExp(_Damped):
+    """Sinusoidal with exponentially damped amplitude: * gamma^t."""
+
+
+# --- structural families ---
+
+
+@dataclass(frozen=True)
+class Warmup(_Checked):
+    """Linear ramp from 0 to inner(0) over w iterations, then inner shifted.
+
+    eta(t) = (t / w) * eta_inner(0)   for t < w
+    eta(t) = eta_inner(t - w)         otherwise
+
+    w < 1 is read as a fraction of the inner policy's horizon (floored to an
+    iteration count); w >= 1 is an absolute iteration count.
+    """
+
+    w: float = _field(_nonneg)
+    inner: "Policy" = _field(_closed)
+
+    @cached_property
+    def _iters(self) -> int:
+        """w as an iteration count; a fraction is resolved once per object."""
+        if self.w >= 1 or self.w == 0:
+            return int(self.w)
+        return int(self.w * horizon(self.inner))
+
+
+@dataclass(frozen=True)
+class Segment:
+    start: int
+    end: int
+    policy: "Policy"
+
+
+@dataclass(frozen=True)
+class Composite(_Checked):
+    """Contiguous segments, each evaluated at its local t (t - start)."""
+
+    segments: tuple[Segment, ...] = _field(_segments)
+
+
+@dataclass(frozen=True)
+class Scaled(_Checked):
+    """eta(t) = lam * eta_base(t), exactly that product; an integer product
+    past the float range stays an int, and under a float lam it is inf."""
+
+    lam: float = _field(_positive)
+    base: "Policy" = _field(_closed)
+
+
+Policy = Union[
+    Fix, Step, NStep, Exp, Poly, CosineDecay, LinearDecay,
+    Tri, Tri2, TriExp, Sin, Sin2, SinExp,
+    Warmup, Composite, Scaled,
+]
+
+
+# --- metric-driven families (their state machine is in `adaptive`) ---
+#
+# Their positional constructors and wire order are public, so each lists the
+# plateau fields it shares with the other in its own place.
+
+_monitor = _one_of(("train_loss", "test_accuracy"))
+_mode = _one_of(("min", "max"))
+
+
+@dataclass(frozen=True)
+class ReduceOnPlateau(_Checked):
+    """Hold the LR at k, multiply by factor on each plateau, floor at min_lr."""
+
+    k: float = _field(_positive)
+    factor: float = _field(_fraction)
+    patience: int = _field(_posint)
+    monitor: str = _field(_monitor, "test_accuracy")
+    mode: str = _field(_mode, "max")
+    min_delta: float = _field(_nonneg, 0.0)
+    cooldown: int = _field(_count, 0)
+    min_lr: float = _field(_nonneg, 0.0)
+
+
+@dataclass(frozen=True)
+class ChangeOnPlateau(_Checked):
+    """Walk an ordered policy list, advancing one policy per plateau.
+
+    The active policy is evaluated at a local t that restarts at 0 on each
+    switch. Past the end of the list the final policy is held.
+    """
+
+    policies: tuple[Policy, ...] = _field(_closed_each)
+    patience: int = _field(_posint)
+    monitor: str = _field(_monitor, "test_accuracy")
+    mode: str = _field(_mode, "max")
+    min_delta: float = _field(_nonneg, 0.0)
+    cooldown: int = _field(_count, 0)
 
 
 # --- rules across fields, run after the field checks ---
@@ -629,12 +634,15 @@ def policy_to_dict(policy) -> dict:
     """Serialize a policy to the {"family", "params"} wire dict.
 
     A Scaled policy is its base's dict plus a top-level "lambda" key, with
-    nested scalings flattened to one product (see `split_lambda`).
+    nested scalings flattened to one product (see `split_lambda`). A product
+    that leaves the float range, which no reader would take back, raises
+    PolicyError.
     """
     base, lam = split_lambda(policy)
     row = _row(base)
     d = {"family": row.name, "params": {f: _wire(getattr(base, f)) for f in row.checks}}
     if base is not policy:
+        _positive("lambda (the product of nested scalings)", lam)
         d["lambda"] = lam
     return d
 
@@ -648,8 +656,11 @@ def _as_int(family: str, key: str, value):
 
 
 def _segment_from_dict(family: str, key: str, s) -> Segment:
-    _need(isinstance(s, dict) and {"start", "end", "policy"} <= set(s),
+    keys = {"start", "end", "policy"}
+    _need(isinstance(s, dict) and keys <= set(s),
           "each MULTI segment needs 'start', 'end', and 'policy'")
+    extra = set(s) - keys
+    _need(not extra, "MULTI segment got unknown keys %r", sorted(extra, key=str))
     return Segment(start=_as_int(family, "start", s["start"]),
                    end=_as_int(family, "end", s["end"]),
                    policy=policy_from_dict(s["policy"]))
@@ -669,6 +680,8 @@ def policy_from_dict(d: dict):
     """Parse the {"family", "params"} wire dict back into a policy, checked as built."""
     _need(isinstance(d, dict), "policy must be a JSON object, got %r", d)
     _need("family" in d, "policy is missing the 'family' key")
+    extra = set(d) - {"family", "params", "lambda"}
+    _need(not extra, "policy got unknown keys %r", sorted(extra, key=str))
     params = d.get("params", {})
     _need(isinstance(params, dict), "'params' must be a JSON object")
     family = d["family"]
@@ -680,7 +693,7 @@ def policy_from_dict(d: dict):
         _need(f.name in params or f.default is not MISSING,
               "%s is missing required param '%s'", family, f.name)
     extra = set(params) - set(row.checks)
-    _need(not extra, "%s got unknown params %r", family, sorted(extra))
+    _need(not extra, "%s got unknown params %r", family, sorted(extra, key=str))
     kwargs = dict(params)
     for key, value in params.items():
         parse = _WIRE_PARSERS.get(row.checks[key])
@@ -736,16 +749,25 @@ def canonical_policy_key(policy) -> str:
 
 @dataclass(frozen=True)
 class Family:
-    """One policy family: all that the generic code above knows about it."""
+    """One policy family: all that the generic code above knows about it.
+
+    A row holds the family's class, wire name, closed form, horizon rule,
+    rule across fields and parse hook. Its fields are the class's own, and
+    each carries its check (see `_field`).
+    """
 
     cls: type
     name: Optional[str]               # wire name; None for Scaled, which is its base + "lambda"
-    checks: dict                      # every field, in dataclass order -> check(name, value)
     closed_form: Optional[Callable]   # (policy, t) -> eta(t); None when metric-driven
     horizon: Callable = lambda p: None  # horizon rule: policy -> largest valid t, or None
     horizon_by: str = "t_max"         # what sets that horizon, for error messages
     rule: Optional[Callable] = None   # check across fields, after the field checks
     parse_hook: Optional[Callable] = None  # rewrites wire params before they are read
+
+    @cached_property
+    def checks(self) -> dict:
+        """Every field, in dataclass order (the wire order) -> check(name, value)."""
+        return {f.name: f.metadata["check"] for f in fields(self.cls)}
 
 
 # Integer fields take 2.0 for 2 on the wire; policy fields are nested wire
@@ -757,51 +779,36 @@ _WIRE_PARSERS = {
     _segments: _segment_from_dict,
 }
 
-_DECAY = {"k": _nonneg, "gamma": _gamma, "l": _posint}
-_ANNEAL = {"k": _nonneg, "t_max": _posint, "k_min": _nonneg}
-_CYCLIC = {"k0": _nonneg, "k1": _nonneg, "l": _posint}
-_DAMPED = {**_CYCLIC, "gamma": _gamma}
-_PLATEAU = {"patience": _posint, "monitor": _one_of(_MONITORS), "mode": _one_of(_MODES),
-            "min_delta": _nonneg, "cooldown": _count}
-
 FAMILIES = (
-    Family(Fix, "FIX", {"k": _nonneg}, lambda p, t: p.k),
-    Family(Step, "STEP", _DECAY, lambda p, t: p.k * p.gamma ** (t // p.l)),
-    Family(NStep, "NSTEP", {"k": _nonneg, "gamma": _gamma, "milestones": _milestones},
-           lambda p, t: p.k * p.gamma ** bisect_right(p.milestones, t)),
-    Family(Exp, "EXP", _DECAY, lambda p, t: p.k * p.gamma ** (t / p.l)),
-    Family(Poly, "POLY", {"k": _nonneg, "p": _positive, "t_max": _posint},
-           lambda p, t: p.k * (1 - _upto(p, t) / p.t_max) ** p.p, _t_max),
-    Family(CosineDecay, "COSINE", _ANNEAL,
+    Family(Fix, "FIX", lambda p, t: p.k),
+    Family(Step, "STEP", lambda p, t: p.k * p.gamma ** (t // p.l)),
+    Family(NStep, "NSTEP", lambda p, t: p.k * p.gamma ** bisect_right(p.milestones, t)),
+    Family(Exp, "EXP", lambda p, t: p.k * p.gamma ** (t / p.l)),
+    Family(Poly, "POLY", lambda p, t: p.k * (1 - _upto(p, t) / p.t_max) ** p.p, _t_max),
+    Family(CosineDecay, "COSINE",
            lambda p, t: p.k_min + 0.5 * (p.k - p.k_min) * (
                1 + math.cos(math.pi * _upto(p, t) / p.t_max)),
            _t_max, rule=_k_min_at_most_k),
-    Family(LinearDecay, "LINEAR", _ANNEAL,
-           lambda p, t: p.k - (p.k - p.k_min) * (_upto(p, t) / p.t_max),
+    Family(LinearDecay, "LINEAR", lambda p, t: p.k - (p.k - p.k_min) * (_upto(p, t) / p.t_max),
            _t_max, rule=_k_min_at_most_k),
-    Family(Tri, "TRI", _CYCLIC, lambda p, t: p.k0 + (p.k1 - p.k0) * _tri_carrier(t, p.l)[1],
+    Family(Tri, "TRI", lambda p, t: p.k0 + (p.k1 - p.k0) * _tri_carrier(t, p.l)[1],
            rule=_k0_at_most_k1),
-    Family(Tri2, "TRI2", _CYCLIC, lambda p, t: _halved(p, *_tri_carrier(t, p.l)),
-           rule=_k0_at_most_k1),
-    Family(TriExp, "TRIEXP", _DAMPED,
+    Family(Tri2, "TRI2", lambda p, t: _halved(p, *_tri_carrier(t, p.l)), rule=_k0_at_most_k1),
+    Family(TriExp, "TRIEXP",
            lambda p, t: p.k0 + (p.k1 - p.k0) * _tri_carrier(t, p.l)[1] * p.gamma ** t,
            rule=_k0_at_most_k1),
-    Family(Sin, "SIN", _CYCLIC, lambda p, t: p.k0 + (p.k1 - p.k0) * _sin_carrier(t, p.l)[1],
+    Family(Sin, "SIN", lambda p, t: p.k0 + (p.k1 - p.k0) * _sin_carrier(t, p.l)[1],
            rule=_k0_at_most_k1),
-    Family(Sin2, "SIN2", _CYCLIC, lambda p, t: _halved(p, *_sin_carrier(t, p.l)),
-           rule=_k0_at_most_k1),
-    Family(SinExp, "SINEXP", _DAMPED,
+    Family(Sin2, "SIN2", lambda p, t: _halved(p, *_sin_carrier(t, p.l)), rule=_k0_at_most_k1),
+    Family(SinExp, "SINEXP",
            lambda p, t: p.k0 + (p.k1 - p.k0) * _sin_carrier(t, p.l)[1] * p.gamma ** t,
            rule=_k0_at_most_k1),
-    Family(Warmup, "WARMUP", {"w": _nonneg, "inner": _closed}, _warmup, _warmup_horizon,
+    Family(Warmup, "WARMUP", _warmup, _warmup_horizon,
            "horizon (w plus the inner policy's horizon)", _warmup_rule, _warmup_shorthand),
-    Family(Composite, "MULTI", {"segments": _segments}, _composite,
-           lambda p: p.segments[-1].end - 1, "segments"),
-    Family(Scaled, None, {"lam": _positive, "base": _closed},
-           lambda p, t: _times(p.lam, _eval(p.base, t)), lambda p: horizon(p.base)),
-    Family(ReduceOnPlateau, "PLATEAU_REDUCE",
-           {"k": _positive, "factor": _fraction, **_PLATEAU, "min_lr": _nonneg}, None),
-    Family(ChangeOnPlateau, "PLATEAU_CHANGE", {"policies": _closed_each, **_PLATEAU}, None),
+    Family(Composite, "MULTI", _composite, lambda p: p.segments[-1].end - 1, "segments"),
+    Family(Scaled, None, lambda p, t: _times(p.lam, _eval(p.base, t)), lambda p: horizon(p.base)),
+    Family(ReduceOnPlateau, "PLATEAU_REDUCE", None),
+    Family(ChangeOnPlateau, "PLATEAU_CHANGE", None),
 )
 
 _ROWS = {row.cls: row for row in FAMILIES}

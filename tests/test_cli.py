@@ -169,6 +169,17 @@ def test_train_records_land_in_the_db(tmp_path):
     assert rec["outcome"]["diverged"] is False
 
 
+def test_a_one_feature_blobs_manifest_trains(tmp_path, capsys):
+    manifest = write_manifest(tmp_path, dataset={"kind": "blobs", "seed": 1, "n_per_class": 20,
+                                                 "n_classes": 2, "d": 1, "separation": 10.0})
+    code, err = lr(capsys, "train", "--manifest", manifest, "--out-dir", tmp_path / "out",
+                   "--db", tmp_path / "db.jsonl")
+    assert (code, err) == (0, "")
+    outcome = json.loads((tmp_path / "out" / "outcome.json").read_text())
+    assert outcome["diverged"] is False
+    assert outcome["final_accuracy"] > 0.9
+
+
 def test_train_divergence_exit_code(tmp_path):
     manifest = write_manifest(
         tmp_path, model={"kind": "mlp", "hidden": 8},
@@ -236,6 +247,25 @@ def test_unknown_manifest_key_is_a_validation_error(tmp_path, capsys, overrides,
     assert code == 2
     assert fragment in err
     assert not (tmp_path / "db.jsonl").exists()
+
+
+FIX_DOC = {"family": "FIX", "params": {"k": 0.1}}
+
+
+@pytest.mark.parametrize("policy, message", [
+    ({**FIX_DOC, "lamda": 2}, "policy got unknown keys ['lamda']"),
+    ({"family": "MULTI", "params": {"segments": [{"start": 0, "end": 60, "policy": FIX_DOC,
+                                                  "stop": 3}]}},
+     "MULTI segment got unknown keys ['stop']"),
+], ids=["top-level", "segment"])
+def test_an_unknown_policy_key_is_a_validation_error(tmp_path, capsys, policy, message):
+    code, err = lr(capsys, "eval", "--policy", json.dumps(policy), "--t-max", "1")
+    assert (code, err) == (2, f"error: {message}\n")
+    manifest = write_manifest(tmp_path, policy=policy)
+    code, err = lr(capsys, "train", "--manifest", manifest, "--out-dir", tmp_path / "out",
+                   "--db", tmp_path / "db.jsonl")
+    assert (code, err) == (2, f"error: policy: {message}\n")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "db.jsonl").exists()
 
 
 @pytest.mark.parametrize("command, section, values, fragment", [
@@ -584,6 +614,18 @@ def test_tune_all_diverged_exit_code(tmp_path):
                    "--out-dir", "out", "--db", "db.jsonl", cwd=tmp_path)
     assert proc.returncode == 4
     assert "error: every cell diverged" in proc.stderr
+
+
+def test_tune_with_boundaries_names_the_phase_where_every_candidate_diverged(tmp_path):
+    # an LR of 1e309 is inf, so every candidate diverges at its first step
+    manifest = write_manifest(
+        tmp_path, name="compose.json",
+        search={"templates": [{"family": "FIX", "params": {"k": 1e308}}],
+                "lambda_grid": [10.0], "boundaries": [0, 40, 80]})
+    proc = run_cli("tune", "--manifest", manifest, "--workers", "1",
+                   "--out-dir", "out", "--db", "db.jsonl", cwd=tmp_path)
+    assert proc.returncode == 4
+    assert "error: every candidate diverged in phase [0, 40)" in proc.stderr
 
 
 def test_tune_with_boundaries_writes_a_composite(tmp_path):

@@ -179,6 +179,25 @@ def test_blobs_nearest_centroid_separability():
         assert (pred == ds.labels).mean() > 0.99
 
 
+def test_blobs_in_one_dimension_sit_on_a_line():
+    # centers at separation * i: 0, 10, 20, not the circle of d >= 2
+    task = gen_blobs(seed=4, n_per_class=400, n_classes=3, d=1, separation=10.0)
+    assert task.name == "blobs(seed=4,n=400x3,d=1,sep=10)"
+    features = np.concatenate([task.train.features, task.test.features])
+    labels = np.concatenate([task.train.labels, task.test.labels])
+    assert features.shape == (1200, 1)
+    for i in range(3):
+        # unit-variance noise: each mean of 400 points is within 4 standard errors
+        assert abs(features[labels == i, 0].mean() - 10.0 * i) < 4 / 20
+    again = gen_blobs(seed=4, n_per_class=400, n_classes=3, d=1, separation=10.0)
+    other = gen_blobs(seed=5, n_per_class=400, n_classes=3, d=1, separation=10.0)
+    for split in ("train", "test"):
+        a, b = getattr(task, split), getattr(again, split)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+    assert not np.array_equal(task.train.features, other.train.features)
+
+
 def test_blobs_higher_dims_and_validation():
     task = gen_blobs(seed=1, n_per_class=10, n_classes=2, d=5)
     assert task.train.features.shape[1] == 5

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import sys
 import typing
 from functools import partial
 
@@ -45,6 +46,8 @@ from lrforge.schedule import (
     policy_to_json,
     sample_trace,
     trace_to_csv,
+    canonical_json,
+    read_json,
     validate,
 )
 
@@ -52,7 +55,7 @@ import reference
 from reference import MULTI_SWEEP_CASE, SWEEP_CASES, T_MAX_SWEEP, ref_lr, rel_err
 
 # under --hypothesis-profile=oracle-deep (tests/conftest.py) the LR sign test
-# draws the profile's example count
+# and the drawn round-trip test draw the profile's example count
 DEEP = settings.get_current_profile_name() == "oracle-deep"
 
 
@@ -455,6 +458,11 @@ def test_every_lr_is_a_number_and_never_negative(policy, ts, metrics):
                                   Segment(start=4, end=9, policy=Fix(k=0.2)))), "overlap"),
     (partial(Composite, segments=(Segment(start=0, end=0, policy=Fix(k=0.1)),)),
      "must exceed"),
+    # a bool bound would be written as false or true, which the reader rejects
+    (partial(Composite, segments=(Segment(start=False, end=True, policy=Fix(k=0.1)),)),
+     r"^segments\[0\] start/end must be integers$"),
+    (partial(Composite, segments=(Segment(start=0, end=True, policy=Fix(k=0.1)),)),
+     r"^segments\[0\] start/end must be integers$"),
     (partial(Scaled, lam=0.0, base=Fix(k=0.1)), "lam must be > 0"),
     # the base fails as it is built, before the Scaled that would hold it
     (partial(lambda: Scaled(lam=1.0, base=Fix(k=-1.0))), "k must be >= 0"),
@@ -631,6 +639,32 @@ def test_nested_scaling_flattens_to_one_lambda():
     assert policy_from_dict(d) == Scaled(lam=6.0, base=Fix(k=0.1))
 
 
+# a nested scaling whose lambda, the product, leaves the float range
+LAMBDA_PAST_THE_RANGE = [
+    (Scaled(lam=sys.float_info.max / 2, base=Scaled(lam=2.5, base=Fix(k=0.0))),
+     "must be finite, got inf"),
+    (Scaled(lam=10**300, base=Scaled(lam=10**300, base=Fix(k=0.1))),
+     f"must be finite, got {10**600!r}"),
+    (Warmup(w=2, inner=Scaled(lam=1e300, base=Scaled(lam=1e5, base=Scaled(lam=1e5,
+                                                                         base=Fix(k=0.1))))),
+     "must be finite, got inf"),
+    (Scaled(lam=5e-324, base=Scaled(lam=0.5, base=Fix(k=0.1))), "must be > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("policy,message", LAMBDA_PAST_THE_RANGE,
+                         ids=["float", "int", "nested-in-warmup", "underflow"])
+def test_a_lambda_that_leaves_the_float_range_has_no_wire_form(policy, message):
+    # the wire dict would carry that one lambda, which no reader takes back
+    with pytest.raises(PolicyError) as e:
+        policy_to_dict(policy)
+    assert str(e.value) == "lambda (the product of nested scalings) " + message
+    # a product at the edge of the float range is written, and reads back
+    edge = Scaled(lam=2.0, base=Scaled(lam=sys.float_info.max / 2, base=Fix(k=0.0)))
+    assert policy_from_dict(policy_to_dict(edge)) == Scaled(lam=sys.float_info.max,
+                                                            base=Fix(k=0.0))
+
+
 def test_warmup_k_shorthand():
     p = policy_from_dict({"family": "WARMUP", "params": {"w": 10, "k": 0.5}})
     assert p == Warmup(w=10, inner=Fix(k=0.5))
@@ -657,6 +691,22 @@ REDUCE_DOC = {"family": "PLATEAU_REDUCE", "params": {"k": 0.1, "factor": 0.5, "p
      "exactly one of"),
     ({"family": "MULTI", "params": {"segments": []}}, "non-empty"),
     ({"family": "MULTI", "params": {"segments": [{"start": 0}]}}, "needs"),
+    # a key outside the wire format is named, not dropped
+    ({"family": "FIX", "params": {"k": 0.1}, "lamda": 2},
+     r"^policy got unknown keys \['lamda'\]$"),
+    ({"family": "FIX", "params": {"k": 0.1}, "lambda": 2.0, "Params": {}, "zap": None},
+     r"^policy got unknown keys \['Params', 'zap'\]$"),
+    # keys of mixed types, which a Python caller can pass, are still named
+    ({"family": "FIX", "params": {"k": 0.1}, 1: 2, "a": 3},
+     r"^policy got unknown keys \[1, 'a'\]$"),
+    ({"family": "FIX", "params": {"k": 0.1, 1: 2, "a": 3}},
+     r"^FIX got unknown params \[1, 'a'\]$"),
+    ({"family": "WARMUP", "params": {"w": 2, "inner": {"family": "FIX", "params": {"k": 0.1},
+                                                       "lamda": 2}}},
+     r"^policy got unknown keys \['lamda'\]$"),
+    ({"family": "MULTI", "params": {"segments": [
+        {"start": 0, "end": 3, "policy": {"family": "FIX", "params": {"k": 0.1}}, "stop": 3}]}},
+     r"^MULTI segment got unknown keys \['stop'\]$"),
     ({"family": "FIX", "params": {"k": 0.1}, "lambda": 0.0}, "lam must be > 0"),
     ({"family": "PLATEAU_REDUCE", "params": {"k": "0.1", "factor": 0.5, "patience": 1}},
      "k must be a number"),
@@ -746,6 +796,21 @@ def test_every_row_round_trips_through_the_wire_format(policy):
     d = json.loads(policy_to_json(policy))
     assert policy_from_dict(d) == policy
     assert policy_to_dict(policy_from_dict(d)) == d
+
+
+@given(policy=st.one_of(_CLOSED, _PLATEAU))
+@settings(max_examples=settings.default.max_examples if DEEP else 100, deadline=None)
+def test_every_drawn_policy_round_trips_through_the_wire_format(policy):
+    # dicts, not policies: nested scalings flatten to one lambda
+    try:
+        d = policy_to_dict(policy)
+    except PolicyError as e:
+        # a product past the float range is refused by name, as
+        # test_a_lambda_that_leaves_the_float_range_has_no_wire_form checks
+        assert str(e).startswith("lambda (the product of nested scalings) must be ")
+        return
+    assert policy_to_dict(policy_from_dict(d)) == d
+    assert policy_to_dict(policy_from_dict(read_json(canonical_json(d)))) == d
 
 
 def test_unregistered_policy_type_is_rejected():

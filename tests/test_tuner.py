@@ -348,6 +348,14 @@ def test_compose_search_rejects_a_short_horizon_before_phase_0(blobs_ctx, monkey
     assert len(steps) > 0
 
 
+def test_compose_search_names_the_phase_where_every_candidate_diverged(blobs_ctx):
+    # an LR of 1e309 is inf, so every candidate diverges at its first step
+    space = SearchSpace(templates=(Fix(1e308),), lambda_grid=(10.0,), boundaries=(0, 100, 200))
+    with pytest.raises(AllDiverged) as e:
+        compose_search(space, blobs_ctx)
+    assert str(e.value) == "every candidate diverged in phase [0, 100)"
+
+
 def test_leaderboard_csv(tmp_path, blobs_ctx):
     ctx = TrialContext(blobs_ctx.model, blobs_ctx.task, blobs_ctx.optimizer,
                        replace(blobs_ctx.config, target_accuracy=0.9))
