@@ -730,10 +730,31 @@ def read_json(data: Union[str, bytes], prefix: str = "", error: type = ValueErro
         raise error(f"{prefix}{e}") from None
 
 
-#: Canonical JSON text: sorted keys, no spaces. Store lines, store record
-#: identities and tuner tie-breaks all go through this one encoder, which
-#: raises ValueError on a NaN or an infinity, since JSON holds neither.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# built once with the arguments JSONEncoder.iterencode passes, instead of on each encode
+_C_CANONICAL = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    {}, _CANONICAL.default, json.encoder.encode_basestring_ascii, _CANONICAL.indent,
+    _CANONICAL.key_separator, _CANONICAL.item_separator, _CANONICAL.sort_keys,
+    _CANONICAL.skipkeys, _CANONICAL.allow_nan)
+
+
+def canonical_json(obj) -> str:
+    """Canonical JSON text: sorted keys, no spaces; the text `_CANONICAL.encode` gives.
+
+    Store lines, store record identities and tuner tie-breaks all go through
+    this one encoder, which raises ValueError on a NaN or an infinity, since
+    JSON holds neither.
+    """
+    if _C_CANONICAL is None:
+        return _CANONICAL.encode(obj)
+    try:
+        return "".join(_C_CANONICAL(obj, 0))
+    except BaseException:
+        # a failed encode leaves the containers it was inside marked, which
+        # a later encode of one of them would report as a circular reference
+        _C_CANONICAL.markers.clear()
+        raise
+
 
 #: Indented JSON text, keys sorted: each JSON artifact that `lr` writes.
 indented_json = json.JSONEncoder(indent=2, sort_keys=True).encode

@@ -24,6 +24,13 @@ the file at the path now, even if that file was removed or replaced since
 the store was opened; missing parent directories are made when the open
 finds none.
 
+An open reads the file line by line, so it holds the records plus one
+line, never the whole file. Equal task, timestamp and `artifact_version`
+strings are held once: a dict that lives while the open runs maps each to
+the first equal one read. Each record keeps its own policy dict: with
+fewer objects for the cyclic garbage collector to track, its full
+collection would move out of the open and into a later run of appends.
+
 Each line is decoded by `schedule.read_json`, lrforge's one JSON reader:
 UTF-8 without a BOM. A partially written trailing line (interrupted
 writer), one that does not decode (not UTF-8, a BOM, not JSON, an int past
@@ -159,15 +166,18 @@ def _record_to_line(record: TrialRecord, policy_text: str) -> str:
     return canonical_json(obj).replace('"policy":0,', f'"policy":{policy_text},', 1)
 
 
-def _record_from_obj(obj: dict) -> TrialRecord:
+def _record_from_obj(obj: dict, held: Optional[dict] = None) -> TrialRecord:
     """The record a decoded line holds; a line that is no record raises
-    AttributeError, KeyError or TypeError."""
+    AttributeError, KeyError or TypeError. Its task, timestamp and version are
+    the equal objects `held` maps them to, and are added there when new."""
     v = obj.get("v")
     if v != SCHEMA_VERSION:
         need(False, "unsupported record schema version %r", v)
-    return TrialRecord(obj["task"], obj["policy"], obj["lambda"], obj["seed"],
+    hold = {}.setdefault if held is None else held.setdefault
+    task, timestamp, version = obj["task"], obj.get("timestamp"), obj.get("artifact_version")
+    return TrialRecord(hold(task, task), obj["policy"], obj["lambda"], obj["seed"],
                        *_outcome_from_obj(obj["outcome"]), obj.get("wall_time_sec"),
-                       obj.get("timestamp"), obj.get("artifact_version"))
+                       hold(timestamp, timestamp), hold(version, version))
 
 
 class StoreConflict(ValueError):
@@ -243,32 +253,30 @@ class PolicyStore:
     def _load(self):
         if not os.path.exists(self.path):
             return
+        held: dict = {}  # one object for each distinct task, timestamp and version
         with open(self.path, "rb") as f:
-            raw = f.read()
-        lines = raw.split(b"\n")  # the last is b"" when the file ends with a newline
-        for i, line in enumerate(lines, 1):
-            unterminated = i == len(lines)
-            if unterminated and not line:
-                break
-            try:
-                obj = read_json(line)
-            except ValueError:  # any text that read_json does not decode
+            for i, line in enumerate(f, 1):
+                unterminated = not line.endswith(b"\n")
+                try:
+                    obj = read_json(line)
+                except ValueError:  # any text that read_json does not decode
+                    if unterminated:
+                        # interrupted writer; drop the unfinished bytes so the
+                        # next append starts on a fresh line
+                        log.warning("dropping partial trailing line in %s", self.path)
+                        os.truncate(self.path, f.tell() - len(line))
+                        break
+                    obj = None  # no record, reported as one below
+                try:
+                    record = _record_from_obj(obj, held)
+                    key, existing_id = self._known(record, i)
+                except (AttributeError, KeyError, TypeError):
+                    raise ValueError(f"corrupt record at {self.path}:{i}") from None
+                if existing_id is None:
+                    self._index(record, key)
                 if unterminated:
-                    # interrupted writer; drop the unfinished bytes so the
-                    # next append starts on a fresh line
-                    log.warning("dropping partial trailing line in %s", self.path)
-                    os.truncate(self.path, len(raw) - len(line))
-                    break
-                obj = None  # no record, reported as one below
-            try:
-                record = _record_from_obj(obj)
-                key, existing_id = self._known(record, i)
-            except (AttributeError, KeyError, TypeError):
-                raise ValueError(f"corrupt record at {self.path}:{i}") from None
-            if unterminated:
-                self._write(b"\n")
-            if existing_id is None:
-                self._index(record, key)
+                    self._write(b"\n")
+                    break  # the file is read to its end, and now ends in the newline
 
     def __len__(self) -> int:
         return len(self._records)

@@ -146,10 +146,17 @@ def _apply_lambda(template: Policy, lam: float) -> Policy:
 
 
 def _cells(space: SearchSpace, ctx: TrialContext) -> list[tuple[Policy, float]]:
-    """Every (template, lambda) of the space: its grid, or its draws under its seed."""
+    """Every (template, lambda) of the space: its grid, or its draws under its seed.
+
+    Each cell's policy is serialized here, as the ranking will, so a cell
+    whose lambda product leaves the float range fails before any step.
+    """
     seed = ctx.config.seed if space.seed is None else space.seed
     lams = space.lambda_grid or draw_lambdas(space.lambda_range, space.n_samples, seed)
-    return [(template, float(lam)) for template in space.templates for lam in lams]
+    cells = [(template, float(lam)) for template in space.templates for lam in lams]
+    for template, lam in cells:
+        canonical_policy_key(_apply_lambda(template, lam))
+    return cells
 
 
 def _run_cells(cells: list[tuple[Policy, float]], ctx: TrialContext, objective: str,

@@ -1,7 +1,8 @@
 """Independent references: closed forms for the policy families, the
 plain-reduction loss and gradient of a model stack, a plain training
-loop over one trial, and the 2-D surfaces and a surface path by their
-per-point formulas and a plain loop.
+loop over one trial, the 2-D surfaces and a surface path by their
+per-point formulas and a plain loop, and a store's open that reads the
+whole file at once and splits it.
 
 Each evaluator here recomputes the curve with different algebra than the
 library: integer phase reduction instead of the floor/abs carrier,
@@ -18,10 +19,11 @@ corner, not a correctness question; targeted small-t tests cover it.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
-from lrforge import adaptive, schedule
+from lrforge import adaptive, schedule, store
 from lrforge.model import init_params, views
 from lrforge.problems import Quadratic, Rosenbrock
 from lrforge.schedule import (
@@ -349,3 +351,38 @@ def ref_surface_trial(surface, start, policy, opt_spec, iterations: int) -> tupl
             points.append(point)
             values.append(value)
     return points, values, not schedule.finite(value)
+
+
+def ref_store_load(db) -> None:
+    """`PolicyStore._load` over the whole file read at once and split at each
+    newline, with no string shared between records.
+
+    `db` is a PolicyStore holding no records yet; it is loaded as its own
+    `_load` would load it, through its admission rule `_known`.
+    """
+    if not os.path.exists(db.path):
+        return
+    with open(db.path, "rb") as f:
+        raw = f.read()
+    lines = raw.split(b"\n")  # the last is b"" when the file ends with a newline
+    for i, line in enumerate(lines, 1):
+        unterminated = i == len(lines)
+        if unterminated and not line:
+            break
+        try:
+            obj = schedule.read_json(line)
+        except ValueError:
+            if unterminated:
+                store.log.warning("dropping partial trailing line in %s", db.path)
+                os.truncate(db.path, len(raw) - len(line))
+                break
+            obj = None
+        try:
+            record = store._record_from_obj(obj)
+            key, existing_id = db._known(record, i)
+        except (AttributeError, KeyError, TypeError):
+            raise ValueError(f"corrupt record at {db.path}:{i}") from None
+        if unterminated:
+            db._write(b"\n")
+        if existing_id is None:
+            db._index(record, key)

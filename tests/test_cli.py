@@ -337,6 +337,8 @@ MOMENTUM = {"optimizer": {"kind": "sgd", "momentum": 1.5}}
 EPS = {"optimizer": {"kind": "adam", "eps": 0}}
 FIX_GRID = {"templates": [{"family": "FIX", "params": {"k": 1.0}}], "lambda_grid": [0.1]}
 INTP_MAX = np.iinfo(np.intp).max  # the largest size numpy can index
+HUGE_FIX = {"family": "FIX", "params": {"k": 0.1}, "lambda": 1e308}
+PAST_FLOAT = "error: lambda (the product of nested scalings) must be finite, got inf"
 SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
            "start": [1.0, 1.0], "iterations": 5,
            "policies": [{"family": "FIX", "params": {"k": 0.1}}]}
@@ -365,6 +367,10 @@ SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
      "objective must be max_accuracy or min_cost, got 'median'"),
     ("tune", {"search": {**FIX_GRID, "objective": "min_cost"}},
      "min_cost objective requires target_accuracy"),
+    # a cell whose lambda product leaves the float range, on a grid or drawn
+    ("tune", {"search": {"templates": [HUGE_FIX], "lambda_grid": [10.0]}}, PAST_FLOAT),
+    ("tune", {"search": {"templates": [HUGE_FIX], "lambda_range": [10.0, 20.0],
+                         "n_samples": 2}}, PAST_FLOAT),
     ("tune", {"search": {**FIX_GRID, "boundaries": [0, 50, 40]}},
      "boundaries must start at 0 and strictly increase"),
     ("range-test", {"range_test": {"k_grid": [0.1, 0.1]}}, "k_grid values must be distinct"),

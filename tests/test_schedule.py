@@ -813,6 +813,39 @@ def test_every_drawn_policy_round_trips_through_the_wire_format(policy):
     assert policy_to_dict(policy_from_dict(read_json(canonical_json(d)))) == d
 
 
+def _encoded(encode, obj):
+    """encode(obj), or the type and message of what it raised."""
+    try:
+        return encode(obj)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("prebuilt", [True, False], ids=["prebuilt", "fallback"])
+def test_canonical_json_gives_the_bytes_and_errors_of_a_fresh_encoder(monkeypatch, prebuilt):
+    # the prebuilt C encoder, and JSONEncoder.encode where the C one is missing
+    if not prebuilt:
+        monkeypatch.setattr(schedule, "_C_CANONICAL", None)
+    fresh = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+    for obj in ["mōons ✓\n", 7, -0.0, 1e300, None, True, [], {"b": [1, 2.5], "a": {"c": None}},
+                {1: "a", 2: "b"}, {True: 1, False: 0}, {None: 2}, {1.5: 3, -2.0: 4}]:
+        assert canonical_json(obj) == fresh(obj)
+    circular: dict = {}
+    circular["self"] = [circular]
+    # each value that fails, two containers deep; an encode after a failure
+    # sees the same containers, and must not report them as a circular reference
+    for bad in [math.nan, math.inf, -math.inf, object(), {1: "a", "b": 2}, circular]:
+        inner = {"k": bad}
+        outer = {"x": [1, inner]}
+        got = _encoded(canonical_json, outer)
+        assert type(got) is tuple and got == _encoded(fresh, outer)
+        inner["k"] = "fine"
+        assert canonical_json(outer) == fresh(outer) == '{"x":[1,{"k":"fine"}]}'
+    assert _encoded(canonical_json, circular) == (ValueError, "Circular reference detected")
+    circular["self"] = []
+    assert canonical_json(circular) == '{"self":[]}'
+
+
 def test_unregistered_policy_type_is_rejected():
     class MyFix(Fix):
         pass

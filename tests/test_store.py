@@ -1,10 +1,14 @@
 """JSONL trial store: idempotent appends, recovery, top-k queries."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
+from logging.handlers import BufferingHandler
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +38,8 @@ from lrforge.store import (
     resolve_db_path,
 )
 from lrforge.trainer import TrialOutcome
+
+from reference import ref_store_load
 
 
 _OUTCOME = TrialOutcome(final_accuracy=0.8, best_accuracy=0.85,
@@ -407,6 +413,80 @@ def test_hostile_bytes_are_read_or_rejected_with_value_error(tmp_path_factory, d
     last = data.rpartition(b"\n")[2]
     assert path.read_bytes() in (data, data[:len(data) - len(last)], data + b"\n")
     os.remove(path)
+
+
+# whole lines of records, CRLF ones among them, which repeat an identity with
+# the same outcome and with another
+_VALID = [_full_line(r).encode() for r in [
+    _rec(k=0.1), _rec(k=0.2, task="moons"), _rec(k=0.1, wall=9.0, ts="2030-01-01T00:00:00Z"),
+    _rec(k=0.1, acc=0.5), _rec(k=0.3, ts=None, task="mōons ✓")]]
+_WHOLE = st.sampled_from(_VALID + [line + b"\r" for line in _VALID])
+# lines that hold no record: torn, blank, not UTF-8, JSON of something else, random
+_BAD = st.one_of(
+    st.tuples(st.sampled_from(_VALID), st.integers(0, 250)).map(lambda c: c[0][:c[1]]),
+    st.sampled_from([b"", b"\xff", b'{"v": 1, "task": "t\xff"}', b"[1, 2]", b"\xc3"]),
+    st.binary(max_size=12))
+
+
+def _open_with(load, path, data: bytes) -> tuple:
+    """What an open of `data` at `path` through `load` gives: its records or
+    its exception, its warnings, and the file's bytes afterwards."""
+    path.write_bytes(data)
+    logger, caught = logging.getLogger("lrforge.store"), BufferingHandler(capacity=100)
+    logger.addHandler(caught)
+    try:
+        with mock.patch.object(PolicyStore, "_load", load):
+            outcome = PolicyStore(path).records()
+    except Exception as e:
+        outcome = (type(e), str(e))
+    finally:
+        logger.removeHandler(caught)
+    return outcome, [entry.getMessage() for entry in caught.buffer], path.read_bytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(lines=st.lists(_WHOLE, max_size=5),
+       bad=st.lists(st.tuples(st.integers(0, 5), _BAD), max_size=1),
+       tail=st.one_of(st.sampled_from([b"\n", b""]), _BAD.map(lambda line: b"\n" + line)))
+@example(lines=[_VALID[0]], bad=[], tail=b"\n" + _VALID[1][:40])  # a torn tail
+@example(lines=[_VALID[0], _VALID[1]], bad=[], tail=b"")  # a lost final newline
+@example(lines=[_VALID[0] + b"\r", _VALID[2]], bad=[], tail=b"\n")  # CRLF, an identity again
+@example(lines=[_VALID[0], _VALID[3]], bad=[], tail=b"\n")  # an identity, another outcome
+@example(lines=[_VALID[0], _VALID[1]], bad=[(1, b"")], tail=b"\n")  # a blank line
+@example(lines=[_VALID[0]], bad=[], tail=b"\n\xff")  # an unterminated tail, not UTF-8
+def test_a_streamed_open_matches_the_whole_file_open(tmp_path_factory, lines, bad, tail):
+    # the same records, warnings, exception and file bytes as the open that
+    # read the whole file and split it, on files of whole, torn and bad lines
+    for at, line in bad:
+        lines.insert(at, line)
+    data = b"\n".join(lines) + tail
+    path = tmp_path_factory.mktemp("dbs") / "db.jsonl"
+    assert _open_with(PolicyStore._load, path, data) == _open_with(ref_store_load, path, data)
+    os.remove(path)
+
+
+def test_an_open_holds_one_line_and_one_copy_of_each_repeated_string(tmp_path):
+    # 500 lines that share a 10 KB task: a 5.1 MB file
+    path = tmp_path / "db.jsonl"
+    task = "t" * 10_000
+    path.write_bytes(b"".join(
+        _full_line(replace(_rec(task=task, seed=seed), artifact_version=__version__)).encode()
+        + b"\n" for seed in range(500)))
+    size = path.stat().st_size
+    assert 5_000_000 < size < 5_200_000
+    tracemalloc.start()
+    try:
+        store = PolicyStore(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole file, its lines and a task per record held at once would be
+    # three times the file
+    assert peak < size / 4, (peak, size)
+    first, last = store.records()[0], store.records()[-1]
+    assert len(store) == 500 and first.task == task and first.seed != last.seed
+    assert first.task is last.task and first.timestamp is last.timestamp
+    assert first.artifact_version is last.artifact_version
 
 
 _WRITER = """
