@@ -141,8 +141,9 @@ def _max_of_two(l0: np.ndarray, l1: np.ndarray) -> np.ndarray:
 
 def prepare(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     """Check a (C, P) stack and the examples x, y its batches come from, and
-    build the buffers a `forward_loss_grad` step of it writes into: the
-    views of params, and a (C, P) gradient buffer with its views."""
+    build the buffers a `forward_loss_grad` step of it writes into and
+    reads: the views of params, a (C, P) gradient buffer with its views, and
+    the identity matrix whose rows are the one-hot labels."""
     if params.ndim != 2:
         need(False, "params must be a (C, P) stack, got shape %s", params.shape)
     if x.shape[-2] == 0:
@@ -152,7 +153,7 @@ def prepare(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -
     if y.min() < 0 or y.max() >= spec.n_classes:
         need(False, "labels out of range [0, %s)", spec.n_classes)
     grad = np.empty_like(params)
-    return views(spec, params), grad, views(spec, grad)
+    return views(spec, params), grad, views(spec, grad), np.eye(spec.n_classes)
 
 
 def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
@@ -184,7 +185,7 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     if bufs is None:
         with np.errstate(over="ignore", invalid="ignore"):
             return forward_loss_grad(spec, params, x, y, prepare(spec, params, x, y))
-    p, grad, g = bufs
+    p, grad, g, eye = bufs
     stack, n, k = params.shape[0], x.shape[-2], spec.n_classes
     labels = np.empty((n, stack), dtype=np.intp).T  # y as (stack, n), batch-major
     labels[...] = y
@@ -202,7 +203,7 @@ def forward_loss_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     loss = np.add.reduce(np.subtract(lse, target, out=np.empty((stack, n))), axis=-1) / n
 
     delta = np.exp(logits - lse[..., None])
-    delta -= np.eye(k).take(labels.T, axis=0).swapaxes(0, 1)  # one-hot rows
+    delta -= eye.take(labels.T, axis=0).swapaxes(0, 1)  # one-hot rows
     delta /= n
 
     for i in range(len(inputs), 0, -1):

@@ -59,10 +59,11 @@ class OptimizerSpec:
         return "adam"
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen one's __init__ takes 3x as long, and each step makes one
 class OptimizerState:
     """The settings, the moment arrays ((velocity,) for SGD, (m, v) for Adam)
-    and the number of steps taken."""
+    and the number of steps taken. A step never changes a state it is given,
+    but for the moment arrays that a buffered step overwrites."""
 
     spec: OptimizerSpec
     moments: tuple[np.ndarray, ...]

@@ -57,10 +57,12 @@ class Rosenbrock:
              "rosenbrock a and b must be finite, got Rosenbrock(a=%r, b=%r)", self.a, self.b)
 
     def _value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        a, b = self.a, self.b
-        v = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
-        g = np.array([-2 * (a - x[0]) - 4 * b * x[0] * (x[1] - x[0] ** 2),
-                      2 * b * (x[1] - x[0] ** 2)])
+        # numpy scalar **, not x*x, which rounds otherwise at some points, nor
+        # Python's float **, which raises OverflowError where numpy gives inf
+        a, b, x0 = self.a, self.b, x[0]
+        r = x[1] - x0 ** 2
+        v = (a - x0) ** 2 + b * r ** 2
+        g = np.array([-2 * (a - x0) - 4 * b * x0 * r, 2 * b * r])
         return float(v), g
 
 
@@ -88,6 +90,15 @@ class MultiBasin:
     """Sum of negative Gaussian wells; the unique deepest well is the global optimum.
 
     f(x) = -sum_i depth_i * exp(-|x - c_i|^2 / (2 * width_i^2))
+
+    The wells are stacked when the surface is built. An evaluation makes one
+    subtract over all of them, a per-row dot for each |x - c_i|^2 and one
+    `np.exp`; the rest is Python float arithmetic, well by well, with the
+    floats a loop over the wells gives. The dot and exp stay numpy's, whose
+    bytes the paths are pinned to: `d0*d0 + d1*d1` rounds otherwise than
+    the fused BLAS dot, and `math.exp` otherwise than numpy's SIMD exp on
+    AVX-512 machines (which SIMD level to pin is the numeric-platform item
+    of ROADMAP.md).
     """
 
     wells: tuple[Well, ...]
@@ -96,26 +107,35 @@ class MultiBasin:
         need(self.wells, "wells must be non-empty")
         depths = sorted((w.depth for w in self.wells), reverse=True)
         need(len(depths) < 2 or depths[0] != depths[1], "deepest well must be unique")
-        # each well's center, depth, 2 * width^2 and width^2, which every evaluation reads
-        object.__setattr__(self, "_terms", tuple(
-            (np.asarray(w.center, dtype=float), w.depth, 2 * w.width ** 2, w.width ** 2)
-            for w in self.wells))
+        # the (k, 2) centers, each 2 * width^2 as a float, and each depth and
+        # width^2, which every evaluation reads
+        object.__setattr__(self, "_terms", (
+            np.array([w.center for w in self.wells], dtype=float),
+            tuple(float(2 * w.width ** 2) for w in self.wells),
+            tuple((w.depth, w.width ** 2) for w in self.wells)))
 
     def _value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = 0.0, np.zeros(2)
-        for center, depth, spread, width2 in self._terms:
-            d = x - center
-            e = depth * np.exp(-float(d @ d) / spread)
-            value -= e
-            grad += e * d / width2
-        return float(value), grad
+        centers, spreads, terms = self._terms
+        d = x - centers
+        dots = (d[:, None, :] @ d[:, :, None]).ravel().tolist()
+        # a Python float quotient, which overflows to -inf without a numpy warning
+        exps = np.exp([-dot / spread for dot, spread in zip(dots, spreads)]).tolist()
+        value = g0 = g1 = 0.0
+        for (d0, d1), exp, (depth, width2) in zip(d.tolist(), exps, terms):
+            e = depth * exp
+            value, g0, g1 = value - e, g0 + e * d0 / width2, g1 + e * d1 / width2
+        return value, np.array([g0, g1])
 
 
 Surface = Quadratic | Rosenbrock | MultiBasin
+_FLOAT = np.dtype(float)
 
 
 def surface_value_grad(surface: Surface, point: np.ndarray) -> tuple[float, np.ndarray]:
     """Evaluate f and its gradient at a 2-D point."""
+    if (type(point) is np.ndarray and point.dtype is _FLOAT and point.shape == (2,)
+            and type(surface) in Surface.__args__):  # what a surface path passes
+        return surface._value_grad(point)
     x = np.asarray(point, dtype=float)
     if x.shape != (2,):
         need(False, "point must have shape (2,), got %s", x.shape)

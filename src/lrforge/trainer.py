@@ -12,14 +12,14 @@ one optimizer update over every trial still running. Each row gets
 exactly the floats it would get alone, so how trials are grouped never
 changes a result; `run_trial` is a population of one.
 
-The stack keeps its buffers. The params, gradient and optimizer moments
-are (C, P) arrays that every step overwrites in place, and the views and
-per-row arrays a step reads (each row's trial, seed group, lambda and LR
-source) are built again only at an evaluation or a divergence, where
-trials may leave the stack; that copies the rows kept into fresh arrays.
-The task's data are checked with the buffers, not per batch, and one
-`np.errstate` covers every step. A trial that leaves takes a copy of its
-params, so no later step reaches its trace.
+The stack keeps its buffers. The params, gradient, optimizer moments and
+optimizer scratch are (C, P) arrays that every step overwrites in place,
+and the views and per-row arrays a step reads (each row's trial, seed
+group, lambda and LR source) are built again only at an evaluation or a
+divergence, where trials may leave the stack; that copies the rows kept
+into fresh arrays. The task's data are checked with the buffers, not per
+batch, and one `np.errstate` covers every step. A trial that leaves takes
+a copy of its params, so no later step reaches its trace.
 
 Every row reads its LR from one source: a search's trials are a few
 templates under many lambdas, so each distinct base curve is one source,
@@ -185,6 +185,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
     # checks the data every batch is drawn from before the first evaluation
     bufs = prepare(model_spec, params, train.features, train.labels)
     opt_state = optim.init_state(opt_spec, params.shape)
+    scratch = np.empty_like(params)  # optim.step's, built anew with the step buffers
 
     ids = np.arange(len(trials))  # the trial in each row of the stack
     try:
@@ -211,7 +212,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
         and return the mask of rows kept. The rows kept are copied into fresh
         arrays, and the step buffers built anew: a stop comes only at an
         evaluation or a divergence, never in an ordinary step."""
-        nonlocal ids, group, lam_col, src, int_lam, params, bufs, opt_state
+        nonlocal ids, group, lam_col, src, int_lam, params, bufs, opt_state, scratch
         wall = time.perf_counter() - started
         for r in np.flatnonzero(done).tolist():
             i = int(ids[r])
@@ -228,6 +229,7 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
         ids, group, lam_col, src, int_lam = (a[keep] for a in (ids, group, lam_col, src, int_lam))
         params, opt_state = params[keep], optim.select(opt_state, keep)
         bufs = prepare(model_spec, params, train.features, train.labels)
+        scratch = np.empty_like(params)
         return keep
 
     def reached(acc: np.ndarray) -> np.ndarray:
@@ -260,14 +262,15 @@ def run_population(model_spec: ModelSpec, task: TaskData, trials: Sequence[tuple
                                            train.labels.take(batch), bufs)
             step_lrs[ids, t] = lr_col[:, 0]
             step_losses[ids, t] = loss
-            diverged = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1)
-                         & np.isfinite(lr_col[:, 0]))
-            if diverged.any():
+            # the whole gradient stack first; its rows only when a row diverged
+            finite_rows = np.isfinite(loss) & np.isfinite(lr_col[:, 0])
+            if not (finite_rows.all() and np.isfinite(grad).all()):
+                diverged = ~(finite_rows & np.isfinite(grad).all(axis=1))
                 evaluate(diverged, t + 1)
                 keep = stop(diverged, t + 1, True, None)
                 loss, grad, lr_col = loss[keep], grad[keep], lr_col[keep]
 
-            params, opt_state = optim.step(params, grad, lr_col, opt_state, np.empty_like(params))
+            params, opt_state = optim.step(params, grad, lr_col, opt_state, scratch)
 
             t_done = t + 1
             if t_done % eval_every == 0 or t_done == budget:
@@ -361,7 +364,8 @@ def run_surface_trial(surface: Surface, start, policy,
         points, values = [point], [value]
         for t in range(iterations):
             lr = curve(t)
-            if not (finite(value) and np.isfinite(grad).all() and finite(lr)):
+            gx, gy = grad.tolist()
+            if not (finite(value) and finite(gx) and finite(gy) and finite(lr)):
                 return SurfacePath(points, values, diverged=True)
             point, opt_state = optim.step(point, grad, lr, opt_state)
             value, grad = surface_value_grad(surface, point)

@@ -1,11 +1,14 @@
-"""The stacked trainer against an independent per-step loop over each trial.
+"""The stacked trainer against an independent per-step loop over each trial,
+and each surface path against a plain loop.
 
 `reference.ref_run_trial` follows `run_trial`'s documented rules with its
 own loop, loss, gradient and optimizer formulas. Every trace that
 `run_population` gives must equal it byte for byte: LRs and their types,
-losses, evaluations, outcome and final params. Hypothesis draws the
-populations from a fixed seed. Tier-1 runs EXAMPLES of them; under
-`--hypothesis-profile=oracle-deep` (conftest.py) the test runs that
+losses, evaluations, outcome and final params. Likewise every surface path
+that `run_surface_trial` traces must equal `reference.ref_surface_trial`'s,
+point for point and value for value. Hypothesis draws the populations and
+the paths from a fixed seed. Tier-1 runs EXAMPLES of each; under
+`--hypothesis-profile=oracle-deep` (conftest.py) the tests run that
 profile's count instead.
 """
 
@@ -40,9 +43,9 @@ from lrforge.schedule import (
     TriExp,
     Warmup,
 )
-from lrforge.trainer import TrainConfig, run_population
+from lrforge.trainer import TrainConfig, run_population, run_surface_trial
 
-from reference import ref_run_trial
+from reference import ref_run_trial, ref_surface_trial
 
 # huge LRs overflow the update on their way to diverging
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -206,3 +209,53 @@ def test_every_trace_equals_the_per_step_oracle(case):
         assert list(zip(trace.eval_iterations, trace.eval_accuracies)) == want["evals"], where
         assert trace.outcome.to_dict() == want["outcome"], where
         assert trace.final_params.tobytes() == want["final_params"].tobytes(), where
+
+
+# --- surface paths ---
+
+
+class SurfaceCase(NamedTuple):
+    surface: object
+    start: tuple
+    policy: object
+    optimizer: OptimizerSpec
+    iterations: int
+
+
+# widths near both ends of the float range: width**2 and 2 * width**2 stay finite and nonzero
+WIDTH = st.sampled_from([0.05, 0.3, 1, 2.5, 9e153, 10**150, 1e-160]) | st.floats(0.01, 10)
+SURFACE_LAMBDA = st.sampled_from([1e-4, 1e-3, 0.02, 0.5, 2, 1e308])
+
+
+@st.composite
+def _surface_cases(draw):
+    kind = draw(st.sampled_from(["quadratic", "rosenbrock", "multibasin"]))
+    coordinate = st.floats(-3, 3)
+    if kind == "quadratic":
+        p, r = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+        q = draw(st.floats(-0.5, 0.5)) * np.sqrt(p * r)
+        surface = problems.Quadratic(a=[[p, q], [q, r]])
+    elif kind == "rosenbrock":
+        surface = problems.Rosenbrock(a=draw(coordinate), b=draw(st.floats(0, 200)))
+    else:
+        depths = draw(st.lists(st.sampled_from([1, 2, 0.5, 1.7, 3.25, 1e-100, 1e100]),
+                               min_size=1, max_size=4, unique=True))
+        surface = problems.MultiBasin(wells=tuple(
+            problems.Well(center=(draw(coordinate), draw(coordinate)), depth=depth,
+                          width=draw(WIDTH)) for depth in depths))
+    iterations = draw(st.integers(0, 60))
+    return SurfaceCase(surface, (draw(coordinate), draw(coordinate)),
+                       Scaled(lam=draw(SURFACE_LAMBDA), base=draw(_closed_forms(iterations))),
+                       draw(st.sampled_from(OPTIMIZERS)), iterations)
+
+
+@given(case=_surface_cases())
+@settings(max_examples=settings.default.max_examples if DEEP else EXAMPLES,
+          derandomize=True, deadline=None)
+def test_every_surface_path_equals_the_plain_loop(case):
+    path = run_surface_trial(*case)
+    points, values, diverged = ref_surface_trial(*case)
+    assert path.diverged == diverged
+    # bytes, not ==: a last value may be nan
+    assert np.array(path.points).tobytes() == np.array(points).tobytes()
+    assert np.array(path.values).tobytes() == np.array(values).tobytes()

@@ -1,6 +1,7 @@
 """Surfaces, synthetic datasets, and the IDX file format."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -104,6 +105,44 @@ def test_a_well_width_near_the_float_range_evaluates(width):
 def test_surface_point_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         surface_value_grad(Rosenbrock(), np.zeros(3))
+
+
+class _Bowl(Quadratic):
+    """A surface type that is no surface type itself, only a subclass of one."""
+
+
+SURFACES = {"quadratic": Quadratic(a=[[2.0, 0.5], [0.5, 1.0]]), "rosenbrock": Rosenbrock(),
+            "multibasin": MultiBasin(wells=(Well(center=(0.0, 0.0), depth=1.0, width=0.7),
+                                            Well(center=(1.0, -1.0), depth=2, width=1))),
+            "subclass": _Bowl(a=[[2.0, 0.5], [0.5, 1.0]])}
+# points that a surface path never passes, so surface_value_grad converts each
+POINTS = {"list": [0.5, -2], "tuple": (0.5, -2.0), "int-array": np.array([1, -2]),
+          "float32-array": np.array([0.5, -2.0], dtype=np.float32),
+          "big-endian": np.array([0.5, -2.0], dtype=">f8"), "strided": np.arange(4.0)[::2]}
+
+
+@pytest.mark.parametrize("point", POINTS.values(), ids=POINTS)
+@pytest.mark.parametrize("surface", SURFACES.values(), ids=SURFACES)
+def test_a_point_of_any_number_type_evaluates_as_its_float_array(surface, point):
+    value, grad = surface_value_grad(surface, point)
+    want_value, want_grad = ref_surface_value_grad(surface, np.asarray(point, dtype=float))
+    assert type(value) is float and struct.pack("<d", value) == struct.pack("<d", want_value)
+    assert grad.dtype == np.float64 and grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("surface", SURFACES.values(), ids=SURFACES)
+def test_a_point_of_another_shape_is_rejected(surface):
+    for point, shape in ((np.zeros(3), "(3,)"), ([1, 2, 3], "(3,)"),
+                         (np.zeros((2, 1)), "(2, 1)"), (np.float64(1.0), "()")):
+        with pytest.raises(ValueError, match=rf"^point must have shape \(2,\), got "
+                                             rf"{re.escape(shape)}$"):
+            surface_value_grad(surface, point)
+
+
+def test_a_surface_of_another_type_is_rejected():
+    for surface in ("quadratic", None, Well(center=(0.0, 0.0), depth=1.0, width=1.0)):
+        with pytest.raises(ValueError, match=f"^unknown surface type {type(surface).__name__}$"):
+            surface_value_grad(surface, np.zeros(2))
 
 
 # the coordinates where float arithmetic has its edges: signed zeros, the

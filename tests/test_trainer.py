@@ -21,6 +21,7 @@ from lrforge.trainer import (
     write_train_csv,
 )
 
+import reference
 from reference import ref_surface_trial
 
 SGD = OptimizerSpec("sgd")
@@ -365,6 +366,71 @@ def test_a_non_finite_value_gradient_or_lr_ends_the_path_where_the_plain_loop_do
             not schedule.finite(value),
             schedule.finite(value) and not np.isfinite(grad).all(),
             np.isfinite(grad).all() and not schedule.finite(lr)]
+
+
+OPTIMIZERS = pytest.mark.parametrize(
+    "opt", [SGD, OptimizerSpec("sgd", momentum=0.9), OptimizerSpec("adam")],
+    ids=["sgd", "momentum", "adam"])
+ONE_BAD = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                  ids=["nan", "inf", "-inf"])
+AXES = pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+
+
+def _same_path(path, want):
+    points, values, diverged = want
+    assert path.diverged == diverged
+    assert np.array(path.points).tobytes() == np.array(points).tobytes()
+    assert np.array(path.values).tobytes() == np.array(values).tobytes()
+
+
+@OPTIMIZERS
+@AXES
+@ONE_BAD
+def test_a_real_gradient_with_one_bad_coordinate_ends_the_path_at_its_point(bad, axis, opt):
+    # deep, narrow wells 1e-10 from the start: each gives its coordinate of
+    # the gradient +-inf there, and two of opposite sides give nan, while the
+    # value and the other coordinate stay finite
+    off = np.eye(2)[axis] * 1e-10
+    wells = {math.inf: [(-off, 1e300)], -math.inf: [(off, 1e300)]}.get(
+        bad, [(-off, 1e300), (off, 2e300)])
+    surface = MultiBasin(wells=tuple(Well(center=tuple(c), depth=depth, width=1e-10)
+                                     for c, depth in wells))
+    with np.errstate(all="ignore"):
+        value, grad = surface_value_grad(surface, np.zeros(2))
+    assert schedule.finite(value) and grad[1 - axis] == 0
+    assert np.array_equal(grad[axis], bad, equal_nan=True)
+    path = run_surface_trial(surface, (0.0, 0.0), schedule.Fix(0.1), opt, 10)
+    assert path.diverged and len(path.points) == 1
+    _same_path(path, ref_surface_trial(surface, (0.0, 0.0), schedule.Fix(0.1), opt, 10))
+
+
+def _one_bad_coordinate(value_grad, at: int, axis: int, bad: float):
+    """value_grad, but its call for point `at` gives `bad` in the gradient's coordinate `axis`."""
+    calls = []
+
+    def spoiled(surface, x):
+        value, grad = value_grad(surface, x)
+        if len(calls) == at:
+            grad = grad.copy()
+            grad[axis] = bad
+        calls.append(x)
+        return value, grad
+    return spoiled
+
+
+@OPTIMIZERS
+@AXES
+@ONE_BAD
+def test_one_bad_gradient_coordinate_ends_the_path_where_the_plain_loop_does(
+        bad, axis, opt, monkeypatch):
+    surface = MultiBasin(wells=(Well(center=(0.0, 0.0), depth=1.0, width=1.0),))
+    monkeypatch.setattr(trainer, "surface_value_grad",
+                        _one_bad_coordinate(surface_value_grad, 3, axis, bad))
+    monkeypatch.setattr(reference, "ref_surface_value_grad",
+                        _one_bad_coordinate(reference.ref_surface_value_grad, 3, axis, bad))
+    path = run_surface_trial(surface, (0.5, -0.25), schedule.Fix(0.1), opt, 10)
+    assert path.diverged and len(path.points) == 4
+    _same_path(path, ref_surface_trial(surface, (0.5, -0.25), schedule.Fix(0.1), opt, 10))
 
 
 def test_each_surface_step_calls_optim_step_and_surface_value_grad(monkeypatch):
