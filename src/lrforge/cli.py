@@ -395,13 +395,13 @@ def cmd_tune(args) -> int:
         composite, phase_results = tuner.compose_search(space, ctx)
         # composite.json flattens each winner's nested lambdas to one product,
         # which rounds differently: train and record the policy the file holds
-        composite = schedule.policy_from_dict(schedule.policy_to_dict(composite))
+        wire = schedule.policy_to_dict(composite)
+        composite = schedule.policy_from_dict(wire)
         for i, result in enumerate(phase_results):
             tuner.write_leaderboard_csv(
                 result, _artifact(out_dir, f"leaderboard_phase{i}.csv"))
             _record_trials(db, f"{task_name}#phase{i}", _tune_rows(result), stamp)
-        _write_json(_artifact(out_dir, "composite.json"),
-                    schedule.policy_to_dict(composite))
+        _write_json(_artifact(out_dir, "composite.json"), wire)
         # confirmation run of the stitched policy over the full horizon
         trace = _train(ctx, replace(ctx.config, budget=space.boundaries[-1]), composite,
                        out_dir, db, task_name, stamp)
@@ -478,17 +478,15 @@ def cmd_surface(args) -> int:
     need(entries, "policies must be non-empty", error=ManifestError)
     out_dir = _out_dir(doc, args.out_dir)
 
-    named = {}
+    paths = {}  # every path is traced before any is written or printed
     for i, entry in enumerate(entries):
         policy = entry["policy"]
         name = entry.get("name") or f"{schedule.family_name(policy)}_{i}"
-        need(name not in named, "duplicate policy name %r", name, error=ManifestError)
-        schedule.compile(policy, iterations)  # before any path is traced or written
-        named[name] = policy
+        need(name not in paths, "duplicate policy name %r", name, error=ManifestError)
+        paths[name] = trainer.run_surface_trial(surface, start, policy, opt, iterations)
 
     print(f"{'policy':<24} {'final value':>12}  {'min value':>12}")
-    for name, policy in named.items():
-        path = trainer.run_surface_trial(surface, start, policy, opt, iterations)
+    for name, path in paths.items():
         trainer.write_surface_csv(path, _artifact(out_dir, f"path_{name}.csv"))
         status = " (diverged)" if path.diverged else ""
         print(f"{name:<24} {path.final_value():>12.6f}  {min(path.values):>12.6f}"

@@ -1,12 +1,15 @@
 """Optimization test surfaces and small classification datasets.
 
 Surfaces are 2-D scalar fields with analytic gradients, used to trace
-optimizer trajectories. Datasets are deterministic functions of their
-seed: two calls with the same arguments produce identical arrays.
+optimizer trajectories; `surface_value_grad` is their one entry. Datasets
+are deterministic functions of their seed: two calls with the same
+arguments produce identical arrays. `load_idx` reads an IDX image/label
+pair, such as MNIST's; lrforge writes no IDX files.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from .schedule import finite, need, need_count
 
-# IDX file layout (big-endian):
+# IDX file layout (big-endian, sizes unsigned):
 #   images: magic 2051, count, rows, cols, then count*rows*cols unsigned bytes
 #   labels: magic 2049, count, then count unsigned bytes
 IDX_IMAGE_MAGIC = 2051
@@ -132,14 +135,17 @@ _FLOAT = np.dtype(float)
 
 
 def surface_value_grad(surface: Surface, point: np.ndarray) -> tuple[float, np.ndarray]:
-    """Evaluate f and its gradient at a 2-D point."""
-    if (type(point) is np.ndarray and point.dtype is _FLOAT and point.shape == (2,)
-            and type(surface) in Surface.__args__):  # what a surface path passes
-        return surface._value_grad(point)
-    x = np.asarray(point, dtype=float)
+    """Evaluate f and its gradient at a 2-D point.
+
+    A native float64 array, what a surface path passes, goes to the surface
+    as it is; any other point is converted first. An exact surface type is
+    known without an `isinstance` test.
+    """
+    x = (point if type(point) is np.ndarray and point.dtype is _FLOAT
+         else np.asarray(point, dtype=float))
     if x.shape != (2,):
         need(False, "point must have shape (2,), got %s", x.shape)
-    if not isinstance(surface, Surface):
+    if type(surface) not in Surface.__args__ and not isinstance(surface, Surface):
         need(False, "unknown surface type %s", type(surface).__name__)
     return surface._value_grad(x)
 
@@ -152,7 +158,6 @@ class Dataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int64
     n_classes: int
-    split: str            # "train" or "test"
 
 
 @dataclass(frozen=True)
@@ -178,9 +183,8 @@ def _split_80_20(name: str, features: np.ndarray, labels: np.ndarray,
     perm = rng.permutation(n)
     features, labels = features[perm], labels[perm]
     cut = (4 * n) // 5
-    train = Dataset(features[:cut], labels[:cut], n_classes, "train")
-    test = Dataset(features[cut:], labels[cut:], n_classes, "test")
-    return TaskData(name=name, train=train, test=test)
+    return TaskData(name=name, train=Dataset(features[:cut], labels[:cut], n_classes),
+                    test=Dataset(features[cut:], labels[cut:], n_classes))
 
 
 def gen_blobs(seed: int, n_per_class: int, n_classes: int = 2, d: int = 2,
@@ -233,51 +237,41 @@ def gen_moons(seed: int, n: int, noise: float = 0.1) -> TaskData:
 
 
 def _read_exact(f, n: int, path) -> bytes:
-    buf = f.read(n)
-    need(len(buf) == n, "truncated IDX file %s: wanted %s bytes, got %s", path, n, len(buf))
-    return buf
+    """The next n bytes of f; n is checked against the bytes the file has left
+    before any read, so no header size reaches `read`."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    need(n <= left, "truncated IDX file %s: wanted %s bytes, got %s", path, n, left)
+    return f.read(n)
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
-    """Read an IDX image/label file pair, scaling pixels to [0, 1]."""
+def load_idx(images_path, labels_path) -> Dataset:
+    """Read an IDX image/label file pair, scaling pixels to [0, 1].
+
+    Header sizes are read unsigned, as the format writes them, so no header
+    asks for a negative number of bytes.
+    """
     with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
+        magic, count, rows, cols = struct.unpack(">iIII", _read_exact(f, 16, images_path))
         need(magic == IDX_IMAGE_MAGIC, "bad magic in %s: expected %s, got %s",
              images_path, IDX_IMAGE_MAGIC, magic)
+        _size(f"rows * cols in {images_path}", rows * cols, 0)
         raw = _read_exact(f, count * rows * cols, images_path)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">ii", _read_exact(f, 8, labels_path))
+        magic, label_count = struct.unpack(">iI", _read_exact(f, 8, labels_path))
         need(magic == IDX_LABEL_MAGIC, "bad magic in %s: expected %s, got %s",
              labels_path, IDX_LABEL_MAGIC, magic)
         labels = np.frombuffer(_read_exact(f, label_count, labels_path), dtype=np.uint8)
     need(count == label_count, "length mismatch: %s images vs %s labels", count, label_count)
     features = images.astype(np.float64) / 255.0
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(features, labels.astype(np.int64), n_classes, split)
-
-
-def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path):
-    """Write an IDX pair; images are (n, rows, cols) uint8."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    need(images.ndim == 3, "images must be (n, rows, cols), got shape %s", images.shape)
-    need(labels.shape == (images.shape[0],), "length mismatch: %s images vs %s labels",
-         images.shape[0], labels.shape[0])
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABEL_MAGIC, n))
-        f.write(labels.tobytes())
+    return Dataset(features, labels.astype(np.int64), n_classes)
 
 
 def idx_task(train_images, train_labels, test_images, test_labels,
              name: str = "idx") -> TaskData:
-    train = load_idx(train_images, train_labels, "train")
-    test = load_idx(test_images, test_labels, "test")
+    train = load_idx(train_images, train_labels)
+    test = load_idx(test_images, test_labels)
     n_classes = max(train.n_classes, test.n_classes)
-    train = Dataset(train.features, train.labels, n_classes, "train")
-    test = Dataset(test.features, test.labels, n_classes, "test")
-    return TaskData(name=name, train=train, test=test)
+    return TaskData(name=name, train=Dataset(train.features, train.labels, n_classes),
+                    test=Dataset(test.features, test.labels, n_classes))

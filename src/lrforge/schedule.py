@@ -706,10 +706,6 @@ def policy_from_dict(d: dict):
     return policy
 
 
-def policy_to_json(policy) -> str:
-    return json.dumps(policy_to_dict(policy))
-
-
 def policy_from_json(text: Union[str, bytes]):
     """The policy a JSON text holds, read by `read_json`."""
     return policy_from_dict(read_json(text, "invalid policy JSON: ", PolicyError))

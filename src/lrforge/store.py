@@ -25,11 +25,12 @@ the store was opened; missing parent directories are made when the open
 finds none.
 
 An open reads the file line by line, so it holds the records plus one
-line, never the whole file. Equal task, timestamp and `artifact_version`
-strings are held once: a dict that lives while the open runs maps each to
-the first equal one read. Each record keeps its own policy dict: with
-fewer objects for the cyclic garbage collector to track, its full
-collection would move out of the open and into a later run of appends.
+line, never the whole file. Equal task, timestamp, `artifact_version` and
+canonical policy strings are held once: one table, which lives as long as
+the store, maps each to the first equal one read (an append adds its
+policy string). Each record keeps its own policy dict: with fewer objects
+for the cyclic garbage collector to track, its full collection would move
+out of the open and into a later run of appends.
 
 Each line is decoded by `schedule.read_json`, lrforge's one JSON reader:
 UTF-8 without a BOM. A partially written trailing line (interrupted
@@ -223,7 +224,7 @@ class PolicyStore:
         self._records: list[TrialRecord] = []
         self._by_key: dict[tuple, int] = {}
         self._by_task: dict[str, list[tuple[TrialRecord, str]]] = {}
-        self._policy_keys: dict[str, str] = {}
+        self._held: dict = {}  # one object for each distinct string the records hold
         self._load()
 
     def _known(self, record: TrialRecord, line: int = 0) -> tuple[tuple, Optional[int]]:
@@ -235,7 +236,7 @@ class PolicyStore:
         being loaded.
         """
         task, policy_key, lam, seed = record.key()
-        key = task, self._policy_keys.setdefault(policy_key, policy_key), lam, seed
+        key = task, self._held.setdefault(policy_key, policy_key), lam, seed
         existing_id = self._by_key.get(key)
         if (existing_id is not None
                 and self._records[existing_id].stable_outcome() != record.stable_outcome()):
@@ -253,7 +254,6 @@ class PolicyStore:
     def _load(self):
         if not os.path.exists(self.path):
             return
-        held: dict = {}  # one object for each distinct task, timestamp and version
         with open(self.path, "rb") as f:
             for i, line in enumerate(f, 1):
                 unterminated = not line.endswith(b"\n")
@@ -268,7 +268,7 @@ class PolicyStore:
                         break
                     obj = None  # no record, reported as one below
                 try:
-                    record = _record_from_obj(obj, held)
+                    record = _record_from_obj(obj, self._held)
                     key, existing_id = self._known(record, i)
                 except (AttributeError, KeyError, TypeError):
                     raise ValueError(f"corrupt record at {self.path}:{i}") from None

@@ -10,9 +10,10 @@ from lrforge.tuner import TrialContext
 # tests/test_oracle.py and tests/test_problems.py's surface byte test draw ten
 # times their tier-1 examples under this profile, selected with
 # --hypothesis-profile=oracle-deep, and tests/test_store.py's hostile-bytes
-# and streamed-open tests and tests/test_schedule.py's LR sign and drawn
-# round-trip tests, which draw 100 in tier-1, four times; every other
-# hypothesis test sets its own example count, which the profile leaves as it is
+# and streamed-open tests, tests/test_schedule.py's LR sign and drawn
+# round-trip tests and tests/test_problems.py's drawn IDX header test, which
+# draw 100 in tier-1, four times; every other hypothesis test sets its own
+# example count, which the profile leaves as it is
 settings.register_profile("oracle-deep", max_examples=400)
 
 

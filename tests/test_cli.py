@@ -380,6 +380,10 @@ SURFACE = {"surface": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
     ("range-test", {"range_test": {"k_grid": [0.1], "trial_budget": -5}},
      "budget must be >= 0, got -5"),
     ("surface", {"iterations": -1}, "iterations must be >= 0, got -1"),
+    # a bad policy after a good one: every path is traced before any is written
+    ("surface", {"policies": [{"family": "FIX", "params": {"k": 0.1}},
+                              {"family": "POLY", "params": {"k": 0.1, "p": 1.0, "t_max": 2}}]},
+     "POLY t_max ends at t=2, shorter than a 5-step run (last step t=4)"),
     # sizes past what numpy can index, named before any array is made
     ("train", {"dataset": {"kind": "blobs", "seed": 1, "n_per_class": 10**21}},
      f"dataset: n_per_class must be <= {INTP_MAX}, got {10**21}"),

@@ -139,12 +139,17 @@ CASES = [
     ("idx-lengths", lambda tmp: (
         lambda p=_write_idx(tmp, labels=(2049, 2), marks=b"\0\0"): problems.load_idx(*p),
         ValueError, "length mismatch: 1 images vs 2 labels")),
-    ("save-images", lambda tmp: (
-        lambda: problems.save_idx(np.zeros((2, 2)), np.zeros(2), tmp / "i", tmp / "l"),
-        ValueError, "images must be (n, rows, cols), got shape (2, 2)")),
-    ("save-lengths", lambda tmp: (
-        lambda: problems.save_idx(np.zeros((2, 1, 1)), np.zeros(3), tmp / "i", tmp / "l"),
-        ValueError, "length mismatch: 2 images vs 3 labels")),
+    # a header size is checked against the file before any read: one past what
+    # `read` takes, and an int32 -2, which the unsigned IDX sizes read as 2**32 - 2
+    ("idx-size-past-ssize-t", lambda tmp: (
+        lambda p=_write_idx(tmp, images=(2051, 2**31 - 1, 2**31 - 1, 2**31 - 1),
+                            pixels=bytes(8)): problems.load_idx(*p),
+        ValueError, f"truncated IDX file {tmp / 'images.idx'}: wanted {(2**31 - 1) ** 3} "
+        "bytes, got 8")),
+    ("idx-size-negative", lambda tmp: (
+        lambda p=_write_idx(tmp, images=(2051, -2, 1, 1)): problems.load_idx(*p),
+        ValueError, f"truncated IDX file {tmp / 'images.idx'}: wanted {2**32 - 2} bytes, "
+        "got 1")),
     # trainer
     ("target-accuracy", lambda tmp: (lambda: trainer.TrainConfig(target_accuracy=1.5),
                                      ValueError, "target_accuracy must be in (0, 1], got 1.5")),

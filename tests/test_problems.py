@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrforge.problems import (
@@ -18,7 +18,6 @@ from lrforge.problems import (
     gen_moons,
     idx_task,
     load_idx,
-    save_idx,
     surface_value_grad,
 )
 
@@ -310,6 +309,12 @@ def test_quadratic_rejects_a_non_finite_matrix(bad):
 # --- IDX files ---
 
 
+def save_idx(images, labels, images_path, labels_path):
+    """Write an IDX pair: images (n, rows, cols) and labels (n,), both uint8."""
+    images_path.write_bytes(struct.pack(">iiii", 2051, *images.shape) + images.tobytes())
+    labels_path.write_bytes(struct.pack(">ii", 2049, len(labels)) + labels.tobytes())
+
+
 def _tiny_idx(tmp_path, n=12, rows=4, cols=3, seed=0):
     rng = np.random.default_rng(seed)
     images = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
@@ -321,13 +326,12 @@ def _tiny_idx(tmp_path, n=12, rows=4, cols=3, seed=0):
 
 def test_idx_round_trip(tmp_path):
     images, labels, ip, lp = _tiny_idx(tmp_path)
-    ds = load_idx(ip, lp, split="test")
+    ds = load_idx(ip, lp)
     assert ds.features.shape == (12, 12)
     assert ds.features.dtype == np.float64
     assert np.array_equal(ds.features, images.reshape(12, -1) / 255.0)
     assert np.array_equal(ds.labels, labels.astype(np.int64))
     assert ds.n_classes == int(labels.max()) + 1
-    assert ds.split == "test"
 
 
 def test_idx_bad_magic(tmp_path):
@@ -354,15 +358,6 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(tmp_path / "imgs6.idx", tmp_path / "other.idx")
 
 
-def test_save_idx_validation(tmp_path):
-    with pytest.raises(ValueError, match="rows, cols"):
-        save_idx(np.zeros((3, 4), dtype=np.uint8), np.zeros(3, dtype=np.uint8),
-                 tmp_path / "a", tmp_path / "b")
-    with pytest.raises(ValueError, match="length mismatch"):
-        save_idx(np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(4, dtype=np.uint8),
-                 tmp_path / "a", tmp_path / "b")
-
-
 def test_idx_task_harmonizes_class_counts(tmp_path):
     rng = np.random.default_rng(3)
     def pair(labels, prefix):
@@ -377,3 +372,31 @@ def test_idx_task_harmonizes_class_counts(tmp_path):
     assert task.name == "toy"
     assert task.train.n_classes == 4
     assert task.test.n_classes == 4
+
+
+_INT32 = st.integers(-2**31, 2**31 - 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(sizes=st.tuples(_INT32, _INT32, _INT32), pixels=st.binary(max_size=63),
+       marks=st.binary(max_size=63))
+@example(sizes=(2**31 - 1,) * 3, pixels=bytes(8), marks=b"")  # past what read takes
+@example(sizes=(-1, 1, 1), pixels=b"\0", marks=b"\0")  # an int32 -1
+@example(sizes=(0, -1, -1), pixels=b"", marks=b"")  # no image of (2**32 - 1)**2 pixels
+@example(sizes=(2, 2, 1), pixels=b"\0\x80\xff\1", marks=b"\1\4")
+def test_a_drawn_idx_header_loads_or_names_its_file(tmp_path_factory, sizes, pixels, marks):
+    # whatever sizes the images header gives (the labels header repeats the
+    # count), load_idx returns their dataset or raises ValueError naming a file
+    tmp = tmp_path_factory.mktemp("idx")
+    ip, lp = tmp / "images.idx", tmp / "labels.idx"
+    ip.write_bytes(struct.pack(">iiii", 2051, *sizes) + pixels)
+    lp.write_bytes(struct.pack(">ii", 2049, sizes[0]) + marks)
+    try:
+        ds = load_idx(ip, lp)
+    except ValueError as e:
+        assert str(ip) in str(e) or str(lp) in str(e)
+    else:
+        count, rows, cols = (v % 2**32 for v in sizes)  # IDX sizes are unsigned
+        assert ds.features.shape == (count, rows * cols)
+        assert np.array_equal(ds.features.ravel() * 255, list(pixels[:count * rows * cols]))
+        assert ds.labels.tolist() == list(marks[:count])

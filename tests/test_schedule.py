@@ -43,7 +43,6 @@ from lrforge.schedule import (
     policy_from_dict,
     policy_from_json,
     policy_to_dict,
-    policy_to_json,
     sample_trace,
     trace_to_csv,
     canonical_json,
@@ -629,7 +628,7 @@ ROUND_TRIP_POLICIES = [
                          ids=lambda p: family_name(p))
 def test_json_round_trip(policy):
     assert policy_from_dict(policy_to_dict(policy)) == policy
-    assert policy_from_json(policy_to_json(policy)) == policy
+    assert policy_from_json(json.dumps(policy_to_dict(policy))) == policy
 
 
 def test_nested_scaling_flattens_to_one_lambda():
@@ -793,7 +792,7 @@ def test_every_family_has_exactly_one_row():
 
 @pytest.mark.parametrize("policy", TABLE_EXAMPLES, ids=lambda p: type(p).__name__)
 def test_every_row_round_trips_through_the_wire_format(policy):
-    d = json.loads(policy_to_json(policy))
+    d = json.loads(json.dumps(policy_to_dict(policy)))
     assert policy_from_dict(d) == policy
     assert policy_to_dict(policy_from_dict(d)) == d
 

@@ -7,7 +7,9 @@ leaderboard row, a cell's seeds, a trial context built field by field, a
 count's message and the message of a rejected value. Each text below names
 one, and must appear in exactly one place; zero would mean the text went
 stale, not that the job went. The divergence check of a step, once made by
-both the trainer and `optim.step`, is the trainer's alone.
+both the trainer and `optim.step`, is the trainer's alone. No command
+compiles a policy itself, and no module writes JSON text with
+`json.dumps`.
 """
 
 import ast
@@ -84,3 +86,12 @@ def test_only_the_trainer_decides_divergence():
     assert "isfinite" not in optim
     assert [node.name for node in ast.walk(ast.parse(optim))
             if isinstance(node, ast.ClassDef)] == ["OptimizerSpec", "OptimizerState"]
+
+
+def test_no_command_compiles_and_no_module_writes_a_second_json_text():
+    texts = _sources()
+    # run_trial and run_surface_trial compile each policy; a command that
+    # compiled it first, as a check, would do it twice
+    assert "compile(" not in texts["cli.py"]
+    # canonical_json and indented_json write each JSON text lrforge makes
+    assert [name for name, body in texts.items() if "json.dumps(" in body] == []
